@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint bench-json serve-smoke
+.PHONY: build test race lint bench-json bench-check serve-smoke
 
 build:
 	$(GO) build ./...
@@ -35,3 +35,9 @@ lint:
 # Regenerate the checked-in benchmark baseline.
 bench-json:
 	$(GO) run ./cmd/benchjson
+
+# benchmark/ is a nested module outside the root ./..., so build, vet,
+# and test it on its own: an internal API change must not break it
+# unnoticed.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...

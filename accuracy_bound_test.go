@@ -12,7 +12,6 @@ package repro_test
 // subtraction) fails here and nowhere else.
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -127,59 +126,51 @@ func boundFor(t *testing.T, algo string, x []float64, sk repro.Sketch) bound {
 }
 
 // TestAccuracyWithinTheoreticalBounds drives a seeded zipf workload
-// through every registry algorithm — under every hash family the
-// algorithm supports — and asserts the recovered estimates sit inside
-// the (ε, δ) guarantee: at most a δ fraction of the n coordinates may
-// deviate beyond the ε threshold. Two independent (workload seed,
-// sketch seed) pairs guard against a single lucky hash draw. The
-// tabulation runs are the accuracy validation the family relies on:
-// its answers differ bit-wise from pairwise ones, but must satisfy the
-// same bounds (simple tabulation is 3-wise independent, strictly more
-// than the analysis' pairwise requirement).
+// through every registry algorithm and asserts the recovered estimates
+// sit inside the (ε, δ) guarantee: at most a δ fraction of the n
+// coordinates may deviate beyond the ε threshold. Two independent
+// (workload seed, sketch seed) pairs guard against a single lucky
+// hash draw.
 func TestAccuracyWithinTheoreticalBounds(t *testing.T) {
 	for _, seeds := range []struct{ data, sketch int64 }{{7, 3}, {101, 55}} {
 		x := (workload.ZipfLike{}).Vector(accN, rand.New(rand.NewSource(seeds.data)))
 		for _, algo := range repro.Algorithms() {
-			for _, h := range repro.Hashings(algo) {
-				name := fmt.Sprintf("%s/%v", algo, h)
-				sk, err := repro.New(algo,
-					repro.WithDim(accN), repro.WithWords(accWords),
-					repro.WithDepth(accDepth), repro.WithSeed(seeds.sketch),
-					repro.WithHashing(h))
-				if err != nil {
-					t.Fatalf("%s: New: %v", name, err)
-				}
-				if err := repro.SketchVector(sk, x); err != nil {
-					t.Fatalf("%s: SketchVector: %v", name, err)
-				}
-				b := boundFor(t, algo, x, sk)
-				xhat := repro.Recover(sk)
+			sk, err := repro.New(algo,
+				repro.WithDim(accN), repro.WithWords(accWords),
+				repro.WithDepth(accDepth), repro.WithSeed(seeds.sketch))
+			if err != nil {
+				t.Fatalf("%s: New: %v", algo, err)
+			}
+			if err := repro.SketchVector(sk, x); err != nil {
+				t.Fatalf("%s: SketchVector: %v", algo, err)
+			}
+			b := boundFor(t, algo, x, sk)
+			xhat := repro.Recover(sk)
 
-				violations := 0
-				worst := 0.0
-				for i := range x {
-					e := xhat[i] - x[i]
-					if b.oneSided && e < -1e-9 {
-						t.Errorf("%s (seeds %d/%d): underestimate at %d: x=%v x̂=%v — structurally impossible on an insert-only stream",
-							name, seeds.data, seeds.sketch, i, x[i], xhat[i])
-					}
-					if a := math.Abs(e); a > b.threshold {
-						violations++
-						if a > worst {
-							worst = a
-						}
+			violations := 0
+			worst := 0.0
+			for i := range x {
+				e := xhat[i] - x[i]
+				if b.oneSided && e < -1e-9 {
+					t.Errorf("%s (seeds %d/%d): underestimate at %d: x=%v x̂=%v — structurally impossible on an insert-only stream",
+						algo, seeds.data, seeds.sketch, i, x[i], xhat[i])
+				}
+				if a := math.Abs(e); a > b.threshold {
+					violations++
+					if a > worst {
+						worst = a
 					}
 				}
-				// The δ side: the guarantee holds per coordinate with
-				// probability 1−δ, so across n coordinates up to δ·n
-				// violations are within contract (plus 1% finite-sample
-				// slack so the harness tests the guarantee, not the exact
-				// tail constant).
-				allowed := (b.delta + 0.01) * float64(len(x))
-				if float64(violations) > allowed {
-					t.Errorf("%s (seeds %d/%d): %d of %d coordinates exceed the ε bound %.2f (worst |err| %.2f); theory allows %.0f (δ=%.4f)",
-						name, seeds.data, seeds.sketch, violations, len(x), b.threshold, worst, allowed, b.delta)
-				}
+			}
+			// The δ side: the guarantee holds per coordinate with
+			// probability 1−δ, so across n coordinates up to δ·n
+			// violations are within contract (plus 1% finite-sample
+			// slack so the harness tests the guarantee, not the exact
+			// tail constant).
+			allowed := (b.delta + 0.01) * float64(len(x))
+			if float64(violations) > allowed {
+				t.Errorf("%s (seeds %d/%d): %d of %d coordinates exceed the ε bound %.2f (worst |err| %.2f); theory allows %.0f (δ=%.4f)",
+					algo, seeds.data, seeds.sketch, violations, len(x), b.threshold, worst, allowed, b.delta)
 			}
 		}
 	}

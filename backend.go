@@ -14,7 +14,7 @@ import (
 // WithBackend, or open a checkpoint file in place with OpenMmap.
 type Backend = sketch.BackendKind
 
-// The four counter-plane backends.
+// The three counter-plane backends.
 const (
 	// BackendDense is the default: a flat in-memory float64 table,
 	// bit-identical to every prior release, allocation-free on the
@@ -31,14 +31,6 @@ const (
 	// memory-mapped checkpoint file — O(1) time-to-first-query
 	// restores. Obtained from OpenMmap, never from New.
 	BackendMmap = sketch.BackendMmap
-	// BackendTiled is the cache-blocked dense layout: buckets grouped
-	// into 64-wide tiles with all d rows of a tile stored contiguously,
-	// so a point operation touches one tile column instead of d
-	// scattered rows. Same answers as BackendDense bit for bit, better
-	// locality for point-heavy workloads; only the linear-add table
-	// sketches support it (conservative update needs in-place row
-	// views). Slightly larger resident footprint (depth padded to odd).
-	BackendTiled = sketch.BackendTiled
 )
 
 // Typed backend errors.
@@ -67,8 +59,7 @@ var (
 // supports (nil for unknown names). Every algorithm supports
 // BackendDense; the linear-add table sketches (countmin, countmedian,
 // dengrafiei) also support BackendCompressed; all table sketches
-// support BackendMmap; the linear-add table sketches plus countsketch
-// support BackendTiled. The bias-aware core algorithms keep their own
+// support BackendMmap. The bias-aware core algorithms keep their own
 // sample-and-recover state and are dense-only.
 func Backends(algo string) []Backend {
 	e, ok := registry.Lookup(algo)
@@ -81,9 +72,6 @@ func Backends(algo string) []Backend {
 	}
 	if e.Mmap {
 		bs = append(bs, BackendMmap)
-	}
-	if e.Tiled {
-		bs = append(bs, BackendTiled)
 	}
 	return bs
 }

@@ -67,10 +67,10 @@ func feedInsertOnly(t *testing.T, sk repro.Sketch, seed int64) {
 
 func TestBackendsMatrix(t *testing.T) {
 	wants := map[string][]repro.Backend{
-		"countmin":      {repro.BackendDense, repro.BackendCompressed, repro.BackendMmap, repro.BackendTiled},
-		"countmedian":   {repro.BackendDense, repro.BackendCompressed, repro.BackendMmap, repro.BackendTiled},
-		"dengrafiei":    {repro.BackendDense, repro.BackendCompressed, repro.BackendMmap, repro.BackendTiled},
-		"countsketch":   {repro.BackendDense, repro.BackendMmap, repro.BackendTiled},
+		"countmin":      {repro.BackendDense, repro.BackendCompressed, repro.BackendMmap},
+		"countmedian":   {repro.BackendDense, repro.BackendCompressed, repro.BackendMmap},
+		"dengrafiei":    {repro.BackendDense, repro.BackendCompressed, repro.BackendMmap},
+		"countsketch":   {repro.BackendDense, repro.BackendMmap},
 		"cmcu":          {repro.BackendDense, repro.BackendMmap},
 		"cmlcu":         {repro.BackendDense, repro.BackendMmap},
 		"l1sr":          {repro.BackendDense},

@@ -15,7 +15,8 @@ import (
 )
 
 // backendShape matches the baseline shape (s=4096, d=9) so backend
-// entries in BENCH_9.json are comparable with the per-algorithm paths.
+// entries in the BENCH_<n>.json baseline are comparable with the
+// per-algorithm paths.
 func backendSketch(b *testing.B, be repro.Backend, feed int) repro.Sketch {
 	b.Helper()
 	sk, err := repro.New("countmin",
@@ -32,10 +33,9 @@ func backendSketch(b *testing.B, be repro.Backend, feed int) repro.Sketch {
 
 // BenchmarkBackendUpdate measures one element-wise update per op on
 // the writable backends. The compressed plane pays the braid's hash
-// cascade per add; the dense plane is the zero-alloc baseline; the
-// tiled plane writes one tile column instead of d scattered rows.
+// cascade per add; the dense plane is the zero-alloc baseline.
 func BenchmarkBackendUpdate(b *testing.B) {
-	for _, be := range []repro.Backend{repro.BackendDense, repro.BackendCompressed, repro.BackendTiled} {
+	for _, be := range []repro.Backend{repro.BackendDense, repro.BackendCompressed} {
 		b.Run(be.String(), func(b *testing.B) {
 			sk := backendSketch(b, be, 0)
 			b.ResetTimer()
@@ -59,7 +59,7 @@ func BenchmarkBackendQuery(b *testing.B) {
 			sk.Query((i * 31) % 1_000_000)
 		}
 	}
-	for _, be := range []repro.Backend{repro.BackendDense, repro.BackendCompressed, repro.BackendTiled} {
+	for _, be := range []repro.Backend{repro.BackendDense, repro.BackendCompressed} {
 		b.Run(be.String(), func(b *testing.B) {
 			serve(b, backendSketch(b, be, feed))
 		})
@@ -88,7 +88,7 @@ func BenchmarkBackendRestore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, be := range []repro.Backend{repro.BackendDense, repro.BackendCompressed, repro.BackendTiled} {
+	for _, be := range []repro.Backend{repro.BackendDense, repro.BackendCompressed} {
 		b.Run(be.String(), func(b *testing.B) {
 			b.SetBytes(int64(len(blob)))
 			b.ResetTimer()

@@ -176,18 +176,12 @@ func BenchmarkAblationHash(b *testing.B) {
 					hs[t] = h
 				}
 				hash = func(t int, i uint64) int { return hs[t].Hash(i) }
-			case "tabulation":
-				f, err := hashing.NewTabFamily(rr, d, s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				hash = func(t int, i uint64) int { return f.T[t].Hash(i) }
 			default:
 				f, err := hashing.NewFamily(rr, d, s)
 				if err != nil {
 					b.Fatal(err)
 				}
-				hash = func(t int, i uint64) int { return f.H[t].Hash(i) }
+				hash = f.Hash
 			}
 			signs := hashing.NewSignFamily(rr, d)
 			cells := make([][]float64, d)
@@ -197,7 +191,7 @@ func BenchmarkAblationHash(b *testing.B) {
 			for i, v := range x {
 				u := uint64(i)
 				for t := 0; t < d; t++ {
-					cells[t][hash(t, u)] += signs.S[t].SignFloat(u) * v
+					cells[t][hash(t, u)] += signs.SignFloat(t, u) * v
 				}
 			}
 			var sum float64
@@ -205,7 +199,7 @@ func BenchmarkAblationHash(b *testing.B) {
 			for i := range x {
 				u := uint64(i)
 				for t := 0; t < d; t++ {
-					buf[t] = signs.S[t].SignFloat(u) * cells[t][hash(t, u)]
+					buf[t] = signs.SignFloat(t, u) * cells[t][hash(t, u)]
 				}
 				est := vecmath.Median(buf)
 				if diff := est - x[i]; diff > 0 {
@@ -219,7 +213,6 @@ func BenchmarkAblationHash(b *testing.B) {
 	}
 	b.Run("pairwise", func(b *testing.B) { run(b, "pairwise") })
 	b.Run("fourwise", func(b *testing.B) { run(b, "fourwise") })
-	b.Run("tabulation", func(b *testing.B) { run(b, "tabulation") })
 }
 
 // BenchmarkAblationBiasEstimator compares the three ℓ2 bias estimators

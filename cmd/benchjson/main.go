@@ -1,5 +1,5 @@
 // Command benchjson regenerates the checked-in benchmark baseline
-// (BENCH_9.json): it runs the curated ingestion/serving/codec
+// (BENCH_11.json): it runs the curated ingestion/serving/codec
 // benchmarks at the paper's §5.1 shape (s=4096, d=9) with -benchmem
 // and writes the parsed results as stable, machine-readable JSON.
 // Since PR 7 the set includes the counter-plane backend entries
@@ -23,7 +23,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchjson [-out BENCH_10.json] [-benchtime 0.3s] [-bench regexp]
+//	go run ./cmd/benchjson [-out BENCH_11.json] [-benchtime 0.3s] [-bench regexp]
 //	go run ./cmd/benchjson -diff [-threshold 10] OLD.json NEW.json
 //
 // The -diff mode compares two committed baselines: it prints the
@@ -73,7 +73,7 @@ type Entry struct {
 	CommWordsPerRound float64 `json:"comm_words_per_round,omitempty"`
 }
 
-// Baseline is the BENCH_9.json document.
+// Baseline is the BENCH_<n>.json document.
 type Baseline struct {
 	Note      string  `json:"note"`
 	Shape     Shape   `json:"shape"`
@@ -90,7 +90,7 @@ type Shape struct {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_10.json", "output file")
+	out := flag.String("out", "BENCH_11.json", "output file")
 	benchtime := flag.String("benchtime", "0.3s", "go test -benchtime value")
 	benchRe := flag.String("bench", defaultBench, "go test -bench regexp")
 	diff := flag.Bool("diff", false, "compare two baseline files (OLD.json NEW.json) instead of running benchmarks")

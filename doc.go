@@ -99,10 +99,14 @@
 // and keeps ingesting as its exact continuation; checkpoints taken
 // under concurrent writers are consistent (the Merged guarantee).
 // Legacy v1 payloads written by older builds still decode; writers
-// emit v2 only. Unmarshal rejects trailing bytes with the typed
-// ErrTrailingData; all decode paths bound every length and count
-// against the validated descriptor before allocating, so hostile
-// bytes error rather than panic or exhaust memory.
+// emit v2 only. Every row hashes with the paper's pairwise family, so
+// a descriptor naming another hash family (older builds could write
+// tabulation-hashed table sketches) fails with ErrHashUnsupported
+// instead of restoring under the wrong hashes. Unmarshal rejects
+// trailing bytes with the typed ErrTrailingData; all decode paths
+// bound every length and count against the validated descriptor
+// before allocating, so hostile bytes error rather than panic or
+// exhaust memory.
 //
 // # Storage backends
 //
@@ -126,39 +130,7 @@
 // conservative-update planes reject BackendCompressed with
 // ErrBackendUnsupported). Counter Braids itself is also a first-class
 // registry algorithm ("counterbraids", legend alias "CB") with the
-// same insert-only, decode-at-query contract. BackendTiled is a
-// cache-blocked variant of the dense plane — buckets grouped into
-// 64-wide tiles with all d rows of a tile contiguous, so a point
-// operation touches one tile column instead of d scattered rows —
-// with bit-identical answers; the linear-add table sketches and
-// countsketch support it.
-//
-// # Hash families
-//
-// The row hashes behind every table sketch are pluggable the same
-// way: WithHashing selects the family without changing the
-// algorithm's guarantees. HashPairwise (the default) is the paper's
-// Carter–Wegman construction over the Mersenne prime 2^61−1 — every
-// sketch built without the option is bit-identical to every prior
-// release. HashTabulation is simple tabulation (Pǎtraşcu–Thorup):
-// each hash function carries eight 256-entry lookup tables (~16 KiB,
-// ~2 KiB for a sign function), is 3-wise independent — strictly more
-// than the pairwise analysis needs, so every (ε, δ) bound carries
-// over unchanged and the accuracy harness runs under both families —
-// and replaces the Mersenne reduction's hardware division with table
-// lookups plus a multiply-shift range reduction. The ablation in
-// BENCH_10.json quantifies the trade: tabulation runs the headline
-// BenchmarkUpdateBatch/BenchmarkQueryBatch entries 2–5× faster
-// than the pairwise baseline of BENCH_9.json (the batched kernels
-// also got branchless median networks, signs, and min-folds, which
-// the /pairwise sub-entries inherit), at the cost of the
-// table footprint and estimates that differ numerically (different
-// randomness, same bounds) from the pairwise draw. The family is
-// part of the sketch's identity: checkpoints record it (wire v2 only
-// — EncodeV1 refuses with ErrHashUnsupported), merges require both
-// sides to share family and seed, and Hashings reports which
-// families an algorithm supports (the bias-aware S/R schemes pin the
-// paper's pairwise construction).
+// same insert-only, decode-at-query contract.
 //
 // # Sliding windows
 //
@@ -235,7 +207,7 @@
 // validated descriptor; typederr requires exported functions and
 // constructors to return typed or %w-wrapped errors and forbids panic
 // in the codec. The suite runs green over the whole module with zero
-// suppressions, and BENCH_10.json is the checked-in ns/op + allocs/op
+// suppressions, and BENCH_11.json is the checked-in ns/op + allocs/op
 // baseline these contracts protect (cmd/benchjson -diff compares two
 // baselines and fails past a regression threshold).
 //

@@ -51,25 +51,3 @@ func Make(algo string, n, s, d int, seed int64) sketch.Sketch {
 	}
 	return e.MustNew(registry.Shape{N: n, S: s, D: d, Seed: seed})
 }
-
-// MakeFast constructs an algorithm at the same shape as Make but in
-// its fastest supported configuration: the tabulation hash family
-// where the entry supports it (the table sketches), falling back to
-// the paper's pairwise construction otherwise. The plane stays dense —
-// at the benchmark shape each row fits L1, so the tiled layout's extra
-// position arithmetic only costs (the tiled plane is benchmarked
-// separately by the Backend* benchmarks). The batched update/query
-// benchmarks use MakeFast for their headline entries so the committed
-// baseline tracks the hot path users are expected to run; the pairwise
-// construction stays benchmarked under the /pairwise sub-entries.
-func MakeFast(algo string, n, s, d int, seed int64) sketch.Sketch {
-	e, ok := registry.Lookup(algo)
-	if !ok {
-		panic(fmt.Sprintf("bench: unknown algorithm %q", algo))
-	}
-	sh := registry.Shape{N: n, S: s, D: d, Seed: seed}
-	if e.Tabulation {
-		sh.Hash = sketch.HashTabulation
-	}
-	return e.MustNew(sh)
-}

@@ -22,13 +22,11 @@ const (
 	queryFillLen  = 1 << 18 // updates ingested before queries start
 )
 
-// queriedSketch builds an algorithm at the benchmark shape (via mk:
-// MakeFast for the batched headline entries, Make for the element-wise
-// and /pairwise entries) and feeds it a fixed stream, so queries touch
-// realistically populated rows.
-func queriedSketch(b *testing.B, algo string, mk func(string, int, int, int, int64) sketch.Sketch) sketch.Sketch {
+// queriedSketch builds an algorithm at the benchmark shape and feeds
+// it a fixed stream, so queries touch realistically populated rows.
+func queriedSketch(b *testing.B, algo string) sketch.Sketch {
 	b.Helper()
-	sk := mk(algo, queryBenchN, queryBenchS, queryBenchD, 1)
+	sk := Make(algo, queryBenchN, queryBenchS, queryBenchD, 1)
 	r := rand.New(rand.NewSource(79))
 	idx := make([]int, 4096)
 	ones := make([]float64, 4096)
@@ -59,7 +57,7 @@ func BenchmarkQuery(b *testing.B) {
 	idx := queryStream()
 	for _, algo := range All {
 		b.Run(algo, func(b *testing.B) {
-			sk := queriedSketch(b, algo, Make)
+			sk := queriedSketch(b, algo)
 			mask := len(idx) - 1
 			var sink float64
 			b.ResetTimer()
@@ -73,28 +71,24 @@ func BenchmarkQuery(b *testing.B) {
 
 func BenchmarkQueryBatch(b *testing.B) {
 	idx := queryStream()
-	run := func(name string, mk func(string, int, int, int, int64) sketch.Sketch) {
-		for _, algo := range All {
-			b.Run(algo+name, func(b *testing.B) {
-				sk := queriedSketch(b, algo, mk)
-				bq, ok := sk.(sketch.BatchQuerier)
-				if !ok {
-					b.Fatalf("%s (%T) has no batched query path", algo, sk)
+	for _, algo := range All {
+		b.Run(algo, func(b *testing.B) {
+			sk := queriedSketch(b, algo)
+			bq, ok := sk.(sketch.BatchQuerier)
+			if !ok {
+				b.Fatalf("%s (%T) has no batched query path", algo, sk)
+			}
+			out := make([]float64, queryBatchLen)
+			span := len(idx) - queryBatchLen
+			b.ResetTimer()
+			for done := 0; done < b.N; done += queryBatchLen {
+				m := queryBatchLen
+				if rem := b.N - done; rem < m {
+					m = rem
 				}
-				out := make([]float64, queryBatchLen)
-				span := len(idx) - queryBatchLen
-				b.ResetTimer()
-				for done := 0; done < b.N; done += queryBatchLen {
-					m := queryBatchLen
-					if rem := b.N - done; rem < m {
-						m = rem
-					}
-					off := done % span
-					bq.QueryBatch(idx[off:off+m], out[:m])
-				}
-			})
-		}
+				off := done % span
+				bq.QueryBatch(idx[off:off+m], out[:m])
+			}
+		})
 	}
-	run("", MakeFast)
-	run("/pairwise", Make)
 }

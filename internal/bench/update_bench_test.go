@@ -13,12 +13,6 @@ import (
 // directly comparable between the two — the batched number must win by
 // the row-major traversal (cache-hot rows, one hash-coefficient load
 // per row per batch).
-//
-// Element-wise entries run the paper's pairwise/dense construction.
-// Batched headline entries run each algorithm's fastest supported
-// configuration (tabulation hashing where available, see MakeFast);
-// the /pairwise sub-entries keep the pairwise construction tracked so
-// a pairwise regression is visible in the baseline diff too.
 const (
 	updateBenchN   = 1_000_000
 	updateBenchS   = 4096
@@ -55,27 +49,23 @@ func BenchmarkUpdate(b *testing.B) {
 
 func BenchmarkUpdateBatch(b *testing.B) {
 	idx, ones := updateStream()
-	run := func(name string, mk func(string, int, int, int, int64) sketch.Sketch) {
-		for _, algo := range All {
-			b.Run(algo+name, func(b *testing.B) {
-				sk := mk(algo, updateBenchN, updateBenchS, updateBenchD, 1)
-				bu, ok := sk.(sketch.BatchUpdater)
-				if !ok {
-					b.Fatalf("%s (%T) has no batched path", algo, sk)
+	for _, algo := range All {
+		b.Run(algo, func(b *testing.B) {
+			sk := Make(algo, updateBenchN, updateBenchS, updateBenchD, 1)
+			bu, ok := sk.(sketch.BatchUpdater)
+			if !ok {
+				b.Fatalf("%s (%T) has no batched path", algo, sk)
+			}
+			span := len(idx) - updateBatchLen
+			b.ResetTimer()
+			for done := 0; done < b.N; done += updateBatchLen {
+				m := updateBatchLen
+				if rem := b.N - done; rem < m {
+					m = rem
 				}
-				span := len(idx) - updateBatchLen
-				b.ResetTimer()
-				for done := 0; done < b.N; done += updateBatchLen {
-					m := updateBatchLen
-					if rem := b.N - done; rem < m {
-						m = rem
-					}
-					off := done % span
-					bu.UpdateBatch(idx[off:off+m], ones[off:off+m])
-				}
-			})
-		}
+				off := done % span
+				bu.UpdateBatch(idx[off:off+m], ones[off:off+m])
+			}
+		})
 	}
-	run("", MakeFast)
-	run("/pairwise", Make)
 }

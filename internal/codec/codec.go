@@ -37,6 +37,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -117,12 +118,6 @@ type Desc struct {
 	D    int
 	Seed int64
 
-	// Hash is the hash family the sketch's rows draw from. The zero
-	// value is the pairwise family, which is also what the wire format
-	// assumes when a container carries no family byte — so descriptors
-	// decoded from any pre-existing checkpoint come back pairwise.
-	Hash sketch.HashKind
-
 	// Backend records which counter-plane backend the sketch was
 	// reconstructed on. It is in-memory metadata only — never
 	// serialized, always the dense zero value on descriptors read from
@@ -151,15 +146,12 @@ func (d Desc) Validate() error {
 	if d.Seed < 0 {
 		return fmt.Errorf("codec: negative seed")
 	}
-	if d.Hash > sketch.HashTabulation {
-		return fmt.Errorf("codec: unknown hash family %v", d.Hash)
-	}
 	return nil
 }
 
 // Shape returns the registry construction shape the descriptor names.
 func (d Desc) Shape() registry.Shape {
-	return registry.Shape{N: d.N, S: d.S, D: d.D, Seed: d.Seed, Hash: d.Hash}
+	return registry.Shape{N: d.N, S: d.S, D: d.D, Seed: d.Seed}
 }
 
 // lookup resolves the descriptor's algorithm and validates its shape —
@@ -319,22 +311,55 @@ func readPayload(r io.Reader, n, max uint64) ([]byte, error) {
 	return buf, nil
 }
 
-// descPayload serializes a descriptor section body. The hash-family
-// byte is appended only when the family is not pairwise: a pairwise
-// sketch's descriptor is byte-identical to what every earlier build
-// wrote, and decoders treat the absent byte as pairwise.
+// ErrHashUnsupported is wrapped by every decode path handed a
+// descriptor that carries a hash-family byte. Older builds appended
+// that byte to sketches whose rows drew from simple tabulation
+// hashing; this build hashes every row with the pairwise family, and
+// restoring such a payload under it would answer queries from the
+// wrong buckets, so the payload is refused instead.
+var ErrHashUnsupported = errors.New("codec: hash family not supported")
+
+// descPayload serializes a descriptor section body: the u16 name
+// length, the name, then N, S, D, and Seed as u64s.
 func descPayload(d Desc) []byte {
 	name := []byte(d.Algo)
-	buf := make([]byte, 0, 2+len(name)+33)
+	buf := make([]byte, 0, 2+len(name)+32)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
 	buf = append(buf, name...)
 	for _, v := range []uint64{uint64(d.N), uint64(d.S), uint64(d.D), uint64(d.Seed)} {
 		buf = binary.LittleEndian.AppendUint64(buf, v)
 	}
-	if d.Hash != sketch.HashPairwise {
-		buf = append(buf, byte(d.Hash))
-	}
 	return buf
+}
+
+// maxDescPayload bounds a descriptor section: the longest name plus
+// the number block, plus the one hash-family byte parseDesc must still
+// read in order to reject it with ErrHashUnsupported.
+const maxDescPayload = 2 + maxNameLen + 33
+
+// parseDesc decodes a descPayload body. A body one byte longer than
+// that layout carries a hash-family byte and fails with
+// ErrHashUnsupported; any other length is malformed.
+func parseDesc(payload []byte) (Desc, error) {
+	if len(payload) < 2 {
+		return Desc{}, fmt.Errorf("codec: descriptor section truncated")
+	}
+	nameLen := int(binary.LittleEndian.Uint16(payload))
+	if nameLen <= maxNameLen && len(payload) == 2+nameLen+33 {
+		return Desc{}, fmt.Errorf("%w: the descriptor names hash family %d, and only the pairwise family can be restored",
+			ErrHashUnsupported, payload[len(payload)-1])
+	}
+	if nameLen > maxNameLen || len(payload) != 2+nameLen+32 {
+		return Desc{}, fmt.Errorf("codec: malformed descriptor section (%d bytes, name length %d)", len(payload), nameLen)
+	}
+	nums := payload[2+nameLen:]
+	return Desc{
+		Algo: string(payload[2 : 2+nameLen]),
+		N:    int(binary.LittleEndian.Uint64(nums)),
+		S:    int(binary.LittleEndian.Uint64(nums[8:])),
+		D:    int(binary.LittleEndian.Uint64(nums[16:])),
+		Seed: int64(binary.LittleEndian.Uint64(nums[24:])),
+	}, nil
 }
 
 // readDescSection consumes a desc section, resolves the algorithm,
@@ -344,29 +369,13 @@ func readDescSection(r io.Reader) (Desc, *registry.Entry, error) {
 	if err != nil {
 		return Desc{}, nil, err
 	}
-	payload, err := readPayload(r, n, 2+maxNameLen+33)
+	payload, err := readPayload(r, n, maxDescPayload)
 	if err != nil {
 		return Desc{}, nil, err
 	}
-	if len(payload) < 2 {
-		return Desc{}, nil, fmt.Errorf("codec: descriptor section truncated")
-	}
-	// Two valid lengths: the classic 32-byte number block, or the same
-	// plus one trailing hash-family byte (absent means pairwise).
-	nameLen := int(binary.LittleEndian.Uint16(payload))
-	if nameLen > maxNameLen || (len(payload) != 2+nameLen+32 && len(payload) != 2+nameLen+33) {
-		return Desc{}, nil, fmt.Errorf("codec: malformed descriptor section (%d bytes, name length %d)", len(payload), nameLen)
-	}
-	nums := payload[2+nameLen:]
-	d := Desc{
-		Algo: string(payload[2 : 2+nameLen]),
-		N:    int(binary.LittleEndian.Uint64(nums)),
-		S:    int(binary.LittleEndian.Uint64(nums[8:])),
-		D:    int(binary.LittleEndian.Uint64(nums[16:])),
-		Seed: int64(binary.LittleEndian.Uint64(nums[24:])),
-	}
-	if len(nums) == 33 {
-		d.Hash = sketch.HashKind(nums[32])
+	d, err := parseDesc(payload)
+	if err != nil {
+		return Desc{}, nil, err
 	}
 	e, err := d.lookup()
 	if err != nil {
@@ -566,9 +575,6 @@ func decodeSketchSectionsBackend(r io.Reader, nsec uint32, allowExact bool, be s
 // the v1 golden vectors) so compatibility tooling and tests can still
 // produce v1 bytes; new code writes v2 via EncodeSketch.
 func EncodeV1(w io.Writer, desc Desc, sk sketch.Sketch) error {
-	if desc.Hash != sketch.HashPairwise {
-		return fmt.Errorf("codec: %w: the v1 container predates hash families and can only carry pairwise sketches, not %v", sketch.ErrHashUnsupported, desc.Hash)
-	}
 	st, err := registry.State(sk)
 	if err != nil {
 		return fmt.Errorf("codec: %T is not serializable (its state is not carried by the wire format)", sk)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/concurrent"
 	"repro/internal/registry"
 	"repro/internal/sketch"
 )
@@ -86,53 +87,81 @@ func TestRoundTripLegendNames(t *testing.T) {
 	}
 }
 
-// The v2 container records the hash family; v1 predates it and must
-// refuse anything but pairwise rather than silently dropping the
-// family (a pairwise restore of a tabulation plane would answer
-// queries from the wrong buckets).
+// withFamilyByte returns a copy of a v2 container whose leading
+// descriptor section carries one extra hash-family byte — the layout
+// older builds wrote for sketches hashed with simple tabulation.
+func withFamilyByte(t testing.TB, container []byte) []byte {
+	t.Helper()
+	if container[9] != secDesc {
+		t.Fatalf("first section tag %d, want the descriptor", container[9])
+	}
+	n := binary.LittleEndian.Uint64(container[10:])
+	end := 18 + int(n)
+	out := append([]byte(nil), container[:end]...)
+	binary.LittleEndian.PutUint64(out[10:], n+1)
+	out = append(out, 1)
+	return append(out, container[end:]...)
+}
+
+// Every sketch hashes its rows with the pairwise family, so a
+// descriptor carrying a hash-family byte must fail every decode path
+// with ErrHashUnsupported — a pairwise restore would answer queries
+// from the wrong buckets.
 func TestHashFamilyOnTheWire(t *testing.T) {
-	desc := Desc{Algo: "countmin", N: 20000, S: 256, D: 7, Seed: 99, Hash: sketch.HashTabulation}
-	sk, err := registry.SafeNew(desc.Algo, desc.Shape())
+	desc := Desc{Algo: "countmin", N: 20000, S: 256, D: 7, Seed: 99}
+	sk := ingested(t, desc)
+
+	var plain bytes.Buffer
+	if err := EncodeSketch(&plain, desc, sk); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeSketch(bytes.NewReader(withFamilyByte(t, plain.Bytes()))); !errors.Is(err, ErrHashUnsupported) {
+		t.Errorf("sketch container: err = %v, want ErrHashUnsupported", err)
+	}
+
+	sh := concurrent.New(2, mkFor(t, desc), registry.Merge)
+	var sharded bytes.Buffer
+	if err := EncodeSharded(&sharded, desc, sh); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeSharded(bytes.NewReader(withFamilyByte(t, sharded.Bytes()))); !errors.Is(err, ErrHashUnsupported) {
+		t.Errorf("sharded checkpoint: err = %v, want ErrHashUnsupported", err)
+	}
+
+	// The aligned file layout keeps its state 8-aligned around the
+	// longer descriptor, so only the family byte stands between the
+	// file and a successful map.
+	tag, payload, err := captureState(sk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rand.New(rand.NewSource(1))
-	for u := 0; u < 30000; u++ {
-		sk.Update(r.Intn(desc.N), float64(1+r.Intn(5)))
+	dp := append(descPayload(desc), 1)
+	var file bytes.Buffer
+	if err := writeContainer(&file, KindSketch, []section{
+		{secDesc, dp},
+		{secPad, make([]byte, (8-(36+len(dp))%8)%8)},
+		{tag, payload},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err = parseMappedSketch(file.Bytes())
+	if !errors.Is(err, ErrHashUnsupported) || !errors.Is(err, ErrMmap) {
+		t.Errorf("mapped file: err = %v, want ErrHashUnsupported and ErrMmap", err)
+	}
+	if _, _, err := DecodeSketch(bytes.NewReader(file.Bytes())); !errors.Is(err, ErrHashUnsupported) {
+		t.Errorf("aligned stream: err = %v, want ErrHashUnsupported", err)
 	}
 
-	var buf bytes.Buffer
-	if err := EncodeV1(&buf, desc, sk); !errors.Is(err, sketch.ErrHashUnsupported) {
-		t.Errorf("EncodeV1(tabulation): got %v, want ErrHashUnsupported", err)
-	}
-
-	buf.Reset()
-	if err := EncodeSketch(&buf, desc, sk); err != nil {
-		t.Fatalf("EncodeSketch: %v", err)
-	}
-	loaded, gotDesc, err := DecodeSketch(&buf)
-	if err != nil {
-		t.Fatalf("DecodeSketch: %v", err)
-	}
-	if gotDesc != desc {
-		t.Fatalf("desc round-trip %+v != %+v", gotDesc, desc)
+	// The byte is the only difference: without it the same container
+	// decodes and answers exactly.
+	loaded, got, err := DecodeSketch(&plain)
+	if err != nil || got != desc {
+		t.Fatalf("control decode: desc %+v err %v", got, err)
 	}
 	for i := 0; i < desc.N; i += 97 {
 		if a, b := sk.Query(i), loaded.Query(i); a != b {
 			t.Fatalf("query %d: %f != %f", i, a, b)
 		}
-	}
-
-	// A hostile descriptor claiming tabulation for a pairwise-only
-	// algorithm must be rejected on decode, not constructed anyway.
-	hostile := Desc{Algo: "l1sr", N: 500, S: 16, D: 3, Seed: 4, Hash: sketch.HashTabulation}
-	hsk := bench.Make("l1sr", hostile.N, hostile.S, hostile.D, hostile.Seed)
-	var crafted bytes.Buffer
-	if err := EncodeSketch(&crafted, hostile, hsk); err != nil {
-		t.Fatalf("crafting hostile container: %v", err)
-	}
-	if _, _, err := DecodeSketch(&crafted); !errors.Is(err, sketch.ErrHashUnsupported) {
-		t.Errorf("hostile tabulation l1sr container: got %v, want ErrHashUnsupported", err)
 	}
 }
 

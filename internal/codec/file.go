@@ -129,29 +129,12 @@ func parseMappedSketch(data []byte) (Desc, *registry.Entry, []byte, error) {
 	if tag != secDesc {
 		return Desc{}, nil, nil, fmt.Errorf("%w: section tag %d where descriptor expected", ErrMmap, tag)
 	}
-	if n > 2+maxNameLen+33 {
+	if n > maxDescPayload {
 		return Desc{}, nil, nil, fmt.Errorf("%w: descriptor section of %d bytes", ErrMmap, n)
 	}
-	payload := data[off+9 : off+9+int(n)]
-	if len(payload) < 2 {
-		return Desc{}, nil, nil, fmt.Errorf("%w: descriptor section truncated", ErrMmap)
-	}
-	// As in readDescSection, an optional trailing byte carries the hash
-	// family; its absence means pairwise.
-	nameLen := int(binary.LittleEndian.Uint16(payload))
-	if nameLen > maxNameLen || (len(payload) != 2+nameLen+32 && len(payload) != 2+nameLen+33) {
-		return Desc{}, nil, nil, fmt.Errorf("%w: malformed descriptor section (%d bytes, name length %d)", ErrMmap, len(payload), nameLen)
-	}
-	nums := payload[2+nameLen:]
-	desc := Desc{
-		Algo: string(payload[2 : 2+nameLen]),
-		N:    int(binary.LittleEndian.Uint64(nums)),
-		S:    int(binary.LittleEndian.Uint64(nums[8:])),
-		D:    int(binary.LittleEndian.Uint64(nums[16:])),
-		Seed: int64(binary.LittleEndian.Uint64(nums[24:])),
-	}
-	if len(nums) == 33 {
-		desc.Hash = sketch.HashKind(nums[32])
+	desc, err := parseDesc(data[off+9 : off+9+int(n)])
+	if err != nil {
+		return Desc{}, nil, nil, fmt.Errorf("%w: %w", ErrMmap, err)
 	}
 	e, err := desc.lookup()
 	if err != nil {

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/registry"
-	"repro/internal/sketch"
 )
 
 // FuzzDecodeSketch feeds arbitrary bytes to the single-sketch loader
@@ -25,18 +23,7 @@ func FuzzDecodeSketch(f *testing.F) {
 	}
 	f.Add(v1.Bytes())
 	f.Add(v2.Bytes())
-	tabDesc := desc
-	tabDesc.Hash = sketch.HashTabulation
-	tabSk, err := registry.SafeNew(tabDesc.Algo, tabDesc.Shape())
-	if err != nil {
-		f.Fatal(err)
-	}
-	tabSk.Update(5, 3)
-	var vt bytes.Buffer
-	if err := EncodeSketch(&vt, tabDesc, tabSk); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(vt.Bytes())
+	f.Add(withFamilyByte(f, v2.Bytes()))
 	f.Add([]byte("BAS1garbage"))
 	f.Add([]byte("BAS2garbage"))
 	f.Add([]byte{})

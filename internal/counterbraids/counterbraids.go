@@ -135,12 +135,12 @@ func (b *Braid) Update(i int, delta float64) {
 		panic("counterbraids: updates must be non-negative integers (insert-only)")
 	}
 	for t := 0; t < b.cfg.D; t++ {
-		j := b.h1.H[t].Hash(uint64(i))
+		j := b.h1[t].Hash(uint64(i))
 		sum := b.c1[j] + d
 		b.c1[j] = sum & b.cap1
 		if carry := sum >> uint(b.cfg.Layer1Bits); carry > 0 {
 			for u := 0; u < b.cfg.D; u++ {
-				b.c2[b.h2.H[u].Hash(uint64(j))] += carry
+				b.c2[b.h2[u].Hash(uint64(j))] += carry
 			}
 		}
 	}
@@ -173,7 +173,7 @@ func (b *Braid) Decode(maxIter int) ([]float64, error) {
 	for j := 0; j < b.cfg.Layer1; j++ {
 		m := make([]int, b.cfg.D)
 		for u := 0; u < b.cfg.D; u++ {
-			m[u] = b.h2.H[u].Hash(uint64(j))
+			m[u] = b.h2[u].Hash(uint64(j))
 		}
 		memb2[j] = m
 	}
@@ -193,7 +193,7 @@ func (b *Braid) Decode(maxIter int) ([]float64, error) {
 	for f := 0; f < b.cfg.N; f++ {
 		m := make([]int, b.cfg.D)
 		for t := 0; t < b.cfg.D; t++ {
-			m[t] = b.h1.H[t].Hash(uint64(f))
+			m[t] = b.h1[t].Hash(uint64(f))
 		}
 		memb1[f] = m
 	}

@@ -23,20 +23,7 @@ var ErrBadState = errors.New("counterbraids: bad braid state")
 // SameShape reports whether two braids share configuration and hash
 // seeds — the precondition for an exact merge.
 func (b *Braid) SameShape(o *Braid) bool {
-	if b.cfg != o.cfg {
-		return false
-	}
-	for t := range b.h1.H {
-		if b.h1.H[t] != o.h1.H[t] {
-			return false
-		}
-	}
-	for t := range b.h2.H {
-		if b.h2.H[t] != o.h2.H[t] {
-			return false
-		}
-	}
-	return true
+	return b.cfg == o.cfg && b.h1.Equal(o.h1) && b.h2.Equal(o.h2)
 }
 
 // MergeFrom adds o's braid state into b, exactly. The braid state is a
@@ -56,7 +43,7 @@ func (b *Braid) MergeFrom(o *Braid) error {
 		b.c1[j] = sum & b.cap1
 		if carry := sum >> uint(b.cfg.Layer1Bits); carry > 0 {
 			for u := 0; u < b.cfg.D; u++ {
-				b.c2[b.h2.H[u].Hash(uint64(j))] += carry
+				b.c2[b.h2[u].Hash(uint64(j))] += carry
 			}
 		}
 	}

@@ -36,10 +36,10 @@ var (
 	// site's role: non-linear sketches cannot be summed by the
 	// coordinator, and exact would ship the raw vector.
 	ErrNotShippable = errors.New("distributed: algorithm cannot ship site sketches")
-	// ErrBadConfig is returned by MonitorConfig.Validate and
-	// TreeConfig.Validate for unusable knob values — non-positive
-	// sites, synchronization intervals, fan-in, or shard counts, and
-	// churn events naming sites that do not exist.
+	// ErrBadConfig is returned by TreeConfig.Validate for unusable
+	// knob values — non-positive sites, synchronization intervals,
+	// fan-in, or shard counts, and churn events naming sites that do
+	// not exist.
 	ErrBadConfig = errors.New("distributed: invalid monitor configuration")
 	// ErrStaleFrame is returned when a delta frame regresses or
 	// repeats an acknowledged epoch on an aggregation-tree edge —

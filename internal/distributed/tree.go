@@ -10,8 +10,10 @@ import (
 	"repro/internal/stream"
 )
 
-// This file is the delta-shipping aggregation-tree fabric: the star of
-// continuous.go generalized to a fan-in-k tree whose edges carry delta
+// This file simulates the *continuous* distributed monitoring setting
+// (§1 combined with §5.5) as a delta-shipping aggregation tree: sites
+// ingest their local update streams in real time and synchronize with
+// the coordinator through a fan-in-k tree whose edges carry delta
 // frames — only the shards whose epoch advanced since the last
 // acknowledged hop — instead of full site state every round. Interior
 // nodes cache each child's last-shipped per-shard state, merge the
@@ -91,6 +93,24 @@ func (c TreeConfig) Validate() error {
 		}
 	}
 	return nil
+}
+
+// MonitorStats accumulates the cost of a monitoring run.
+type MonitorStats struct {
+	Rounds         int
+	UpdatesApplied int
+	CommWords      int // total words shipped toward the coordinator
+	CommBytes      int // total encoded bytes shipped toward the coordinator
+
+	// SketchWords is the single-sketch size for the run's descriptor,
+	// and BudgetWordsPerRound the paper's theoretical per-round budget:
+	// sites × sketch size (§5.5) — what a full-state synchronization
+	// ships. Delta rounds are measured against it.
+	SketchWords         int
+	BudgetWordsPerRound int
+
+	Restarts int          // churn events applied
+	PerRound []RoundStats // per-synchronization communication ledger
 }
 
 // RoundStats is the communication ledger of one synchronization round.

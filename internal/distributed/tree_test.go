@@ -97,6 +97,21 @@ func TestMonitorTreeArgumentErrors(t *testing.T) {
 	}
 }
 
+func mkStreams(sites, perSite, n int, seed int64) ([][]stream.Update, []float64) {
+	r := rand.New(rand.NewSource(seed))
+	streams := make([][]stream.Update, sites)
+	global := make([]float64, n)
+	for p := range streams {
+		us := make([]stream.Update, perSite)
+		for u := range us {
+			us[u] = stream.Update{I: r.Intn(n), Delta: float64(1 + r.Intn(4))}
+			global[us[u].I] += us[u].Delta
+		}
+		streams[p] = us
+	}
+	return streams, global
+}
+
 // sampleBits fingerprints a coordinator: the exact bit patterns of a
 // spread of point queries.
 func sampleBits(sk sketch.Sketch, n int) []uint64 {
@@ -109,8 +124,8 @@ func sampleBits(sk sketch.Sketch, n int) []uint64 {
 
 // The fabric's headline correctness property: for every linear
 // shippable algorithm, the delta-shipped coordinator answers
-// bit-identically to the full-state-shipped one, to the star
-// topology's, and to a single sketch fed the union of the streams —
+// bit-identically to the full-state-shipped one and to a single
+// sketch fed the union of the streams —
 // including runs with mid-stream churn. Integer update deltas make
 // every counter an exactly represented float64 sum, so association
 // order cannot perturb a single bit.
@@ -163,10 +178,6 @@ func TestTreeBitIdenticalAcrossShippingModes(t *testing.T) {
 				}
 			}
 
-			star, _, err := Monitor(MonitorConfig{Sites: sites, SyncEvery: syncEvery}, desc, streams, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 			single, err := registry.SafeNew(desc.Algo, desc.Shape())
 			if err != nil {
 				t.Fatal(err)
@@ -176,11 +187,10 @@ func TestTreeBitIdenticalAcrossShippingModes(t *testing.T) {
 					single.Update(i, v)
 				}
 			}
-			db, fb, sb, ib := sampleBits(delta, n), sampleBits(full, n), sampleBits(star, n), sampleBits(single, n)
+			db, fb, ib := sampleBits(delta, n), sampleBits(full, n), sampleBits(single, n)
 			for k := range db {
-				if db[k] != fb[k] || db[k] != sb[k] || db[k] != ib[k] {
-					t.Fatalf("sample %d: delta %x full %x star %x single %x",
-						k, db[k], fb[k], sb[k], ib[k])
+				if db[k] != fb[k] || db[k] != ib[k] {
+					t.Fatalf("sample %d: delta %x full %x single %x", k, db[k], fb[k], ib[k])
 				}
 			}
 		})
@@ -439,14 +449,16 @@ func TestTreeEmptyStreams(t *testing.T) {
 	}
 }
 
-// The star Monitor's extended ledger: per-round entries sum to the
-// totals, every round is a full-frame round, and the budget matches
-// the paper's sites × sketch-size bound.
+// The per-round ledger under full-state shipping on a one-level tree:
+// entries sum to the totals, every site ships one full frame per
+// round, and each round costs exactly the paper's sites × sketch-size
+// budget.
 func TestMonitorPerRoundLedger(t *testing.T) {
 	const n, sites = 400, 3
 	streams, _ := mkStreams(sites, 500, n, 51)
 	desc := codec.Desc{Algo: "l2sr", N: n, S: 32, D: 1, Seed: 8}
-	_, st, err := Monitor(MonitorConfig{Sites: sites, SyncEvery: 100}, desc, streams, nil)
+	cfg := TreeConfig{Sites: sites, SyncEvery: 100, FanIn: sites, Shards: 1, Mode: ShipFull}
+	_, st, err := MonitorTree(cfg, desc, streams, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +471,7 @@ func TestMonitorPerRoundLedger(t *testing.T) {
 			t.Errorf("entry %d numbered %d", i, r.Round)
 		}
 		if r.FullFrames != sites {
-			t.Errorf("round %d: %d full frames, want %d (star ships everyone)", r.Round, r.FullFrames, sites)
+			t.Errorf("round %d: %d full frames, want %d (one per site)", r.Round, r.FullFrames, sites)
 		}
 		if r.CommWords != st.BudgetWordsPerRound {
 			t.Errorf("round %d: %d words, want the %d budget", r.Round, r.CommWords, st.BudgetWordsPerRound)
@@ -472,5 +484,83 @@ func TestMonitorPerRoundLedger(t *testing.T) {
 	}
 	if st.SketchWords <= 0 || st.BudgetWordsPerRound != sites*st.SketchWords {
 		t.Fatalf("budget fields: %+v", st)
+	}
+}
+
+// Mid-run coordinator states must track the global prefix: error
+// against the running exact vector should stay bounded at every round.
+func TestMonitorIntermediateRounds(t *testing.T) {
+	const n, sites, perSite = 2000, 3, 3000
+	streams, _ := mkStreams(sites, perSite, n, 3)
+	desc := codec.Desc{Algo: "l2sr", N: n, S: 256, D: 1, Seed: 4}
+
+	// Track the exact prefix as rounds complete.
+	exactAt := func(round int) []float64 {
+		x := make([]float64, n)
+		for p := 0; p < sites; p++ {
+			upTo := min(round*1000, len(streams[p]))
+			for _, u := range streams[p][:upTo] {
+				x[u.I] += u.Delta
+			}
+		}
+		return x
+	}
+
+	rounds := 0
+	cfg := TreeConfig{Sites: sites, SyncEvery: 1000, FanIn: 2, Shards: 2}
+	_, st, err := MonitorTree(cfg, desc, streams, func(round int, coord sketch.Sketch) {
+		rounds = round
+		x := exactAt(round)
+		var worst float64
+		for i := 0; i < n; i += 37 {
+			if e := math.Abs(coord.Query(i) - x[i]); e > worst {
+				worst = e
+			}
+		}
+		// Bucket noise at k=64, s=256: sqrt(2000/256)·σ ≈ small;
+		// generous cap to keep the test robust.
+		if worst > 50 {
+			t.Errorf("round %d: worst tracked error %f", round, worst)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounds != st.Rounds || st.Rounds != 3 {
+		t.Errorf("rounds = %d (callback %d), want 3", st.Rounds, rounds)
+	}
+}
+
+// One site with far more data: rounds continue until every stream has
+// drained, and nothing is lost or applied twice.
+func TestMonitorUnevenStreams(t *testing.T) {
+	const n = 500
+	desc := codec.Desc{Algo: "l2sr", N: n, S: 32, D: 1, Seed: 7}
+	streams := [][]stream.Update{
+		make([]stream.Update, 2500),
+		make([]stream.Update, 100),
+	}
+	for p := range streams {
+		for u := range streams[p] {
+			streams[p][u] = stream.Update{I: (p*7 + u) % n, Delta: 1}
+		}
+	}
+	cfg := TreeConfig{Sites: 2, SyncEvery: 1000, FanIn: 2, Shards: 2}
+	final, st, err := MonitorTree(cfg, desc, streams, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.UpdatesApplied != 2600 {
+		t.Errorf("applied %d, want 2600", st.UpdatesApplied)
+	}
+	if st.Rounds != 3 {
+		t.Errorf("rounds = %d, want 3", st.Rounds)
+	}
+	var total float64
+	for i := 0; i < n; i++ {
+		total += final.Query(i)
+	}
+	if math.Abs(total-2600) > 50 {
+		t.Errorf("total recovered mass %f, want ≈2600", total)
 	}
 }

@@ -10,8 +10,7 @@ import (
 )
 
 // The batched kernels are the per-row inner loops of every sketch's
-// hot path: they must stay allocation-free for both arms of the
-// family dispatch (pairwise and tabulation).
+// hot path: they must stay allocation-free.
 func TestBatchedKernelsAllocFree(t *testing.T) {
 	const rang, n = 4096, 600
 	r := rand.New(rand.NewSource(7))
@@ -22,29 +21,12 @@ func TestBatchedKernelsAllocFree(t *testing.T) {
 	hout := make([]int, n)
 	sout := make([]float64, n)
 
-	for name, f := range map[string]Family{
-		"pairwise":   mustFamily(NewFamily(r, 3, rang)),
-		"tabulation": mustFamily(NewTabFamily(r, 3, rang)),
-	} {
-		f := f
-		if a := testing.AllocsPerRun(50, func() { f.HashMany(1, xs, hout) }); a != 0 {
-			t.Errorf("%s Family.HashMany allocates %.1f per call", name, a)
-		}
+	f := must(NewFamily(r, 3, rang))
+	if a := testing.AllocsPerRun(50, func() { f.HashMany(1, xs, hout) }); a != 0 {
+		t.Errorf("Family.HashMany allocates %.1f per call", a)
 	}
-	for name, f := range map[string]SignFamily{
-		"pairwise":   NewSignFamily(r, 3),
-		"tabulation": NewTabSignFamily(r, 3),
-	} {
-		f := f
-		if a := testing.AllocsPerRun(50, func() { f.SignFloatMany(1, xs, sout) }); a != 0 {
-			t.Errorf("%s SignFamily.SignFloatMany allocates %.1f per call", name, a)
-		}
+	sf := NewSignFamily(r, 3)
+	if a := testing.AllocsPerRun(50, func() { sf.SignFloatMany(1, xs, sout) }); a != 0 {
+		t.Errorf("SignFamily.SignFloatMany allocates %.1f per call", a)
 	}
-}
-
-func mustFamily(f Family, err error) Family {
-	if err != nil {
-		panic(err)
-	}
-	return f
 }

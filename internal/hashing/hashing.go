@@ -6,10 +6,7 @@
 // suffice and each costs O(1) words to store. We implement the classic
 // Carter–Wegman construction over the Mersenne prime p = 2^61 - 1, which
 // gives exact pairwise independence over [p], plus a degree-3 polynomial
-// variant (4-wise) used by the hashing ablation benchmark, plus simple
-// tabulation hashing (tabulation.go) — 3-wise independent, no division
-// on the evaluation path — as the cheaper-per-evaluation hot-path
-// alternative the sketches select with sketch.HashTabulation.
+// variant (4-wise) used by the hashing ablation benchmark.
 package hashing
 
 import (
@@ -18,6 +15,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // oneBits is the IEEE-754 encoding of +1.0. ORing a hash bit into the
@@ -173,165 +171,60 @@ func (h FourWise) Hash(x uint64) int {
 	return int(v % h.Range)
 }
 
-// Family bundles d independent hash functions with a common codomain,
-// as used for the d rows of every sketch (h_1..h_d in Theorems 1 and
-// 2). Exactly one arm is populated: H for a Carter–Wegman pairwise
-// family (the default, the paper's §4.4 choice), T for a tabulation
-// family. The sketches' hot paths branch on T once per row and then
-// run the arm's batched kernel directly, so dispatch never costs an
-// interface call per element.
-type Family struct {
-	H []Pairwise
-	T []*Tabulation
-}
+// Family bundles d independent pairwise hash functions with a common
+// codomain, as used for the d rows of every sketch (h_1..h_d in
+// Theorems 1 and 2). Member t is row t's function.
+type Family []Pairwise
 
 // NewFamily draws d independent pairwise hashes into [0, rng).
 // A non-positive range returns an ErrRange-wrapped error.
 func NewFamily(r *rand.Rand, d, rang int) (Family, error) {
-	hs := make([]Pairwise, d)
-	for i := range hs {
+	f := make(Family, d)
+	for i := range f {
 		h, err := NewPairwise(r, rang)
 		if err != nil {
-			return Family{}, err
+			return nil, err
 		}
-		hs[i] = h
+		f[i] = h
 	}
-	return Family{H: hs}, nil
+	return f, nil
 }
 
-// NewTabFamily draws d independent tabulation hashes into [0, rng).
-// A non-positive range returns an ErrRange-wrapped error.
-func NewTabFamily(r *rand.Rand, d, rang int) (Family, error) {
-	ts := make([]*Tabulation, d)
-	for i := range ts {
-		t, err := NewTabulation(r, rang)
-		if err != nil {
-			return Family{}, err
-		}
-		ts[i] = t
-	}
-	return Family{T: ts}, nil
-}
-
-// Depth returns the number of hash functions in the family.
-func (f Family) Depth() int {
-	if f.T != nil {
-		return len(f.T)
-	}
-	return len(f.H)
-}
-
-// Hash maps x into [0, Range) with the family's row-t function. Cold
-// callers only — the hot paths branch on the arm once and call the
-// concrete function's kernels directly.
-func (f Family) Hash(t int, x uint64) int {
-	if f.T != nil {
-		return f.T[t].Hash(x)
-	}
-	return f.H[t].Hash(x)
-}
+// Hash maps x into [0, Range) with the family's row-t function.
+func (f Family) Hash(t int, x uint64) int { return f[t].Hash(x) }
 
 // HashMany maps each coordinate xs[j] into [0, Range) with the
 // family's row-t function, writing results into out[j] — the batched
-// row kernel of UpdateBatch/QueryBatch, dispatched once per row.
+// row kernel of UpdateBatch/QueryBatch.
 //
 //sketch:hotpath
-func (f Family) HashMany(t int, xs []int, out []int) {
-	if f.T != nil {
-		f.T[t].HashMany(xs, out)
-		return
-	}
-	f.H[t].HashMany(xs, out)
-}
+func (f Family) HashMany(t int, xs []int, out []int) { f[t].HashMany(xs, out) }
 
 // Equal reports whether two families draw the same functions — the
 // shared-randomness precondition for merging sketches.
-func (f Family) Equal(o Family) bool {
-	if len(f.H) != len(o.H) || len(f.T) != len(o.T) {
-		return false
-	}
-	for i := range f.H {
-		if f.H[i] != o.H[i] {
-			return false
-		}
-	}
-	for i := range f.T {
-		if f.T[i].Range != o.T[i].Range || f.T[i].T != o.T[i].T {
-			return false
-		}
-	}
-	return true
-}
+func (f Family) Equal(o Family) bool { return slices.Equal(f, o) }
 
-// SignFamily bundles d independent sign functions (r_1..r_d in
-// Theorem 2). Like Family, exactly one arm is populated: S for
-// pairwise sign functions, T for tabulation signs.
-type SignFamily struct {
-	S []Sign
-	T []*TabSign
-}
+// SignFamily bundles d independent pairwise sign functions (r_1..r_d
+// in Theorem 2). Member t is row t's sign function.
+type SignFamily []Sign
 
 // NewSignFamily draws d independent pairwise sign functions.
 func NewSignFamily(r *rand.Rand, d int) SignFamily {
-	ss := make([]Sign, d)
-	for i := range ss {
-		ss[i] = NewSign(r)
+	f := make(SignFamily, d)
+	for i := range f {
+		f[i] = NewSign(r)
 	}
-	return SignFamily{S: ss}
+	return f
 }
 
-// NewTabSignFamily draws d independent tabulation sign functions.
-func NewTabSignFamily(r *rand.Rand, d int) SignFamily {
-	ts := make([]*TabSign, d)
-	for i := range ts {
-		ts[i] = NewTabSign(r)
-	}
-	return SignFamily{T: ts}
-}
-
-// Depth returns the number of sign functions in the family.
-func (f SignFamily) Depth() int {
-	if f.T != nil {
-		return len(f.T)
-	}
-	return len(f.S)
-}
-
-// SignFloat returns the row-t sign of x as a float64. Cold callers
-// only — hot paths branch on the arm once per row.
-func (f SignFamily) SignFloat(t int, x uint64) float64 {
-	if f.T != nil {
-		return f.T[t].SignFloat(x)
-	}
-	return f.S[t].SignFloat(x)
-}
+// SignFloat returns the row-t sign of x as a float64.
+func (f SignFamily) SignFloat(t int, x uint64) float64 { return f[t].SignFloat(x) }
 
 // SignFloatMany writes the row-t sign of xs[j] into out[j] for every
-// j — the batched sign kernel, dispatched once per row.
+// j — the batched sign kernel.
 //
 //sketch:hotpath
-func (f SignFamily) SignFloatMany(t int, xs []int, out []float64) {
-	if f.T != nil {
-		f.T[t].SignFloatMany(xs, out)
-		return
-	}
-	f.S[t].SignFloatMany(xs, out)
-}
+func (f SignFamily) SignFloatMany(t int, xs []int, out []float64) { f[t].SignFloatMany(xs, out) }
 
 // Equal reports whether two sign families draw the same functions.
-func (f SignFamily) Equal(o SignFamily) bool {
-	if len(f.S) != len(o.S) || len(f.T) != len(o.T) {
-		return false
-	}
-	for i := range f.S {
-		if f.S[i] != o.S[i] {
-			return false
-		}
-	}
-	for i := range f.T {
-		if f.T[i].T != o.T[i].T {
-			return false
-		}
-	}
-	return true
-}
+func (f SignFamily) Equal(o SignFamily) bool { return slices.Equal(f, o) }

@@ -88,10 +88,7 @@ func TestConstructorsRejectBadRange(t *testing.T) {
 		{"NewPairwise/negative", -1, func(g int) error { _, err := NewPairwise(r, g); return err }},
 		{"NewFourWise/zero", 0, func(g int) error { _, err := NewFourWise(r, g); return err }},
 		{"NewFourWise/negative", -7, func(g int) error { _, err := NewFourWise(r, g); return err }},
-		{"NewTabulation/zero", 0, func(g int) error { _, err := NewTabulation(r, g); return err }},
-		{"NewTabulation/negative", -3, func(g int) error { _, err := NewTabulation(r, g); return err }},
 		{"NewFamily/zero", 0, func(g int) error { _, err := NewFamily(r, 4, g); return err }},
-		{"NewTabFamily/negative", -2, func(g int) error { _, err := NewTabFamily(r, 4, g); return err }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -107,9 +104,6 @@ func TestConstructorsRejectBadRange(t *testing.T) {
 	// Good ranges must not error.
 	if _, err := NewPairwise(r, 1); err != nil {
 		t.Fatalf("NewPairwise(1): %v", err)
-	}
-	if _, err := NewTabulation(r, 1); err != nil {
-		t.Fatalf("NewTabulation(1): %v", err)
 	}
 }
 
@@ -210,12 +204,12 @@ func TestFourWiseUniformity(t *testing.T) {
 func TestFamilyDepth(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	f := must(NewFamily(r, 9, 128))
-	if f.Depth() != 9 {
-		t.Fatalf("Depth = %d, want 9", f.Depth())
+	if len(f) != 9 {
+		t.Fatalf("Family depth = %d, want 9", len(f))
 	}
 	sf := NewSignFamily(r, 9)
-	if sf.Depth() != 9 {
-		t.Fatalf("SignFamily.Depth = %d, want 9", sf.Depth())
+	if len(sf) != 9 {
+		t.Fatalf("SignFamily depth = %d, want 9", len(sf))
 	}
 }
 
@@ -224,9 +218,9 @@ func TestFamilyDepth(t *testing.T) {
 func TestFamilyIndependentMembers(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	f := must(NewFamily(r, 8, 1<<20))
-	for i := 0; i < f.Depth(); i++ {
-		for j := i + 1; j < f.Depth(); j++ {
-			if f.H[i] == f.H[j] {
+	for i := range f {
+		for j := i + 1; j < len(f); j++ {
+			if f[i] == f[j] {
 				t.Fatalf("family members %d and %d identical", i, j)
 			}
 		}
@@ -302,225 +296,46 @@ func BenchmarkSign(b *testing.B) {
 	_ = sink
 }
 
-func TestTabulationRangeAndUniformity(t *testing.T) {
-	r := rand.New(rand.NewSource(30))
-	const n, s = 200000, 64
-	h := must(NewTabulation(r, s))
-	counts := make([]int, s)
-	for x := 0; x < n; x++ {
-		v := h.Hash(uint64(x))
-		if v < 0 || v >= s {
-			t.Fatalf("Hash(%d) = %d out of range", x, v)
-		}
-		counts[v]++
-	}
-	want := float64(n) / s
-	for i, c := range counts {
-		if math.Abs(float64(c)-want) > 0.25*want {
-			t.Errorf("bucket %d load %d deviates from %f", i, c, want)
-		}
-	}
-}
-
-// TestTabulationFastrangeBias spot-checks the multiply-shift reduction:
-// every output must land in [0, Range) even for range sizes that do not
-// divide 2^64 (where a naive modulo and fastrange disagree on layout
-// but both must stay in bounds).
-func TestTabulationFastrangeBias(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	for _, s := range []int{1, 3, 1000, 4096, 5000} {
-		h := must(NewTabulation(r, s))
-		for x := uint64(0); x < 2000; x++ {
-			if v := h.Hash(x); v < 0 || v >= s {
-				t.Fatalf("range %d: Hash(%d) = %d out of bounds", s, x, v)
-			}
-		}
-	}
-}
-
-func TestTabulationCollisionRate(t *testing.T) {
-	r := rand.New(rand.NewSource(32))
-	const trials, s = 40000, 16
-	coll := 0
-	for i := 0; i < trials; i++ {
-		h := must(NewTabulation(r, s))
-		if h.Hash(12345) == h.Hash(67890) {
-			coll++
-		}
-	}
-	p := float64(coll) / trials
-	if math.Abs(p-1.0/s) > 0.015 {
-		t.Errorf("collision probability %f, want ~%f", p, 1.0/s)
-	}
-}
-
-func TestTabSignBalance(t *testing.T) {
-	r := rand.New(rand.NewSource(33))
-	h := NewTabSign(r)
-	sum := 0
-	for x := 0; x < 100000; x++ {
-		s := h.Sign(uint64(x))
-		if s != 1 && s != -1 {
-			t.Fatalf("Sign(%d) = %d", x, s)
-		}
-		sum += s
-	}
-	if math.Abs(float64(sum))/100000 > 0.02 {
-		t.Errorf("sign imbalance %f", float64(sum)/100000)
-	}
-}
-
-func TestTabSignFloatMatchesSign(t *testing.T) {
-	r := rand.New(rand.NewSource(34))
-	h := NewTabSign(r)
-	for x := uint64(0); x < 10000; x++ {
-		if float64(h.Sign(x)) != h.SignFloat(x) {
-			t.Fatalf("SignFloat mismatch at %d", x)
-		}
-	}
-}
-
-// The batch tabulation kernels must agree element-wise with their
-// scalar counterparts — the batch path is an optimization, never a
-// different function.
-func TestTabulationHashManyMatchesHash(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		h := must(NewTabulation(r, 1+r.Intn(5000)))
-		xs := make([]int, 1+r.Intn(300))
-		for j := range xs {
-			xs[j] = r.Intn(1 << 20)
-		}
-		out := make([]int, len(xs))
-		h.HashMany(xs, out)
-		for j, x := range xs {
-			if want := h.Hash(uint64(x)); out[j] != want {
-				t.Fatalf("trial %d: HashMany[%d] = %d, Hash = %d", trial, j, out[j], want)
-			}
-		}
-	}
-	must(NewTabulation(r, 16)).HashMany(nil, nil)
-}
-
-func TestTabSignFloatManyMatchesSignFloat(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 20; trial++ {
-		s := NewTabSign(r)
-		xs := make([]int, 1+r.Intn(300))
-		for j := range xs {
-			xs[j] = r.Intn(1 << 20)
-		}
-		out := make([]float64, len(xs))
-		s.SignFloatMany(xs, out)
-		for j, x := range xs {
-			if want := s.SignFloat(uint64(x)); out[j] != want {
-				t.Fatalf("trial %d: SignFloatMany[%d] = %f, SignFloat = %f", trial, j, out[j], want)
-			}
-		}
-	}
-	NewTabSign(r).SignFloatMany(nil, nil)
-}
-
-// TestTabulationChiSquared is the bucket-distribution sanity test: hash
-// n keys into s buckets and check the chi-squared statistic against a
-// generous cutoff (for s-1 = 63 degrees of freedom the 99.9th
-// percentile is ~103; we allow 130 to keep the test deterministic-seed
-// stable while still catching gross non-uniformity).
-func TestTabulationChiSquared(t *testing.T) {
-	r := rand.New(rand.NewSource(44))
-	const n, s = 200000, 64
-	h := must(NewTabulation(r, s))
-	counts := make([]int, s)
-	for x := 0; x < n; x++ {
-		counts[h.Hash(uint64(x))]++
-	}
-	expected := float64(n) / s
-	chi2 := 0.0
-	for _, c := range counts {
-		d := float64(c) - expected
-		chi2 += d * d / expected
-	}
-	if chi2 > 130 {
-		t.Errorf("chi-squared = %f, want < 130 for %d buckets", chi2, s)
-	}
-}
-
-// TestFamilyDispatch checks that the two-arm Family/SignFamily wrappers
-// route to the populated arm and that Equal distinguishes families.
+// TestFamilyDispatch checks that Family/SignFamily route row t to
+// member t on both the point and the batched entry points, and that
+// Equal distinguishes independently drawn families.
 func TestFamilyDispatch(t *testing.T) {
 	r := rand.New(rand.NewSource(45))
 	const d, s = 5, 1024
 	pf := must(NewFamily(r, d, s))
-	tf := must(NewTabFamily(r, d, s))
-	if pf.Depth() != d || tf.Depth() != d {
-		t.Fatalf("Depth: pairwise %d tabulation %d, want %d", pf.Depth(), tf.Depth(), d)
-	}
 	xs := []int{0, 1, 17, 9999, 123456}
 	out := make([]int, len(xs))
 	for t0 := 0; t0 < d; t0++ {
 		pf.HashMany(t0, xs, out)
 		for j, x := range xs {
-			if out[j] != pf.H[t0].Hash(uint64(x)) || out[j] != pf.Hash(t0, uint64(x)) {
-				t.Fatalf("pairwise family dispatch mismatch at row %d elem %d", t0, j)
-			}
-		}
-		tf.HashMany(t0, xs, out)
-		for j, x := range xs {
-			if out[j] != tf.T[t0].Hash(uint64(x)) || out[j] != tf.Hash(t0, uint64(x)) {
-				t.Fatalf("tabulation family dispatch mismatch at row %d elem %d", t0, j)
+			if out[j] != pf[t0].Hash(uint64(x)) || out[j] != pf.Hash(t0, uint64(x)) {
+				t.Fatalf("family dispatch mismatch at row %d elem %d", t0, j)
 			}
 		}
 	}
-	if !pf.Equal(pf) || !tf.Equal(tf) {
+	if !pf.Equal(pf) {
 		t.Fatal("family not Equal to itself")
 	}
-	if pf.Equal(tf) || tf.Equal(pf) {
-		t.Fatal("pairwise and tabulation families compare Equal")
-	}
-	other := must(NewTabFamily(r, d, s))
-	if tf.Equal(other) {
-		t.Fatal("independently drawn tabulation families compare Equal")
+	if pf.Equal(must(NewFamily(r, d, s))) || pf.Equal(pf[:d-1]) {
+		t.Fatal("distinct families compare Equal")
 	}
 
 	ps := NewSignFamily(r, d)
-	ts := NewTabSignFamily(r, d)
-	if ps.Depth() != d || ts.Depth() != d {
-		t.Fatalf("SignFamily.Depth: %d / %d, want %d", ps.Depth(), ts.Depth(), d)
-	}
 	fout := make([]float64, len(xs))
 	for t0 := 0; t0 < d; t0++ {
 		ps.SignFloatMany(t0, xs, fout)
 		for j, x := range xs {
-			if fout[j] != ps.S[t0].SignFloat(uint64(x)) || fout[j] != ps.SignFloat(t0, uint64(x)) {
-				t.Fatalf("pairwise sign dispatch mismatch at row %d elem %d", t0, j)
-			}
-		}
-		ts.SignFloatMany(t0, xs, fout)
-		for j, x := range xs {
-			if fout[j] != ts.T[t0].SignFloat(uint64(x)) || fout[j] != ts.SignFloat(t0, uint64(x)) {
-				t.Fatalf("tabulation sign dispatch mismatch at row %d elem %d", t0, j)
+			if fout[j] != ps[t0].SignFloat(uint64(x)) || fout[j] != ps.SignFloat(t0, uint64(x)) {
+				t.Fatalf("sign dispatch mismatch at row %d elem %d", t0, j)
 			}
 		}
 	}
-	if !ps.Equal(ps) || !ts.Equal(ts) {
+	if !ps.Equal(ps) {
 		t.Fatal("sign family not Equal to itself")
 	}
-	if ps.Equal(ts) {
-		t.Fatal("pairwise and tabulation sign families compare Equal")
+	if ps.Equal(NewSignFamily(r, d)) {
+		t.Fatal("independently drawn sign families compare Equal")
 	}
-	if ts.Equal(NewTabSignFamily(r, d)) {
-		t.Fatal("independently drawn tabulation sign families compare Equal")
-	}
-}
-
-func BenchmarkTabulationHash(b *testing.B) {
-	h := must(NewTabulation(rand.New(rand.NewSource(1)), 1<<16))
-	b.ReportAllocs()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink = h.Hash(uint64(i))
-	}
-	_ = sink
 }
 
 // HashMany must agree with element-wise Hash for every element — the
@@ -562,20 +377,6 @@ func TestSignFloatManyMatchesSignFloat(t *testing.T) {
 		}
 	}
 	NewSign(r).SignFloatMany(nil, nil)
-}
-
-func BenchmarkTabulationHashMany(b *testing.B) {
-	h := must(NewTabulation(rand.New(rand.NewSource(1)), 4096))
-	xs := make([]int, 1024)
-	for j := range xs {
-		xs[j] = j * 31
-	}
-	out := make([]int, len(xs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.HashMany(xs, out)
-	}
 }
 
 func BenchmarkPairwiseHashMany(b *testing.B) {

@@ -51,21 +51,13 @@ var ErrNotLinear = errors.New("registry: algorithm is not linear")
 // rejections with one errors.Is target.
 var ErrBackendUnsupported = sketch.ErrBackendUnsupported
 
-// ErrHashUnsupported re-exports the sketch package's hash-capability
-// error: the requested hash family is not available for the algorithm.
-var ErrHashUnsupported = sketch.ErrHashUnsupported
-
 // Shape is the construction-time shape of a sketch: the paper's (n, s,
-// d) sizing parameters, the hash seed, and the hash family the rows
-// draw from. The zero Hash is pairwise, so shapes (and the wire
-// descriptors they come from) without an explicit family keep today's
-// exact behavior.
+// d) sizing parameters and the hash seed.
 type Shape struct {
 	N    int // dimension of the input vector
 	S    int // row width (buckets per row)
 	D    int // depth (independent rows)
 	Seed int64
-	Hash sketch.HashKind
 }
 
 // Entry describes one constructible algorithm.
@@ -86,15 +78,6 @@ type Entry struct {
 	// Mmap marks algorithms whose counter plane can be served read-only
 	// straight out of a mapped checkpoint file.
 	Mmap bool
-	// Tiled marks algorithms whose counter plane can use the
-	// cache-blocked depth-major tiled layout (linear adds only — the
-	// conservative-update algorithms need in-place row views).
-	Tiled bool
-	// Tabulation marks algorithms whose rows can draw from the
-	// tabulation hash family instead of the default pairwise one (the
-	// table-based sketches; the S/R recoveries pin the paper's pairwise
-	// construction).
-	Tabulation bool
 
 	// New constructs the sketch for the given shape and counter-plane
 	// backend. Unusable parameters return an error (backend rejections
@@ -185,9 +168,9 @@ func SafeNew(name string, sh Shape) (sketch.Sketch, error) {
 }
 
 // SafeNewBackend is SafeNew with an explicit counter-plane backend.
-// Algorithms whose capability flags exclude the requested backend or
-// hash family are rejected with an ErrBackendUnsupported- or
-// ErrHashUnsupported-wrapped error before the constructor runs.
+// Algorithms whose capability flags exclude the requested backend are
+// rejected with an ErrBackendUnsupported-wrapped error before the
+// constructor runs.
 func SafeNewBackend(name string, sh Shape, be sketch.Backend) (sk sketch.Sketch, err error) {
 	e, ok := Lookup(name)
 	if !ok {
@@ -202,13 +185,6 @@ func SafeNewBackend(name string, sh Shape, be sketch.Backend) (sk sketch.Sketch,
 		if !e.Mmap {
 			return nil, fmt.Errorf("%w: %s cannot be served from a mapped checkpoint", ErrBackendUnsupported, e.Name)
 		}
-	case sketch.BackendTiled:
-		if !e.Tiled {
-			return nil, fmt.Errorf("%w: %s cannot use the tiled counter plane", ErrBackendUnsupported, e.Name)
-		}
-	}
-	if sh.Hash != sketch.HashPairwise && !e.Tabulation {
-		return nil, fmt.Errorf("%w: %s only supports the pairwise family, got %v", ErrHashUnsupported, e.Name, sh.Hash)
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -277,7 +253,7 @@ func Merge(dst, src sketch.Sketch) error {
 
 // baseCfg is the baselines' shape under the equal-words protocol.
 func baseCfg(sh Shape) sketch.Config {
-	return sketch.Config{N: sh.N, Rows: sh.S, Depth: sh.D + 1, Hash: sh.Hash}
+	return sketch.Config{N: sh.N, Rows: sh.S, Depth: sh.D + 1}
 }
 
 func kOf(s int) int {
@@ -326,42 +302,42 @@ func init() {
 	})
 	Register(Entry{
 		Name: CountMedian, Legend: "CM", Aliases: []string{"count-median"},
-		Linear: true, Compressed: true, Mmap: true, Tiled: true, Tabulation: true,
+		Linear: true, Compressed: true, Mmap: true,
 		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
 			return sketch.NewCountMedianBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: CountSketch, Legend: "CS", Aliases: []string{"count-sketch"},
-		Linear: true, Mmap: true, Tiled: true, Tabulation: true,
+		Linear: true, Mmap: true,
 		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
 			return sketch.NewCountSketchBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: CountMin, Legend: "Count-Min", Aliases: []string{"count-min"},
-		Linear: true, Compressed: true, Mmap: true, Tiled: true, Tabulation: true,
+		Linear: true, Compressed: true, Mmap: true,
 		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
 			return sketch.NewCountMinBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: CMCU, Legend: "CM-CU",
-		Mmap: true, Tabulation: true,
+		Mmap: true,
 		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
 			return sketch.NewCMCUBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: CMLCU, Legend: "CML-CU",
-		Mmap: true, Tabulation: true,
+		Mmap: true,
 		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
 			return sketch.NewCMLCUBackend(baseCfg(sh), sketch.DefaultCMLBase, be, rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: DengRafiei, Legend: "Deng-Rafiei", Aliases: []string{"deng-rafiei"},
-		Linear: true, Compressed: true, Mmap: true, Tiled: true, Tabulation: true,
+		Linear: true, Compressed: true, Mmap: true,
 		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
 			return sketch.NewDengRafieiBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
 		},

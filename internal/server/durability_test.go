@@ -2,11 +2,19 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro"
 )
 
 // errInjectedSync is the fault these tests inject into the fsync
@@ -267,5 +275,75 @@ func TestPruneKeepsTwoGenerations(t *testing.T) {
 		if _, err := os.Stat(containerPath(filepath.Join(dir, "acme", "s"), gen)); err != nil {
 			t.Errorf("generation %d missing: %v", gen, err)
 		}
+	}
+}
+
+// A scheduled checkpoint pass that fails must show on /healthz: 503
+// "degraded" with the error text while the failure stands, and 200
+// again once a later pass succeeds.
+func TestHealthzReportsFailedCheckpoint(t *testing.T) {
+	var failing atomic.Bool
+	failing.Store(true)
+	oldSync := syncFile
+	syncFile = func(f *os.File) error {
+		if failing.Load() {
+			return errInjectedSync
+		}
+		return oldSync(f)
+	}
+	t.Cleanup(func() { syncFile = oldSync })
+
+	s, ts := newTestServer(t, Config{DataDir: t.TempDir(), CheckpointEvery: 5 * time.Millisecond})
+	t.Cleanup(func() { s.Drain() }) // stop the scheduler before syncFile is restored
+	mustCreate(t, ts.URL, "acme", `{"name":"s","kind":"plain","algo":"countmin","dim":10,"words":32,"depth":2}`)
+
+	waitHealth := func(status int, want ...string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			resp, body := do(t, "GET", ts.URL+"/healthz", "")
+			ok := resp.StatusCode == status
+			for _, w := range want {
+				ok = ok && strings.Contains(body, w)
+			}
+			if ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("healthz = %s %s; want %d with %q", resp.Status, body, status, want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitHealth(http.StatusServiceUnavailable, `"status":"degraded"`, errInjectedSync.Error())
+	failing.Store(false)
+	waitHealth(http.StatusOK, `"status":"ok"`)
+}
+
+// A data directory written by an older build for a tabulation-hashed
+// sketch must fail the boot with ErrHashUnsupported: every sketch here
+// hashes with the pairwise family, and restoring those counters under
+// it would serve answers from the wrong buckets.
+func TestBootRejectsTabulationCheckpoint(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "wire", "v2", "countmin-tabulation.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	tdir := filepath.Join(dir, "acme")
+	if err := os.MkdirAll(tdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(containerPath(filepath.Join(tdir, "tab"), 1), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	doc := `{"kind":"plain","algo":"countmin","dim":512,"words":32,"depth":4,"seed":7,"hashing":"tabulation",` +
+		`"gen":1,"sum":"` + hex.EncodeToString(sum[:]) + `"}`
+	if err := os.WriteFile(filepath.Join(tdir, "tab.json"), []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := New(Config{DataDir: dir}); !errors.Is(err, repro.ErrHashUnsupported) {
+		t.Fatalf("boot over a tabulation checkpoint: server %v, err %v; want ErrHashUnsupported", s, err)
 	}
 }

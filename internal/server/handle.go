@@ -27,7 +27,6 @@ type Spec struct {
 	Depth       int    `json:"depth,omitempty"`
 	Seed        int64  `json:"seed,omitempty"`
 	Backend     string `json:"backend,omitempty"`
-	Hashing     string `json:"hashing,omitempty"`
 	Shards      int    `json:"shards,omitempty"`
 	Panes       int    `json:"panes,omitempty"`
 	PaneWidthMS int64  `json:"pane_width_ms,omitempty"`
@@ -64,17 +63,6 @@ func sketchOptions(spec Spec) []repro.Option {
 	return opts
 }
 
-// hashingOf maps the spec's hashing string to a facade Hashing.
-func hashingOf(name string) (repro.Hashing, error) {
-	switch name {
-	case "", "pairwise":
-		return repro.HashPairwise, nil
-	case "tabulation":
-		return repro.HashTabulation, nil
-	}
-	return repro.HashPairwise, fmt.Errorf("%w: unknown hashing %q (valid: pairwise, tabulation)", ErrBadSpec, name)
-}
-
 // backendOf maps the spec's backend string to a facade Backend. Mmap
 // is deliberately absent: mapped checkpoints are read-only serving
 // replicas opened via OpenMmap, not something a live ingest endpoint
@@ -93,23 +81,13 @@ func backendOf(name string) (repro.Backend, error) {
 // errors (unknown algorithm, invalid shape, unsupported backend) pass
 // through typed, so callers map them to 400.
 func buildHandle(spec Spec) (handle, error) {
-	h, err := hashingOf(spec.Hashing)
-	if err != nil {
-		return nil, err
-	}
-	withHash := func(opts []repro.Option) []repro.Option {
-		if h != repro.HashPairwise {
-			opts = append(opts, repro.WithHashing(h))
-		}
-		return opts
-	}
 	switch spec.Kind {
 	case "plain":
 		be, err := backendOf(spec.Backend)
 		if err != nil {
 			return nil, err
 		}
-		opts := append(withHash(sketchOptions(spec)), repro.WithBackend(be))
+		opts := append(sketchOptions(spec), repro.WithBackend(be))
 		sk, err := repro.New(spec.Algo, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
@@ -119,7 +97,7 @@ func buildHandle(spec Spec) (handle, error) {
 		if spec.Backend != "" {
 			return nil, fmt.Errorf("%w: sharded sketches are dense-only", ErrBadSpec)
 		}
-		sh, err := repro.NewSharded(shardsOrDefault(spec.Shards), spec.Algo, withHash(sketchOptions(spec))...)
+		sh, err := repro.NewSharded(shardsOrDefault(spec.Shards), spec.Algo, sketchOptions(spec)...)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
@@ -128,7 +106,7 @@ func buildHandle(spec Spec) (handle, error) {
 		if spec.Backend != "" {
 			return nil, fmt.Errorf("%w: windowed sketches are dense-only", ErrBadSpec)
 		}
-		opts := withHash(sketchOptions(spec))
+		opts := sketchOptions(spec)
 		if spec.Panes > 0 {
 			opts = append(opts, repro.WithPanes(spec.Panes))
 		}

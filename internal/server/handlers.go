@@ -125,7 +125,16 @@ func (s *Server) tenant(h func(w http.ResponseWriter, r *http.Request, tenant st
 	}
 }
 
+// handleHealth answers 200 "ok", or 503 "degraded" with the error
+// text while the last scheduled checkpoint pass has failed — a
+// checkpoint loop that keeps failing must not look healthy.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
+	if last, _ := s.ckptErr.Load().(errBox); last.err != nil {
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			"status": "degraded", "draining": s.draining.Load(), "error": last.err.Error(),
+		})
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "draining": s.draining.Load()})
 }
 
@@ -331,7 +340,7 @@ func statusOf(err error) int {
 		errors.Is(err, repro.ErrInvalidOption), errors.Is(err, repro.ErrUnknownAlgorithm),
 		errors.Is(err, repro.ErrNotLinear), errors.Is(err, repro.ErrBadBatch),
 		errors.Is(err, repro.ErrInsertOnly), errors.Is(err, repro.ErrBackendUnsupported),
-		errors.Is(err, repro.ErrHashUnsupported), errors.Is(err, repro.ErrNoBias):
+		errors.Is(err, repro.ErrNoBias):
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError

@@ -76,9 +76,10 @@ type Server struct {
 	// per-entry generation numbering (entry.gen/entry.sum) must advance
 	// atomically with the files it describes.
 	ckptMu sync.Mutex
-	// ckptErr holds the last scheduler checkpoint failure (nil when
-	// the last pass succeeded); surfaced by POST /v1/checkpoint.
-	ckptErr atomic.Value // error
+	// ckptErr holds the last scheduled checkpoint pass's failure (nil
+	// when that pass succeeded); GET /healthz answers 503 "degraded"
+	// while it is set.
+	ckptErr atomic.Value // errBox
 }
 
 // New builds a Server from cfg, restoring every checkpointed sketch
@@ -105,9 +106,10 @@ func New(cfg Config) (*Server, error) {
 }
 
 // checkpointLoop writes periodic checkpoints until Drain stops it. A
-// failing pass is recorded, not fatal: the next POST /v1/checkpoint
-// reports it, and the data directory keeps the last good checkpoint
-// (writes are temp-file + rename, so a failure never corrupts one).
+// failing pass is recorded, not fatal: GET /healthz reports it until a
+// later pass succeeds, and the data directory keeps the last good
+// checkpoint (writes are temp-file + rename, so a failure never
+// corrupts one).
 func (s *Server) checkpointLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.CheckpointEvery)

@@ -34,32 +34,6 @@ func allocSketches(r *rand.Rand) map[string]Sketch {
 	}
 }
 
-// allocVariantSketches covers the hot-path variants introduced by the
-// hash-family and counter-plane work: tabulation hashing, the tiled
-// plane, and the two combined — each must hold the same zero-alloc
-// steady state as the default pairwise/dense configuration.
-func allocVariantSketches(r *rand.Rand) map[string]Sketch {
-	tab := Config{N: allocDim, Rows: 128, Depth: 5, Hash: HashTabulation}
-	pair := Config{N: allocDim, Rows: 128, Depth: 5}
-	tiled := Backend{Kind: BackendTiled}
-	return map[string]Sketch{
-		"countmin/tab":          must(NewCountMin(tab, r)),
-		"countmedian/tab":       must(NewCountMedian(tab, r)),
-		"countsketch/tab":       must(NewCountSketch(tab, r)),
-		"cmcu/tab":              must(NewCMCU(tab, r)),
-		"cmlcu/tab":             must(NewCMLCU(tab, DefaultCMLBase, r)),
-		"dengrafiei/tab":        must(NewDengRafiei(tab, r)),
-		"countmin/tiled":        must(NewCountMinBackend(pair, tiled, r)),
-		"countmedian/tiled":     must(NewCountMedianBackend(pair, tiled, r)),
-		"countsketch/tiled":     must(NewCountSketchBackend(pair, tiled, r)),
-		"dengrafiei/tiled":      must(NewDengRafieiBackend(pair, tiled, r)),
-		"countmin/tab+tiled":    must(NewCountMinBackend(tab, tiled, r)),
-		"countmedian/tab+tiled": must(NewCountMedianBackend(tab, tiled, r)),
-		"countsketch/tab+tiled": must(NewCountSketchBackend(tab, tiled, r)),
-		"dengrafiei/tab+tiled":  must(NewDengRafieiBackend(tab, tiled, r)),
-	}
-}
-
 func allocBatchData(r *rand.Rand) (idx []int, deltas, out []float64) {
 	idx = make([]int, allocBatch)
 	deltas = make([]float64, allocBatch)
@@ -74,13 +48,11 @@ func allocBatchData(r *rand.Rand) (idx []int, deltas, out []float64) {
 func TestUpdateBatchAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	idx, deltas, _ := allocBatchData(r)
-	for _, group := range []map[string]Sketch{allocSketches(r), allocVariantSketches(r)} {
-		for name, s := range group {
-			b := s.(BatchUpdater)
-			b.UpdateBatch(idx, deltas) // warm-up: grows reusable buffers
-			if n := testing.AllocsPerRun(50, func() { b.UpdateBatch(idx, deltas) }); n != 0 {
-				t.Errorf("%s: UpdateBatch allocates %.1f per call in steady state", name, n)
-			}
+	for name, s := range allocSketches(r) {
+		b := s.(BatchUpdater)
+		b.UpdateBatch(idx, deltas) // warm-up: grows reusable buffers
+		if n := testing.AllocsPerRun(50, func() { b.UpdateBatch(idx, deltas) }); n != 0 {
+			t.Errorf("%s: UpdateBatch allocates %.1f per call in steady state", name, n)
 		}
 	}
 }
@@ -88,14 +60,12 @@ func TestUpdateBatchAllocFree(t *testing.T) {
 func TestQueryBatchAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	idx, deltas, out := allocBatchData(r)
-	for _, group := range []map[string]Sketch{allocSketches(r), allocVariantSketches(r)} {
-		for name, s := range group {
-			s.(BatchUpdater).UpdateBatch(idx, deltas)
-			b := s.(BatchQuerier)
-			b.QueryBatch(idx, out) // warm-up: primes the scratch pool
-			if n := testing.AllocsPerRun(50, func() { b.QueryBatch(idx, out) }); n != 0 {
-				t.Errorf("%s: QueryBatch allocates %.1f per call in steady state", name, n)
-			}
+	for name, s := range allocSketches(r) {
+		s.(BatchUpdater).UpdateBatch(idx, deltas)
+		b := s.(BatchQuerier)
+		b.QueryBatch(idx, out) // warm-up: primes the scratch pool
+		if n := testing.AllocsPerRun(50, func() { b.QueryBatch(idx, out) }); n != 0 {
+			t.Errorf("%s: QueryBatch allocates %.1f per call in steady state", name, n)
 		}
 	}
 }

@@ -35,9 +35,6 @@ func NewCMCUBackend(cfg Config, be Backend, r *rand.Rand) (*CMCU, error) {
 	if be.Kind == BackendCompressed {
 		return nil, fmt.Errorf("%w: cmcu's conservative raise sets buckets in place, the compressed plane only adds", ErrBackendUnsupported)
 	}
-	if be.Kind == BackendTiled {
-		return nil, fmt.Errorf("%w: cmcu's conservative raise needs in-place row views, which the tiled plane does not expose", ErrBackendUnsupported)
-	}
 	tb, err := newTable(cfg, r, be)
 	if err != nil {
 		return nil, err

@@ -51,9 +51,6 @@ func NewCMLCUBackend(cfg Config, base float64, be Backend, r *rand.Rand) (*CMLCU
 	if be.Kind == BackendCompressed {
 		return nil, fmt.Errorf("%w: cmlcu's conservative raise sets buckets in place, the compressed plane only adds", ErrBackendUnsupported)
 	}
-	if be.Kind == BackendTiled {
-		return nil, fmt.Errorf("%w: cmlcu's conservative raise needs in-place row views, which the tiled plane does not expose", ErrBackendUnsupported)
-	}
 	tb, err := newTable(cfg, r, be)
 	if err != nil {
 		return nil, err

@@ -55,8 +55,7 @@ func (c *CountMedian) BucketIndexMany(t int, idx []int, out []int) {
 }
 
 // BucketIndexes writes h_t(i) for every row t into out[t] — the
-// all-rows companion of BucketIndex for point queries, branching the
-// family arm once instead of once per row.
+// all-rows companion of BucketIndex for point queries.
 //
 //sketch:hotpath
 func (c *CountMedian) BucketIndexes(i int, out []int) {
@@ -123,8 +122,7 @@ func (c *CountSketch) BucketIndexMany(t int, idx []int, out []int) {
 }
 
 // BucketIndexes writes h_t(i) for every row t into out[t] — the
-// all-rows companion of BucketIndex for point queries, branching the
-// family arm once instead of once per row.
+// all-rows companion of BucketIndex for point queries.
 //
 //sketch:hotpath
 func (c *CountSketch) BucketIndexes(i int, out []int) {
@@ -149,19 +147,12 @@ func (c *CountSketch) SignOfMany(t int, idx []int, out []float64) {
 }
 
 // SignsOf writes r_t(i) for every row t into out[t] — the all-rows
-// companion of SignOf for point queries, branching the family arm once
-// instead of once per row.
+// companion of SignOf for point queries.
 //
 //sketch:hotpath
 func (c *CountSketch) SignsOf(i int, out []float64) {
 	u := uint64(i)
-	if ts := c.signs.T; ts != nil {
-		for t, s := range ts {
-			out[t] = s.SignFloat(u)
-		}
-		return
-	}
-	for t, s := range c.signs.S {
+	for t, s := range c.signs {
 		out[t] = s.SignFloat(u)
 	}
 }

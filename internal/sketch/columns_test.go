@@ -151,3 +151,82 @@ func TestDengRafieiRejectsOneRow(t *testing.T) {
 		t.Fatalf("Rows < 2: got %v, want ErrConfig", err)
 	}
 }
+
+// The batched and all-rows accessors the bias-aware recoveries build
+// on must agree with the per-row point accessors, and the cache-sharing
+// helpers must adopt a source's π/ψ only when the hashes match.
+func TestColumnAccessorsAgree(t *testing.T) {
+	cfg := Config{N: 400, Rows: 32, Depth: 4}
+	cm := must(NewCountMedian(cfg, rand.New(rand.NewSource(6))))
+	cs := must(NewCountSketch(cfg, rand.New(rand.NewSource(6))))
+	idx := []int{0, 7, 99, 250, 399}
+	for _, i := range idx {
+		cm.Update(i, float64(i+1))
+		cs.Update(i, float64(i+1))
+	}
+	hb := make([]int, len(idx))
+	sg := make([]float64, len(idx))
+	for tr := 0; tr < cfg.Depth; tr++ {
+		cm.BucketIndexMany(tr, idx, hb)
+		for j, i := range idx {
+			if hb[j] != cm.BucketIndex(tr, i) || cm.Row(tr)[hb[j]] != cm.Bucket(tr, hb[j]) {
+				t.Fatalf("countmedian row %d elem %d: batched accessors disagree", tr, j)
+			}
+		}
+		cs.BucketIndexMany(tr, idx, hb)
+		cs.SignOfMany(tr, idx, sg)
+		for j, i := range idx {
+			if hb[j] != cs.BucketIndex(tr, i) || sg[j] != cs.SignOf(tr, i) || cs.Row(tr)[hb[j]] != cs.Bucket(tr, hb[j]) {
+				t.Fatalf("countsketch row %d elem %d: batched accessors disagree", tr, j)
+			}
+		}
+	}
+	rows := make([]int, cfg.Depth)
+	signs := make([]float64, cfg.Depth)
+	for _, i := range idx {
+		cm.BucketIndexes(i, rows)
+		for tr, b := range rows {
+			if b != cm.BucketIndex(tr, i) {
+				t.Fatalf("countmedian BucketIndexes(%d)[%d] = %d", i, tr, b)
+			}
+		}
+		cs.BucketIndexes(i, rows)
+		cs.SignsOf(i, signs)
+		for tr := range rows {
+			if rows[tr] != cs.BucketIndex(tr, i) || signs[tr] != cs.SignOf(tr, i) {
+				t.Fatalf("countsketch all-rows accessors disagree at %d row %d", i, tr)
+			}
+		}
+	}
+
+	twinM := must(NewCountMedian(cfg, rand.New(rand.NewSource(6))))
+	otherM := must(NewCountMedian(cfg, rand.New(rand.NewSource(7))))
+	pi := cm.ColumnCounts(0)
+	otherM.ShareColumnCounts(cm)
+	twinM.ShareColumnCounts(cm)
+	if otherM.pis.Load() != nil || &twinM.ColumnCounts(0)[0] != &pi[0] {
+		t.Error("ShareColumnCounts must adopt π exactly when the hashes match")
+	}
+	twinS := must(NewCountSketch(cfg, rand.New(rand.NewSource(6))))
+	otherS := must(NewCountSketch(cfg, rand.New(rand.NewSource(7))))
+	psi := cs.SignedColumnSums(0)
+	otherS.ShareSignedColumnSums(cs)
+	twinS.ShareSignedColumnSums(cs)
+	if otherS.psis.Load() != nil || &twinS.SignedColumnSums(0)[0] != &psi[0] {
+		t.Error("ShareSignedColumnSums must adopt ψ exactly when the hashes match")
+	}
+
+	for name, check := range map[string]func(){
+		"countmedian": func() { cm.CheckIndexBatch(idx, make([]float64, 1)) },
+		"countsketch": func() { cs.CheckIndexBatch([]int{cfg.N}, make([]float64, 1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: CheckIndexBatch accepted a bad batch", name)
+				}
+			}()
+			check()
+		}()
+	}
+}

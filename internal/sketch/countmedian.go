@@ -26,8 +26,8 @@ func NewCountMedian(cfg Config, r *rand.Rand) (*CountMedian, error) {
 
 // NewCountMedianBackend creates a Count-Median sketch on the chosen
 // counter plane. Updates are plain linear adds, so every backend is
-// supported: dense, tiled, compressed (insert-only integer streams),
-// and mmap (read-only).
+// supported: dense, compressed (insert-only integer streams), and
+// mmap (read-only).
 func NewCountMedianBackend(cfg Config, be Backend, r *rand.Rand) (*CountMedian, error) {
 	tb, err := newTable(cfg, r, be)
 	if err != nil {

@@ -21,8 +21,8 @@ func NewCountMin(cfg Config, r *rand.Rand) (*CountMin, error) {
 
 // NewCountMinBackend creates a Count-Min sketch on the chosen counter
 // plane. Count-Min's updates are plain non-negative-leaning linear
-// adds, so every backend is supported: dense, tiled, compressed
-// (insert-only integer streams), and mmap (read-only).
+// adds, so every backend is supported: dense, compressed (insert-only
+// integer streams), and mmap (read-only).
 func NewCountMinBackend(cfg Config, be Backend, r *rand.Rand) (*CountMin, error) {
 	tb, err := newTable(cfg, r, be)
 	if err != nil {

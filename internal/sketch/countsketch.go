@@ -31,13 +31,12 @@ func NewCountSketch(cfg Config, r *rand.Rand) (*CountSketch, error) {
 // NewCountSketchBackend creates a Count-Sketch on the chosen counter
 // plane. The signed updates r_t(i)·delta go negative on every second
 // coordinate, which the insert-only compressed plane cannot represent —
-// BackendCompressed returns ErrBackendUnsupported. Dense, tiled, and
-// mmap (read-only) are supported.
+// BackendCompressed returns ErrBackendUnsupported. Dense and mmap
+// (read-only) are supported.
 //
-// The sign family matches the configured hash family (pairwise signs
-// with pairwise hashes, tabulation signs with tabulation hashes) and is
-// drawn from r after the table — the same order as every prior
-// release, so pairwise sketches keep their exact seeds.
+// The sign family is drawn from r after the table's hash family — the
+// same order as every prior release, so sketches keep their exact
+// seeds.
 func NewCountSketchBackend(cfg Config, be Backend, r *rand.Rand) (*CountSketch, error) {
 	if be.Kind == BackendCompressed {
 		return nil, fmt.Errorf("%w: countsketch writes signed cell values, the compressed plane is insert-only", ErrBackendUnsupported)
@@ -46,15 +45,9 @@ func NewCountSketchBackend(cfg Config, be Backend, r *rand.Rand) (*CountSketch, 
 	if err != nil {
 		return nil, err
 	}
-	var signs hashing.SignFamily
-	if cfg.Hash == HashTabulation {
-		signs = hashing.NewTabSignFamily(r, cfg.Depth)
-	} else {
-		signs = hashing.NewSignFamily(r, cfg.Depth)
-	}
 	return &CountSketch{
 		tb:    tb,
-		signs: signs,
+		signs: hashing.NewSignFamily(r, cfg.Depth),
 		buf:   make([]float64, cfg.Depth),
 	}, nil
 }
@@ -68,23 +61,9 @@ func (c *CountSketch) Backend() BackendKind { return c.tb.backend() }
 func (c *CountSketch) Update(i int, delta float64) {
 	c.tb.checkIndex(i)
 	u := uint64(i)
-	if tp := c.tb.tplane; tp != nil {
-		tp.dirty = true
-		buf := tp.buf
-		for t := 0; t < c.tb.cfg.Depth; t++ {
-			buf[tp.pos(t, c.tb.hash.Hash(t, u))] += c.signs.SignFloat(t, u) * delta
-		}
-		return
-	}
 	cells := c.tb.writable()
-	if ts := c.tb.hash.T; ts != nil {
-		for t, h := range ts {
-			cells[t][h.Hash(u)] += c.signs.T[t].SignFloat(u) * delta
-		}
-		return
-	}
-	for t, h := range c.tb.hash.H {
-		cells[t][h.Hash(u)] += c.signs.S[t].SignFloat(u) * delta
+	for t, h := range c.tb.hash {
+		cells[t][h.Hash(u)] += c.signs[t].SignFloat(u) * delta
 	}
 }
 
@@ -106,20 +85,7 @@ func (c *CountSketch) UpdateBatch(idx []int, deltas []float64) {
 	c.tb.checkBatch(idx, deltas)
 	c.growSbuf(len(idx))
 	sg := c.sbuf[:len(idx)]
-	if tp := c.tb.tplane; tp != nil {
-		tp.dirty = true
-		buf := tp.buf
-		for t := 0; t < c.tb.cfg.Depth; t++ {
-			c.signs.SignFloatMany(t, idx, sg)
-			for j, b := range c.tb.hashRow(t, idx) {
-				buf[tp.pos(t, b)] += sg[j] * deltas[j]
-			}
-		}
-		return
-	}
-	cells := c.tb.writable()
-	for t := range cells {
-		row := cells[t]
+	for t, row := range c.tb.writable() {
 		c.signs.SignFloatMany(t, idx, sg)
 		for j, b := range c.tb.hashRow(t, idx) {
 			row[b] += sg[j] * deltas[j]

@@ -37,8 +37,8 @@ func NewDengRafiei(cfg Config, r *rand.Rand) (*DengRafiei, error) {
 
 // NewDengRafieiBackend creates a Deng–Rafiei sketch on the chosen
 // counter plane. Updates are plain linear adds, so every backend is
-// supported: dense, tiled, compressed (insert-only integer streams),
-// and mmap (read-only).
+// supported: dense, compressed (insert-only integer streams), and
+// mmap (read-only).
 //
 // The sketch carries one scalar of state beyond the cell matrix — the
 // running total — so a mapped backend's byte region is the Marshal

@@ -33,14 +33,6 @@ const (
 	// checkpoint file: queries come up in O(1) after restart, updates
 	// and merges return ErrReadOnlyPlane.
 	BackendMmap
-	// BackendTiled stores the counters in a cache-blocked, depth-major
-	// tiled layout (plane_tiled): buckets are grouped into tiles of 64
-	// and all d rows of one tile sit contiguously, so the batched
-	// update/query paths walk counters in stride instead of jumping d
-	// rows per element. A pure layout transformation — answers are
-	// bit-identical to the dense plane. Linear-add algorithms only (no
-	// in-place row views for conservative update).
-	BackendTiled
 )
 
 // String names the backend for error messages and descriptors.
@@ -52,8 +44,6 @@ func (k BackendKind) String() string {
 		return "compressed"
 	case BackendMmap:
 		return "mmap"
-	case BackendTiled:
-		return "tiled"
 	default:
 		return fmt.Sprintf("backend(%d)", uint8(k))
 	}

@@ -147,10 +147,9 @@ func SketchVector(s Sketch, x []float64) error {
 // per hash function; s = c_s·k in the paper), and the depth d (number
 // of independent rows; Θ(log n) in the theorems, 9–10 in §5.1).
 type Config struct {
-	N     int      // dimension of the input vector
-	Rows  int      // s, buckets per row
-	Depth int      // d, number of rows
-	Hash  HashKind // hash family for the rows; zero value is pairwise
+	N     int // dimension of the input vector
+	Rows  int // s, buckets per row
+	Depth int // d, number of rows
 }
 
 // Validate checks the configuration is usable.
@@ -163,9 +162,6 @@ func (c Config) Validate() error {
 	}
 	if c.Depth <= 0 {
 		return fmt.Errorf("sketch: Depth must be positive, got %d", c.Depth)
-	}
-	if c.Hash > HashTabulation {
-		return fmt.Errorf("sketch: unknown hash family %v", c.Hash)
 	}
 	return nil
 }

@@ -13,18 +13,12 @@ import (
 // in-memory realization of the stacked CM/CS-matrices of Definitions 1
 // and 2: row t holds the sketching vector Π(h_t)x (or Ψ(h_t,r_t)x).
 // Where the counters live is the plane's concern (see plane.go): the
-// table binds one Plane to the hash family and exposes the read/write
-// primitives the algorithms use.
+// table binds one Plane to the pairwise hash family and exposes the
+// read/write primitives the algorithms use.
 type table struct {
 	cfg   Config
 	hash  hashing.Family
 	plane Plane
-
-	// tplane is the concrete tiled plane when the backend is
-	// BackendTiled, nil otherwise. The hot paths branch on it once and
-	// index its flat buffer directly (plane interface calls would cost
-	// a dynamic dispatch per counter).
-	tplane *tiledPlane
 
 	// wrows is the plane's direct-write row view — non-nil only for
 	// the dense backend. The update hot paths branch on it once and
@@ -52,22 +46,12 @@ func newTable(cfg Config, r *rand.Rand, be Backend) (table, error) {
 	// The hash family draws from r first under every backend, so two
 	// sketches built from the same seed share hashes regardless of the
 	// plane behind them — dense, compressed, and mmap replicas of one
-	// configuration answer against the same bucket geometry. The
-	// pairwise family draws exactly the coefficients it always did, so
-	// HashPairwise sketches stay byte-identical to every prior release.
-	var h hashing.Family
-	var err error
-	switch cfg.Hash {
-	case HashTabulation:
-		h, err = hashing.NewTabFamily(r, cfg.Depth, cfg.Rows)
-	default:
-		h, err = hashing.NewFamily(r, cfg.Depth, cfg.Rows)
-	}
+	// configuration answer against the same bucket geometry.
+	h, err := hashing.NewFamily(r, cfg.Depth, cfg.Rows)
 	if err != nil {
 		return table{}, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	var p Plane
-	var tp *tiledPlane
 	switch be.Kind {
 	case BackendDense:
 		p = newDensePlane(cfg.Depth, cfg.Rows)
@@ -79,14 +63,11 @@ func newTable(cfg Config, r *rand.Rand, be Backend) (table, error) {
 			return table{}, err
 		}
 		p = mp
-	case BackendTiled:
-		tp = newTiledPlane(cfg.Depth, cfg.Rows)
-		p = tp
 	default:
 		return table{}, fmt.Errorf("%w: unknown backend %v", ErrConfig, be.Kind)
 	}
-	tb := table{cfg: cfg, hash: h, plane: p, tplane: tp, wrows: p.WritableRows()}
-	if be.Kind != BackendCompressed && be.Kind != BackendTiled {
+	tb := table{cfg: cfg, hash: h, plane: p, wrows: p.WritableRows()}
+	if be.Kind != BackendCompressed {
 		v, err := p.View()
 		if err != nil {
 			return table{}, err
@@ -165,15 +146,7 @@ func (tb *table) addSlow(i int, delta float64) {
 		panic(err)
 	}
 	u := uint64(i)
-	if ts := tb.hash.T; ts != nil {
-		for t, h := range ts {
-			if err := tb.plane.Add(t, h.Hash(u), delta); err != nil {
-				panic(err)
-			}
-		}
-		return
-	}
-	for t, h := range tb.hash.H {
+	for t, h := range tb.hash {
 		if err := tb.plane.Add(t, h.Hash(u), delta); err != nil {
 			panic(err)
 		}
@@ -200,87 +173,49 @@ func (tb *table) addBatchSlow(idx []int, deltas []float64) {
 
 // addPoint applies one linear add of delta at every row's bucket for
 // coordinate i — the element-wise write primitive of the linear
-// sketches. The layout (dense rows / tiled buffer / plane primitive)
-// and the hash arm are each branched once, so the inner loops carry no
-// per-element dispatch and the dense-pairwise path compiles exactly as
-// it did before the family became pluggable.
+// sketches. Dense rows are written in place; other planes go through
+// their Add primitive.
 //
 //sketch:hotpath
 func (tb *table) addPoint(i int, delta float64) {
+	w := tb.wrows
+	if w == nil {
+		tb.addSlow(i, delta)
+		return
+	}
 	u := uint64(i)
-	if w := tb.wrows; w != nil {
-		if ts := tb.hash.T; ts != nil {
-			for t, h := range ts {
-				w[t][h.Hash(u)] += delta
-			}
-			return
-		}
-		for t, h := range tb.hash.H {
-			w[t][h.Hash(u)] += delta
-		}
-		return
+	for t, h := range tb.hash {
+		w[t][h.Hash(u)] += delta
 	}
-	if tp := tb.tplane; tp != nil {
-		tp.dirty = true
-		buf := tp.buf
-		if ts := tb.hash.T; ts != nil {
-			for t, h := range ts {
-				buf[tp.pos(t, h.Hash(u))] += delta
-			}
-			return
-		}
-		for t, h := range tb.hash.H {
-			buf[tp.pos(t, h.Hash(u))] += delta
-		}
-		return
-	}
-	tb.addSlow(i, delta)
 }
 
 // addBatch applies the batched linear add row-major: each row's hash
-// kernel runs over the whole batch (one table/coefficient load per
-// row), then the row's counters absorb every element. Equivalent to
-// the element-wise addPoint loop.
+// kernel runs over the whole batch (one coefficient load per row),
+// then the row's counters absorb every element. Equivalent to the
+// element-wise addPoint loop.
 //
 //sketch:hotpath
 func (tb *table) addBatch(idx []int, deltas []float64) {
-	if w := tb.wrows; w != nil {
-		for t := range w {
-			row := w[t]
-			for j, b := range tb.hashRow(t, idx) {
-				row[b] += deltas[j]
-			}
-		}
+	w := tb.wrows
+	if w == nil {
+		tb.addBatchSlow(idx, deltas)
 		return
 	}
-	if tp := tb.tplane; tp != nil {
-		tp.dirty = true
-		buf := tp.buf
-		for t := 0; t < tb.cfg.Depth; t++ {
-			for j, b := range tb.hashRow(t, idx) {
-				buf[tp.pos(t, b)] += deltas[j]
-			}
+	for t, row := range w {
+		for j, b := range tb.hashRow(t, idx) {
+			row[b] += deltas[j]
 		}
-		return
 	}
-	tb.addBatchSlow(idx, deltas)
 }
 
 // gatherRowValues hashes row t over tile into sc.Ints and writes the
-// row's bucket values into o — the shared layout-dispatched gather
-// behind every BatchRecovery.GatherRow.
+// row's bucket values into o — the shared gather behind every
+// BatchRecovery.GatherRow.
 //
 //sketch:hotpath
 func (tb *table) gatherRowValues(t int, tile []int, o []float64, sc *QScratch) {
 	hb := sc.Ints[:len(tile)]
 	tb.hash.HashMany(t, tile, hb)
-	if tp := tb.tplane; tp != nil {
-		buf := tp.buf
-		for j, b := range hb {
-			o[j] = buf[tp.pos(t, b)]
-		}
-		return
-	}
 	row := tb.rows()[t]
 	for j, b := range hb {
 		o[j] = row[b]
@@ -288,29 +223,13 @@ func (tb *table) gatherRowValues(t int, tile []int, o []float64, sc *QScratch) {
 }
 
 // minPoint returns the minimum bucket value over rows for coordinate i
-// — the element-wise Count-Min-family query, branched once on layout
-// and hash arm.
+// — the element-wise Count-Min-family query.
 //
 //sketch:hotpath
 func (tb *table) minPoint(i int) float64 {
 	u := uint64(i)
-	if tp := tb.tplane; tp != nil {
-		buf := tp.buf
-		m := buf[tp.pos(0, tb.hash.Hash(0, u))]
-		for t := 1; t < tb.cfg.Depth; t++ {
-			m = min(m, buf[tp.pos(t, tb.hash.Hash(t, u))])
-		}
-		return m
-	}
 	cells := tb.rows()
-	if ts := tb.hash.T; ts != nil {
-		m := cells[0][ts[0].Hash(u)]
-		for t := 1; t < len(cells); t++ {
-			m = min(m, cells[t][ts[t].Hash(u)])
-		}
-		return m
-	}
-	hs := tb.hash.H
+	hs := tb.hash
 	m := cells[0][hs[0].Hash(u)]
 	for t := 1; t < len(cells); t++ {
 		m = min(m, cells[t][hs[t].Hash(u)])
@@ -319,27 +238,13 @@ func (tb *table) minPoint(i int) float64 {
 }
 
 // gatherPoint writes every row's bucket value for coordinate i into
-// buf[t] — the element-wise gather of the median-family queries,
-// branched once on layout and hash arm.
+// buf[t] — the element-wise gather of the median-family queries.
 //
 //sketch:hotpath
 func (tb *table) gatherPoint(i int, buf []float64) {
 	u := uint64(i)
-	if tp := tb.tplane; tp != nil {
-		pbuf := tp.buf
-		for t := range buf {
-			buf[t] = pbuf[tp.pos(t, tb.hash.Hash(t, u))]
-		}
-		return
-	}
 	cells := tb.rows()
-	if ts := tb.hash.T; ts != nil {
-		for t, h := range ts {
-			buf[t] = cells[t][h.Hash(u)]
-		}
-		return
-	}
-	for t, h := range tb.hash.H {
+	for t, h := range tb.hash {
 		buf[t] = cells[t][h.Hash(u)]
 	}
 }
@@ -407,18 +312,11 @@ func (tb *table) checkQueryBatch(idx []int, out []float64) {
 
 // hashPoint writes h_t(u) for every row t into out — the element-wise
 // companion of hashRow for the point paths that need every row's
-// bucket of one coordinate, with the family arm branched once instead
-// of once per row.
+// bucket of one coordinate.
 //
 //sketch:hotpath
 func (tb *table) hashPoint(u uint64, out []int) {
-	if ts := tb.hash.T; ts != nil {
-		for t, h := range ts {
-			out[t] = h.Hash(u)
-		}
-		return
-	}
-	for t, h := range tb.hash.H {
+	for t, h := range tb.hash {
 		out[t] = h.Hash(u)
 	}
 }
@@ -574,27 +472,7 @@ func (tb *table) minRows(idx []int, out []float64) {
 	sc := GetQScratch(0, len(idx))
 	defer PutQScratch(sc)
 	hb := sc.Ints[:len(idx)]
-	if tp := tb.tplane; tp != nil {
-		buf := tp.buf
-		for t := 0; t < tb.cfg.Depth; t++ {
-			tb.hash.HashMany(t, idx, hb)
-			if t == 0 {
-				for j, b := range hb {
-					out[j] = buf[tp.pos(0, b)]
-				}
-				continue
-			}
-			for j, b := range hb {
-				// builtin min is branchless; a compare-and-assign
-				// mispredicts on random counters.
-				out[j] = min(out[j], buf[tp.pos(t, b)])
-			}
-		}
-		return
-	}
-	cells := tb.rows()
-	for t := range cells {
-		row := cells[t]
+	for t, row := range tb.rows() {
 		tb.hash.HashMany(t, idx, hb)
 		if t == 0 {
 			for j, b := range hb {
@@ -603,6 +481,8 @@ func (tb *table) minRows(idx []int, out []float64) {
 			continue
 		}
 		for j, b := range hb {
+			// builtin min is branchless; a compare-and-assign
+			// mispredicts on random counters.
 			out[j] = min(out[j], row[b])
 		}
 	}

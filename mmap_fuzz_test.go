@@ -59,6 +59,10 @@ func FuzzOpenMmap(f *testing.F) {
 		// Trailing garbage: the state section must span exactly to EOF.
 		f.Add(append(append([]byte(nil), valid...), 0xAB))
 	}
+	// Aligned files whose descriptor carries a hash-family byte.
+	for _, algo := range tabulationGoldenAlgos {
+		f.Add(mmapLayout(f, readGolden(f, algo+"-tabulation")))
+	}
 	f.Add([]byte{})
 	f.Add([]byte("BAS2"))
 	f.Add([]byte("BAS1\x01\x00\x00\x00\x03"))

@@ -129,7 +129,7 @@ func Monitor(
 	if nc.backend != BackendDense {
 		return nil, MonitorReport{}, fmt.Errorf("%w: monitored sites are dense-only", ErrInvalidOption)
 	}
-	desc := codec.Desc{Algo: e.Name, N: nc.dim, S: nc.words, D: nc.depth, Seed: nc.seed, Hash: nc.hash}
+	desc := codec.Desc{Algo: e.Name, N: nc.dim, S: nc.words, D: nc.depth, Seed: nc.seed}
 
 	tc := distributed.TreeConfig{
 		Sites:           cfg.Sites,

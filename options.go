@@ -46,7 +46,6 @@ type newConfig struct {
 	depth   int
 	seed    int64
 	backend Backend
-	hash    Hashing
 
 	// Sliding-window knobs, consumed by NewWindowed only (New and
 	// NewSharded validate but otherwise ignore them).
@@ -90,19 +89,6 @@ func WithSeed(seed int64) Option { return func(c *newConfig) { c.seed = seed } }
 // BackendMmap cannot be requested here: a memory-mapped sketch is
 // opened from a checkpoint file via OpenMmap, not built empty.
 func WithBackend(b Backend) Option { return func(c *newConfig) { c.backend = b } }
-
-// WithHashing selects the hash family the sketch's rows draw from.
-// HashPairwise (the default) is the Carter–Wegman pairwise family over
-// the Mersenne prime 2^61−1 — bit-identical to every prior release and
-// the construction the paper's proofs assume. HashTabulation is simple
-// tabulation hashing (Pǎtraşcu–Thorup): 3-wise independent, ~16 KiB of
-// lookup tables per hash function, and substantially faster per update
-// because it replaces the Mersenne reduction's hardware division with
-// table lookups and a multiply-shift range reduction. Only the table
-// sketches support it — see Hashings; unsupported pairs return
-// ErrHashUnsupported from New. The family is recorded in checkpoints,
-// and two sketches merge only under the same family.
-func WithHashing(h Hashing) Option { return func(c *newConfig) { c.hash = h } }
 
 // WithPanes sets the sliding-window length in panes for NewWindowed:
 // the open pane absorbing writes plus panes-1 closed ones, so queries
@@ -158,13 +144,8 @@ func buildConfig(opts []Option) (newConfig, error) {
 	if cfg.clockSet && cfg.clock == nil {
 		return cfg, fmt.Errorf("%w: WithClock must be non-nil", ErrInvalidOption)
 	}
-	switch cfg.hash {
-	case sketch.HashPairwise, sketch.HashTabulation:
-	default:
-		return cfg, fmt.Errorf("%w: unknown hashing family %v", ErrInvalidOption, cfg.hash)
-	}
 	switch cfg.backend {
-	case sketch.BackendDense, sketch.BackendCompressed, sketch.BackendTiled:
+	case sketch.BackendDense, sketch.BackendCompressed:
 	case sketch.BackendMmap:
 		return cfg, fmt.Errorf("%w: WithBackend(BackendMmap) — mmap sketches are opened from a checkpoint file via OpenMmap, not built empty", ErrInvalidOption)
 	default:
@@ -173,7 +154,7 @@ func buildConfig(opts []Option) (newConfig, error) {
 	// Enforce the wire format's descriptor bounds at construction time,
 	// so every sketch New builds can be marshaled AND unmarshaled — a
 	// site must never produce packets the coordinator rejects.
-	desc := codec.Desc{N: cfg.dim, S: cfg.words, D: cfg.depth, Seed: cfg.seed, Hash: cfg.hash}
+	desc := codec.Desc{N: cfg.dim, S: cfg.words, D: cfg.depth, Seed: cfg.seed}
 	if err := desc.Validate(); err != nil {
 		return cfg, fmt.Errorf("%w: configuration outside wire-format bounds (dim ≤ 2^26, 4 ≤ words ≤ 2^22, depth ≤ 64, words·depth ≤ 2^24): %w", ErrInvalidOption, err)
 	}
@@ -182,5 +163,5 @@ func buildConfig(opts []Option) (newConfig, error) {
 
 // shape is the registry construction shape the options describe.
 func (c newConfig) shape() registry.Shape {
-	return registry.Shape{N: c.dim, S: c.words, D: c.depth, Seed: c.seed, Hash: c.hash}
+	return registry.Shape{N: c.dim, S: c.words, D: c.depth, Seed: c.seed}
 }

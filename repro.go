@@ -121,6 +121,13 @@ var (
 	// ErrNotSerializable is returned by Marshal for sketches whose
 	// state the wire format does not carry (exact).
 	ErrNotSerializable = errors.New("repro: sketch is not serializable")
+	// ErrHashUnsupported is returned by Unmarshal, Decode, OpenMmap,
+	// and the other restore paths for a payload whose descriptor names
+	// a hash family other than the pairwise one every sketch here
+	// uses. Older builds wrote such payloads for sketches built on
+	// simple tabulation hashing; they are refused rather than restored
+	// under the wrong hash functions.
+	ErrHashUnsupported = codec.ErrHashUnsupported
 	// ErrTrailingData is returned by Unmarshal when a buffer holds
 	// bytes beyond the one payload it should contain. Streams carrying
 	// multiple frames decode through UnmarshalFrom/Decode instead.
@@ -238,7 +245,7 @@ func New(algo string, opts ...Option) (Sketch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
-	desc := codec.Desc{Algo: e.Name, N: cfg.dim, S: cfg.words, D: cfg.depth, Seed: cfg.seed, Hash: cfg.hash, Backend: cfg.backend}
+	desc := codec.Desc{Algo: e.Name, N: cfg.dim, S: cfg.words, D: cfg.depth, Seed: cfg.seed, Backend: cfg.backend}
 	return wrap(e, inner, desc), nil
 }
 

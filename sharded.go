@@ -63,7 +63,7 @@ func NewSharded(shards int, algo string, opts ...Option) (*Sharded, error) {
 	return &Sharded{
 		inner: inner,
 		entry: e,
-		desc:  codec.Desc{Algo: e.Name, N: cfg.dim, S: cfg.words, D: cfg.depth, Seed: cfg.seed, Hash: cfg.hash},
+		desc:  codec.Desc{Algo: e.Name, N: cfg.dim, S: cfg.words, D: cfg.depth, Seed: cfg.seed},
 	}, nil
 }
 

@@ -78,7 +78,7 @@ func NewWindowed(shards int, algo string, opts ...Option) (*Windowed, error) {
 	return &Windowed{
 		inner: inner,
 		entry: e,
-		desc:  codec.Desc{Algo: e.Name, N: cfg.dim, S: cfg.words, D: cfg.depth, Seed: cfg.seed, Hash: cfg.hash},
+		desc:  codec.Desc{Algo: e.Name, N: cfg.dim, S: cfg.words, D: cfg.depth, Seed: cfg.seed},
 	}, nil
 }
 

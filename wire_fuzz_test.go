@@ -38,26 +38,6 @@ func mustMarshalSeed(f *testing.F, algo string) []byte {
 	return data
 }
 
-// mustMarshalTabulationSeed builds a valid tabulation-family payload
-// for the corpus, so the fuzzer exercises the hash-family descriptor
-// byte.
-func mustMarshalTabulationSeed(f *testing.F, algo string) []byte {
-	f.Helper()
-	sk, err := repro.New(algo, repro.WithDim(300), repro.WithWords(16), repro.WithDepth(3), repro.WithSeed(9),
-		repro.WithHashing(repro.HashTabulation))
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := 0; i < 300; i += 3 {
-		sk.Update(i, float64(1+i%7))
-	}
-	data, err := repro.Marshal(sk)
-	if err != nil {
-		f.Fatal(err)
-	}
-	return data
-}
-
 // mustMarshalV1Seed builds a legacy v1 payload for the corpus, so the
 // fuzzer exercises the backward-compatibility path too.
 func mustMarshalV1Seed(f *testing.F, algo string) []byte {
@@ -84,12 +64,12 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Add(mustMarshalSeed(f, algo))
 		f.Add(mustMarshalV1Seed(f, algo))
 	}
-	for _, algo := range []string{"countmin", "countsketch"} {
-		f.Add(mustMarshalTabulationSeed(f, algo))
+	// Payloads whose descriptor carries a hash-family byte must be
+	// rejected, not panic — seeded so that gate stays fuzzed.
+	for _, algo := range tabulationGoldenAlgos {
+		f.Add(readGolden(f, algo+"-tabulation"))
 	}
-	// A tabulation descriptor naming a pairwise-only algorithm must be
-	// rejected, not panic — seeded so the capability gate stays fuzzed.
-	f.Add(append(mustMarshalTabulationSeed(f, "countmin"), 0x01))
+	f.Add(append(readGolden(f, "countmin-tabulation"), 0x01))
 	// A valid payload with trailing garbage: historically accepted,
 	// now a typed error — seeded so the boundary stays fuzzed.
 	f.Add(append(mustMarshalSeed(f, "countmin"), "trailing-garbage"...))
