@@ -79,6 +79,9 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte("BAS2"))
 	f.Add([]byte("BAS1\xff\xff\xff\xffgarbage"))
 	f.Add(bytes.Repeat([]byte{0}, 64))
+	// The aligned file layout (descriptor, pad, state) keeps the pad
+	// skip fuzzed.
+	f.Add(readGolden(f, alignedGolden))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sk, err := repro.Unmarshal(data)
 		if err != nil {

@@ -207,6 +207,46 @@ func TestGoldenWireFormatV2Tabulation(t *testing.T) {
 	}
 }
 
+// alignedGolden names testdata/wire/v2/countmin-aligned.golden: the
+// sketch behind countmin.golden in the three-section file layout older
+// builds wrote for memory-mapped serving (descriptor, a pad section
+// that puts the state at an 8-byte file offset, state). Nothing writes
+// that layout any more, so the file is a fixture that -update-golden
+// leaves alone: checkpoint files already on disk in it must keep
+// loading through the stream decoder.
+const alignedGolden = "countmin-aligned"
+
+// An aligned checkpoint file loads through Unmarshal and Decode into
+// the same sketch as countmin.golden, and re-marshals to exactly its
+// bytes.
+func TestGoldenAlignedFileLoads(t *testing.T) {
+	data, want := readGolden(t, alignedGolden), readGolden(t, "countmin")
+	unmarshaled, err := repro.Unmarshal(data)
+	if err != nil {
+		t.Fatalf("Unmarshal: %v", err)
+	}
+	decoded, err := repro.Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	ref := goldenSketch(t, "countmin")
+	for name, sk := range map[string]repro.Sketch{"Unmarshal": unmarshaled, "Decode": decoded} {
+		re, err := repro.Marshal(sk)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", name, err)
+		}
+		if !bytes.Equal(re, want) {
+			t.Errorf("%s: re-marshaled aligned file differs from countmin.golden (first diff at offset %d)",
+				name, firstDiff(re, want))
+		}
+		for i := 0; i < goldenShape.N; i += 11 {
+			if a, b := ref.Query(i), sk.Query(i); a != b {
+				t.Fatalf("%s: query %d: fresh %v, aligned-loaded %v", name, i, a, b)
+			}
+		}
+	}
+}
+
 // goldenComposites builds the three frozen checkpoint vectors.
 func goldenComposites(t testing.TB) map[string][]byte {
 	t.Helper()
@@ -398,5 +438,6 @@ func TestGoldenFilesComplete(t *testing.T) {
 	for _, algo := range tabulationGoldenAlgos {
 		v2Files = append(v2Files, fmt.Sprintf("%s-tabulation.golden", algo))
 	}
+	v2Files = append(v2Files, alignedGolden+".golden")
 	check(filepath.Join("testdata", "wire", "v2"), v2Files)
 }
