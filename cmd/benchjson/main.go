@@ -2,17 +2,14 @@
 // (BENCH_11.json): it runs the curated ingestion/serving/codec
 // benchmarks at the paper's §5.1 shape (s=4096, d=9) with -benchmem
 // and writes the parsed results as stable, machine-readable JSON.
-// Since PR 7 the set includes the counter-plane backend entries
-// (BenchmarkBackend*): per-backend update/query/restore costs and the
-// time-to-first-query comparison of an mmap open against a full
-// decode of the same checkpoint file. Since PR 8 it also includes the
-// served ingestion path (BenchmarkIngestEndpoint): one wire-v2 batch
-// per op through the sketchd HTTP handler stack, so the serving tax
-// over the in-process batched path stays visible. Since PR 9 it also
-// includes the distributed-monitoring fabric (BenchmarkMonitorRound):
-// one complete continuous-monitoring run per op, with the custom
-// comm-B/round and comm-words/round metrics comparing delta shipping
-// against the full-state baseline.
+// Besides the in-process paths, the set includes the served ingestion
+// path (BenchmarkIngestEndpoint): one wire-v2 batch per op through the
+// sketchd HTTP handler stack, so the serving tax over the in-process
+// batched path stays visible. It also includes the
+// distributed-monitoring fabric (BenchmarkMonitorRound): one complete
+// continuous-monitoring run per op, with the custom comm-B/round and
+// comm-words/round metrics comparing delta shipping against the
+// full-state baseline.
 //
 // The update/query benchmarks count one vector element per op, so
 // ns/op is already normalized per element and directly comparable
@@ -49,9 +46,9 @@ import (
 
 // defaultBench selects the curated baseline set: per-algorithm update
 // and query paths (element-wise and batched), the wire-format
-// encode/decode round trip, and the counter-plane backend paths
-// (per-backend update/query/restore and time-to-first-query).
-const defaultBench = "^(BenchmarkUpdate|BenchmarkUpdateBatch|BenchmarkQuery|BenchmarkQueryBatch|BenchmarkEncode|BenchmarkDecode|BenchmarkBackendUpdate|BenchmarkBackendQuery|BenchmarkBackendRestore|BenchmarkBackendTimeToFirstQuery|BenchmarkIngestEndpoint|BenchmarkMonitorRound)$"
+// encode/decode round trip, the served ingestion path, and the
+// monitoring round.
+const defaultBench = "^(BenchmarkUpdate|BenchmarkUpdateBatch|BenchmarkQuery|BenchmarkQueryBatch|BenchmarkEncode|BenchmarkDecode|BenchmarkIngestEndpoint|BenchmarkMonitorRound)$"
 
 // defaultPackages are the benchmark homes: internal/bench holds the
 // per-algorithm paths, bench the facade/codec paths, internal/server
@@ -122,8 +119,6 @@ func main() {
 	doc := Baseline{
 		Note: "ns/op on Update/Query paths is per vector element (batched benchmarks consume one element per op); " +
 			"allocs/op on batched and snapshot paths is pinned to 0 by the //sketch:hotpath contract. " +
-			"BenchmarkBackend* entries compare counter-plane backends (dense/compressed/mmap); " +
-			"BenchmarkBackendTimeToFirstQuery is restart latency from a checkpoint file (full decode vs mmap). " +
 			"BenchmarkIngestEndpoint is one 512-element wire-v2 batch per op through the sketchd HTTP stack " +
 			"(divide ns/op by 512 for the per-element serving cost). " +
 			"BenchmarkMonitorRound is one complete distributed-monitoring run per op on a skewed 64-site workload; " +

@@ -98,8 +98,9 @@
 // Query/QueryBatch/TopK bit-identically to the checkpointed original
 // and keeps ingesting as its exact continuation; checkpoints taken
 // under concurrent writers are consistent (the Merged guarantee).
-// Legacy v1 payloads written by older builds still decode; writers
-// emit v2 only. Every row hashes with the paper's pairwise family, so
+// Legacy v1 payloads written by older builds still decode, and so do
+// the 8-byte-aligned checkpoint files older builds wrote for
+// memory-mapped serving; writers emit plain v2 only. Every row hashes with the paper's pairwise family, so
 // a descriptor naming another hash family (older builds could write
 // tabulation-hashed table sketches) fails with ErrHashUnsupported
 // instead of restoring under the wrong hashes. Unmarshal rejects
@@ -108,29 +109,18 @@
 // before allocating, so hostile bytes error rather than panic or
 // exhaust memory.
 //
-// # Storage backends
+// # Counter layout
 //
-// The counter plane behind every table-backed algorithm is pluggable:
-// WithBackend selects how the rows are stored without changing what
-// they mean. BackendDense (the default) keeps plain float64 rows —
-// writable, zero-alloc, bit-identical to every prior release.
-// BackendCompressed stores the plane as a Counter Braids structure:
-// insert-only (negative or fractional deltas fail with the typed
-// ErrInsertOnly), decoded at query time (an overloaded braid fails
-// with ErrDecodeBudget rather than answering wrong), and worth it
-// when resident size dominates — Words reports the smaller footprint.
-// BackendMmap is read-only serving: WriteSketchFile writes an
-// 8-byte-aligned wire-v2 checkpoint atomically, OpenMmap maps it and
-// answers queries directly from the mapped cells — time-to-first-query
-// is O(1) in the sketch size, writes fail with ErrReadOnly. Backends
-// are a storage choice, not a sketch identity: a dense and an mmap
-// copy of the same sketch merge and answer identically, DecodeWith
-// restores a checkpoint onto a chosen backend, and Backends reports
-// which backends an algorithm supports (sign-carrying and
-// conservative-update planes reject BackendCompressed with
-// ErrBackendUnsupported). Counter Braids itself is also a first-class
-// registry algorithm ("counterbraids", legend alias "CB") with the
-// same insert-only, decode-at-query contract.
+// Every table-backed algorithm keeps its d×s counters as dense float64
+// rows, written in place: the sketches are linear maps over signed
+// rows, recovery subtracts a bias term from each row, and sites merge
+// by adding rows, so a row is just a vector to add to. Counter Braids
+// (Lu et al., the §2 related work) is a registry algorithm of its own
+// ("counterbraids", legend alias "CB"): insert-only (negative or
+// fractional deltas fail with the typed ErrInsertOnly) and decoded at
+// query time (an overloaded braid fails with ErrDecodeBudget rather
+// than answering wrong), at a fraction of the words exact counters
+// need.
 //
 // # Sliding windows
 //
@@ -150,10 +140,10 @@
 // # Serving
 //
 // cmd/sketchd serves the stack over HTTP (stdlib net/http): named
-// sketches per tenant — plain, sharded, or windowed, on any supported
-// backend — created from a JSON spec mirroring the facade options,
-// ingested as wire-v2 batch frames (EncodeBatch client-side,
-// DecodeBatch's hostile-input validation server-side), and queried
+// sketches per tenant — plain, sharded, or windowed — created from a
+// JSON spec mirroring the facade options, ingested as wire-v2 batch
+// frames (EncodeBatch client-side, DecodeBatch's hostile-input
+// validation server-side), and queried
 // through the same point/range/top-k paths as the library. A
 // background scheduler checkpoints every sketch atomically to a data
 // directory and the server restores them on boot; SIGTERM drains —

@@ -1,30 +1,47 @@
 package bench
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestExtraBOMPStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("OMP decodes take seconds")
 	}
-	tables := ExtraBOMP(Config{Seed: 1, Depth: 5})
-	if len(tables) != 2 {
-		t.Fatalf("got %d tables", len(tables))
+	// Decode times are single wall-clock samples, and one stall on
+	// either side can flip a comparison of two of them, so the cost
+	// claim compares the fastest of several seeded, identical runs.
+	const runs = 3
+	var exact *Table
+	var bo, l2 int
+	var boNs, l2Ns []float64
+	for run := 0; run < runs; run++ {
+		tables := ExtraBOMP(Config{Seed: 1, Depth: 5})
+		if len(tables) != 2 {
+			t.Fatalf("got %d tables", len(tables))
+		}
+		exact = tables[0]
+		bo, l2 = exact.Col("BOMP"), exact.Col(AlgoL2SR)
+		if bo < 0 || l2 < 0 {
+			t.Fatal("missing columns")
+		}
+		for xi := range exact.X {
+			if run == 0 {
+				boNs, l2Ns = append(boNs, math.Inf(1)), append(l2Ns, math.Inf(1))
+			}
+			boNs[xi] = min(boNs[xi], exact.QueryNs[xi][bo])
+			l2Ns[xi] = min(l2Ns[xi], exact.QueryNs[xi][l2])
+		}
 	}
-	exact := tables[0]
-	bo, l2 := exact.Col("BOMP"), exact.Col(AlgoL2SR)
-	if bo < 0 || l2 < 0 {
-		t.Fatal("missing columns")
-	}
-	for xi := range exact.X {
+	for xi, k := range exact.X {
 		if exact.Avg[xi][bo] > 1e-6 {
-			t.Errorf("k=%d: BOMP should be exact on biased k-sparse, got %g",
-				exact.X[xi], exact.Avg[xi][bo])
+			t.Errorf("k=%d: BOMP should be exact on biased k-sparse, got %g", k, exact.Avg[xi][bo])
 		}
 		// §2's cost claim: full OMP decode is orders of magnitude
 		// slower than a full hash-sketch recovery.
-		if exact.QueryNs[xi][bo] < 5*exact.QueryNs[xi][l2] {
-			t.Errorf("k=%d: BOMP decode %f ns not ≫ l2 recover %f ns",
-				exact.X[xi], exact.QueryNs[xi][bo], exact.QueryNs[xi][l2])
+		if boNs[xi] < 5*l2Ns[xi] {
+			t.Errorf("k=%d: fastest BOMP decode %f ns not ≫ fastest l2 recover %f ns", k, boNs[xi], l2Ns[xi])
 		}
 	}
 }

@@ -73,12 +73,12 @@ const (
 	secWindowMeta = 5  // panes, pane width, open-pane sequence, closed-pane sequences
 	secRangeMeta  = 6  // base dimension + level count
 	secNested     = 7  // an embedded v2 container
-	secPad        = 8  // alignment padding (zero bytes) so mmap'd state starts 8-aligned
+	secPad        = 8  // alignment padding (zero bytes) in older aligned checkpoint files; skipped on decode
 	secBatch      = 9  // u32 element count + count × (u64 index, f64 delta)
 	secDeltaMeta  = 10 // delta frame: flags + shard count + entry count + (shard, epoch) pairs
 )
 
-// maxPad bounds a pad section: padding exists only to 8-align the
+// maxPad bounds a pad section: the padding only ever 8-aligned the
 // following state payload, so it is always under 8 bytes.
 const maxPad = 8
 
@@ -117,13 +117,6 @@ type Desc struct {
 	S    int
 	D    int
 	Seed int64
-
-	// Backend records which counter-plane backend the sketch was
-	// reconstructed on. It is in-memory metadata only — never
-	// serialized, always the dense zero value on descriptors read from
-	// a stream — set by DecodeSketchBackend and OpenMmapSketch so
-	// callers can see how a restored sketch is stored.
-	Backend sketch.BackendKind
 }
 
 // Validate bounds the descriptor fields before they reach a
@@ -526,13 +519,6 @@ func decodeSketchContainer(r io.Reader) (sketch.Sketch, Desc, error) {
 }
 
 func decodeSketchSections(r io.Reader, nsec uint32, allowExact bool) (sketch.Sketch, Desc, error) {
-	return decodeSketchSectionsBackend(r, nsec, allowExact, sketch.Backend{})
-}
-
-// decodeSketchSectionsBackend is the body shared by DecodeSketch (zero
-// backend = dense) and DecodeSketchBackend: the counter plane of the
-// reconstructed sketch lands on be.
-func decodeSketchSectionsBackend(r io.Reader, nsec uint32, allowExact bool, be sketch.Backend) (sketch.Sketch, Desc, error) {
 	if nsec != 2 && nsec != 3 {
 		return nil, Desc{}, fmt.Errorf("codec: sketch container has %d sections, want 2 or 3", nsec)
 	}
@@ -544,9 +530,10 @@ func decodeSketchSectionsBackend(r io.Reader, nsec uint32, allowExact bool, be s
 		return nil, Desc{}, fmt.Errorf("codec: exact sketches are not serializable as standalone containers")
 	}
 	if nsec == 3 {
-		// Aligned containers (WriteSketchFile) interleave a pad section
-		// so the state payload starts 8-aligned in the file; on a
-		// stream decode the padding is just skipped.
+		// Older builds wrote checkpoint files for memory-mapped serving
+		// with a pad section between descriptor and state, so the state
+		// payload started 8-aligned in the file. Those files still
+		// load: the padding is just skipped.
 		n, err := readSectionHeader(r, secPad)
 		if err != nil {
 			return nil, Desc{}, err
@@ -559,14 +546,13 @@ func decodeSketchSectionsBackend(r io.Reader, nsec uint32, allowExact bool, be s
 	if err != nil {
 		return nil, Desc{}, err
 	}
-	sk, err := registry.SafeNewBackend(desc.Algo, desc.Shape(), be)
+	sk, err := registry.SafeNew(desc.Algo, desc.Shape())
 	if err != nil {
 		return nil, Desc{}, err
 	}
 	if err := restoreState(sk, tag, payload); err != nil {
 		return nil, Desc{}, err
 	}
-	desc.Backend = be.Kind
 	return sk, desc, nil
 }
 

@@ -6,11 +6,11 @@ import (
 	"fmt"
 )
 
-// This file adds the merge and capture/restore surface the compressed
-// counter plane (internal/sketch) and the registry entry need. Only
-// the counter arrays travel: the hash functions are shared randomness
-// both ends reconstruct from the seed, exactly as for the table-based
-// sketches.
+// This file adds the merge and capture/restore surface the
+// counterbraids sketch (internal/sketch) and its registry entry need.
+// Only the counter arrays travel: the hash functions are shared
+// randomness both ends reconstruct from the seed, exactly as for the
+// table-based sketches.
 
 // ErrShapeMismatch is returned by MergeFrom when the two braids differ
 // in configuration or hash seeds.
@@ -51,17 +51,6 @@ func (b *Braid) MergeFrom(o *Braid) error {
 		b.c2[k] += o.c2[k]
 	}
 	return nil
-}
-
-// Reset zeroes both counter layers, keeping the configuration and hash
-// functions. Used when restoring a braid from captured state.
-func (b *Braid) Reset() {
-	for j := range b.c1 {
-		b.c1[j] = 0
-	}
-	for k := range b.c2 {
-		b.c2[k] = 0
-	}
 }
 
 // Marshal serializes the braid counters: two u64 LE lengths, then the

@@ -120,22 +120,6 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 			t.Fatalf("coordinate %d: restored %v, want %v", i, x[i], want[i])
 		}
 	}
-
-	// Reset returns the braid to the empty state.
-	back.Reset()
-	zero, err := back.Decode(32)
-	if err != nil {
-		t.Fatalf("Decode after Reset: %v", err)
-	}
-	for i, v := range zero {
-		if v != 0 {
-			t.Fatalf("coordinate %d nonzero after Reset: %v", i, v)
-		}
-	}
-	// And a reset braid can restore again.
-	if err := back.Unmarshal(blob); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestUnmarshalRejections(t *testing.T) {

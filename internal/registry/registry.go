@@ -3,12 +3,11 @@
 // bench harness's legend-name dispatch, and the sketchio wire-format
 // loader all resolve through the one table here. Each entry carries
 // the canonical public name, the paper's legend name, the accepted
-// aliases, the capability flags (linear / bias-aware / supported
-// counter-plane backends), and the constructor implementing the
-// paper's equal-words sizing protocol (§5.1): the bias-aware sketches
-// use depth d with s extra words for bias estimation, the baselines
-// use depth d+1, so every algorithm consumes (d+1)·s words at the same
-// (s, d) setting.
+// aliases, the capability flags (linear / bias-aware), and the
+// constructor implementing the paper's equal-words sizing protocol
+// (§5.1): the bias-aware sketches use depth d with s extra words for
+// bias estimation, the baselines use depth d+1, so every algorithm
+// consumes (d+1)·s words at the same (s, d) setting.
 package registry
 
 import (
@@ -46,11 +45,6 @@ const (
 // the paper points out for the distributed setting.
 var ErrNotLinear = errors.New("registry: algorithm is not linear")
 
-// ErrBackendUnsupported re-exports the sketch package's capability
-// error so callers holding only a registry entry can classify backend
-// rejections with one errors.Is target.
-var ErrBackendUnsupported = sketch.ErrBackendUnsupported
-
 // Shape is the construction-time shape of a sketch: the paper's (n, s,
 // d) sizing parameters and the hash seed.
 type Shape struct {
@@ -71,27 +65,18 @@ type Entry struct {
 	Linear bool
 	// Bias marks the bias-aware sketches exposing a Bias() estimate.
 	Bias bool
-	// Compressed marks algorithms whose counter plane can live in a
-	// Counter-Braids-compressed backend (linear, insert-only integer
-	// streams only).
-	Compressed bool
-	// Mmap marks algorithms whose counter plane can be served read-only
-	// straight out of a mapped checkpoint file.
-	Mmap bool
 
-	// New constructs the sketch for the given shape and counter-plane
-	// backend. Unusable parameters return an error (backend rejections
-	// wrap sketch.ErrBackendUnsupported); a constructor may still panic
-	// on programmer-error misuse, which SafeNew converts. The zero
-	// Backend is the dense plane.
-	New func(sh Shape, be sketch.Backend) (sketch.Sketch, error)
+	// New constructs the sketch for the given shape. Unusable
+	// parameters return an error; a constructor may still panic on
+	// programmer-error misuse, which SafeNew converts.
+	New func(sh Shape) (sketch.Sketch, error)
 }
 
-// MustNew constructs with the dense backend and panics on error — for
-// the replica factories (shards, window panes, range levels) whose
-// shape was already validated by a successful probe construction.
+// MustNew constructs and panics on error — for the replica factories
+// (shards, window panes, range levels) whose shape was already
+// validated by a successful probe construction.
 func (e *Entry) MustNew(sh Shape) sketch.Sketch {
-	sk, err := e.New(sh, sketch.Backend{})
+	sk, err := e.New(sh)
 	if err != nil {
 		panic(err)
 	}
@@ -99,9 +84,7 @@ func (e *Entry) MustNew(sh Shape) sketch.Sketch {
 }
 
 // Stateful is the capture/restore surface a sketch must offer to be
-// serializable (the sketchio payload body). MarshalState may fail:
-// a compressed counter plane loaded past its decoding threshold has
-// no exact cell matrix to write.
+// serializable (the sketchio payload body).
 type Stateful interface {
 	MarshalState() ([]byte, error)
 	UnmarshalState([]byte) error
@@ -159,39 +142,21 @@ func Names() []string {
 	return out
 }
 
-// SafeNew constructs the named algorithm on the dense backend,
-// additionally converting constructor panics (parameter combinations
-// an algorithm rejects at runtime) into errors — the entry point for
-// descriptors read off the network.
-func SafeNew(name string, sh Shape) (sketch.Sketch, error) {
-	return SafeNewBackend(name, sh, sketch.Backend{})
-}
-
-// SafeNewBackend is SafeNew with an explicit counter-plane backend.
-// Algorithms whose capability flags exclude the requested backend are
-// rejected with an ErrBackendUnsupported-wrapped error before the
-// constructor runs.
-func SafeNewBackend(name string, sh Shape, be sketch.Backend) (sk sketch.Sketch, err error) {
+// SafeNew constructs the named algorithm, additionally converting
+// constructor panics (parameter combinations an algorithm rejects at
+// runtime) into errors — the entry point for descriptors read off the
+// network.
+func SafeNew(name string, sh Shape) (sk sketch.Sketch, err error) {
 	e, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("registry: unknown algorithm %q", name)
-	}
-	switch be.Kind {
-	case sketch.BackendCompressed:
-		if !e.Compressed {
-			return nil, fmt.Errorf("%w: %s has no compressed counter plane", ErrBackendUnsupported, e.Name)
-		}
-	case sketch.BackendMmap:
-		if !e.Mmap {
-			return nil, fmt.Errorf("%w: %s cannot be served from a mapped checkpoint", ErrBackendUnsupported, e.Name)
-		}
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("registry: constructing %s: %v", e.Name, r)
 		}
 	}()
-	sk, err = e.New(sh, be)
+	sk, err = e.New(sh)
 	if err != nil {
 		return nil, fmt.Errorf("registry: constructing %s: %w", e.Name, err)
 	}
@@ -267,7 +232,7 @@ func init() {
 	Register(Entry{
 		Name: L1SR, Legend: "l1-S/R", Aliases: []string{"l1-sr", "l1s/r"},
 		Linear: true, Bias: true,
-		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
+		New: func(sh Shape) (sketch.Sketch, error) {
 			return core.NewL1SR(core.L1Config{
 				N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, SampleCount: sh.S,
 			}, rand.New(rand.NewSource(sh.Seed))), nil
@@ -276,7 +241,7 @@ func init() {
 	Register(Entry{
 		Name: L2SR, Legend: "l2-S/R", Aliases: []string{"l2-sr", "l2s/r"},
 		Linear: true, Bias: true,
-		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
+		New: func(sh Shape) (sketch.Sketch, error) {
 			return core.NewL2SR(core.L2Config{
 				N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, UseBiasHeap: true,
 			}, rand.New(rand.NewSource(sh.Seed))), nil
@@ -285,7 +250,7 @@ func init() {
 	Register(Entry{
 		Name: L1Mean, Legend: "l1-mean",
 		Linear: true, Bias: true,
-		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
+		New: func(sh Shape) (sketch.Sketch, error) {
 			return core.NewL1SR(core.L1Config{
 				N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, SampleCount: 1, Estimator: core.EstimatorMean,
 			}, rand.New(rand.NewSource(sh.Seed))), nil
@@ -294,7 +259,7 @@ func init() {
 	Register(Entry{
 		Name: L2Mean, Legend: "l2-mean",
 		Linear: true, Bias: true,
-		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
+		New: func(sh Shape) (sketch.Sketch, error) {
 			return core.NewL2SR(core.L2Config{
 				N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, Estimator: core.EstimatorMean,
 			}, rand.New(rand.NewSource(sh.Seed))), nil
@@ -302,55 +267,51 @@ func init() {
 	})
 	Register(Entry{
 		Name: CountMedian, Legend: "CM", Aliases: []string{"count-median"},
-		Linear: true, Compressed: true, Mmap: true,
-		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
-			return sketch.NewCountMedianBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
+		Linear: true,
+		New: func(sh Shape) (sketch.Sketch, error) {
+			return sketch.NewCountMedian(baseCfg(sh), rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: CountSketch, Legend: "CS", Aliases: []string{"count-sketch"},
-		Linear: true, Mmap: true,
-		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
-			return sketch.NewCountSketchBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
+		Linear: true,
+		New: func(sh Shape) (sketch.Sketch, error) {
+			return sketch.NewCountSketch(baseCfg(sh), rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: CountMin, Legend: "Count-Min", Aliases: []string{"count-min"},
-		Linear: true, Compressed: true, Mmap: true,
-		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
-			return sketch.NewCountMinBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
+		Linear: true,
+		New: func(sh Shape) (sketch.Sketch, error) {
+			return sketch.NewCountMin(baseCfg(sh), rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: CMCU, Legend: "CM-CU",
-		Mmap: true,
-		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
-			return sketch.NewCMCUBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
+		New: func(sh Shape) (sketch.Sketch, error) {
+			return sketch.NewCMCU(baseCfg(sh), rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: CMLCU, Legend: "CML-CU",
-		Mmap: true,
-		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
-			return sketch.NewCMLCUBackend(baseCfg(sh), sketch.DefaultCMLBase, be, rand.New(rand.NewSource(sh.Seed)))
+		New: func(sh Shape) (sketch.Sketch, error) {
+			return sketch.NewCMLCU(baseCfg(sh), sketch.DefaultCMLBase, rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: DengRafiei, Legend: "Deng-Rafiei", Aliases: []string{"deng-rafiei"},
-		Linear: true, Compressed: true, Mmap: true,
-		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
-			return sketch.NewDengRafieiBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
+		Linear: true,
+		New: func(sh Shape) (sketch.Sketch, error) {
+			return sketch.NewDengRafiei(baseCfg(sh), rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	// Counter Braids (the §2 related work): sized by the dimension n
 	// alone — the braid's layers follow the CB design rule, not the
 	// equal-words (s, d) protocol, so s and d are accepted and ignored.
-	// The braid is natively its own compressed representation; it has
-	// no flat cell plane to map, so only the default backend applies.
 	Register(Entry{
 		Name: CounterBraid, Legend: "CB", Aliases: []string{"cb", "counter-braids"},
 		Linear: true,
-		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
+		New: func(sh Shape) (sketch.Sketch, error) {
 			return sketch.NewCounterBraids(sh.N, rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
@@ -360,7 +321,7 @@ func init() {
 	Register(Entry{
 		Name: Exact, Legend: "Exact",
 		Linear: true,
-		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
+		New: func(sh Shape) (sketch.Sketch, error) {
 			return stream.NewExact(sh.N), nil
 		},
 	})

@@ -49,6 +49,12 @@ type sidecarDoc struct {
 	Sum     string `json:"sum,omitempty"`
 	PrevGen uint64 `json:"prev_gen,omitempty"`
 	PrevSum string `json:"prev_sum,omitempty"`
+
+	// Backend is read, never written: older builds recorded a plain
+	// sketch's counter layout here, "dense" or "compressed". Every
+	// sketch is dense now, and a compressed one restored as dense would
+	// silently stop being insert-only, so its sidecar fails the boot.
+	Backend string `json:"backend,omitempty"`
 }
 
 // containerPath names the container file of one generation; generation
@@ -225,6 +231,10 @@ func loadEntry(dir, tenant, name string) (*entry, error) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return nil, err
 	}
+	if doc.Backend != "" && doc.Backend != "dense" {
+		return nil, fmt.Errorf("%w: the sidecar names the %q counter layout, which this build cannot restore; remove the sketch's files and create it again",
+			ErrBadSpec, doc.Backend)
+	}
 	data, gen, sum, err := readContainer(base, doc)
 	if err != nil {
 		return nil, err
@@ -290,19 +300,15 @@ func restoreHandle(spec Spec, r io.Reader) (handle, error) {
 		}
 		return &windowedHandle{w: wd}, nil
 	case "plain":
-		be, err := backendOf(spec.Backend)
-		if err != nil {
-			return nil, err
-		}
 		data, err := io.ReadAll(r)
 		if err != nil {
 			return nil, err
 		}
-		sk, err := repro.DecodeWith(data, be)
+		sk, err := repro.Unmarshal(data)
 		if err != nil {
 			return nil, err
 		}
-		return &plainHandle{sk: sk, insertOnly: be == repro.BackendCompressed}, nil
+		return &plainHandle{sk: sk}, nil
 	}
 	return nil, fmt.Errorf("%w: unknown kind %q in checkpoint sidecar", ErrBadSpec, spec.Kind)
 }

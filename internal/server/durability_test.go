@@ -347,3 +347,45 @@ func TestBootRejectsTabulationCheckpoint(t *testing.T) {
 		t.Fatalf("boot over a tabulation checkpoint: server %v, err %v; want ErrHashUnsupported", s, err)
 	}
 }
+
+// Older builds recorded a plain sketch's counter layout in its sidecar.
+// A "compressed" sketch must fail the boot with ErrBadSpec, naming the
+// sketch, rather than restore as dense and silently stop being
+// insert-only; a "dense" one boots and answers as before.
+func TestBootChecksLegacyBackend(t *testing.T) {
+	sk := repro.MustNew("countmin", repro.WithDim(512), repro.WithWords(32), repro.WithDepth(4), repro.WithSeed(7))
+	sk.Update(5, 3)
+	data, err := repro.Marshal(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	seed := func(t *testing.T, name, backend string) string {
+		t.Helper()
+		dir := t.TempDir()
+		tdir := filepath.Join(dir, "acme")
+		if err := os.MkdirAll(tdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(containerPath(filepath.Join(tdir, name), 1), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		doc := `{"kind":"plain","algo":"countmin","dim":512,"words":32,"depth":4,"seed":7,"backend":"` + backend + `",` +
+			`"gen":1,"sum":"` + hex.EncodeToString(sum[:]) + `"}`
+		if err := os.WriteFile(filepath.Join(tdir, name+".json"), []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+
+	s, err := New(Config{DataDir: seed(t, "braid", "compressed")})
+	if !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), "acme/braid") {
+		t.Fatalf("boot over a compressed sidecar: server %v, err %v; want ErrBadSpec naming acme/braid", s, err)
+	}
+
+	_, ts := newTestServer(t, Config{DataDir: seed(t, "flat", "dense")})
+	resp, body := do(t, "GET", ts.URL+"/v1/acme/sketches/flat/query?i=5", "")
+	if resp.StatusCode != 200 || !strings.Contains(body, `"estimates":[3]`) {
+		t.Errorf("restored dense sketch: %s %s, want estimate 3", resp.Status, body)
+	}
+}

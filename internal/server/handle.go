@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"time"
 
@@ -13,8 +12,7 @@ import (
 // Spec describes one sketch as a client creates it and as the
 // checkpoint sidecar persists it. Kind selects the serving container:
 //
-//   - "plain": a single repro.New sketch behind a server-side RWMutex;
-//     the only kind that takes a Backend ("dense" or "compressed").
+//   - "plain": a single repro.New sketch behind a server-side RWMutex.
 //   - "sharded": repro.NewSharded — per-shard locks, snapshot serving.
 //   - "windowed": repro.NewWindowed — pane ring over sharded open pane.
 //
@@ -26,7 +24,6 @@ type Spec struct {
 	Words       int    `json:"words,omitempty"`
 	Depth       int    `json:"depth,omitempty"`
 	Seed        int64  `json:"seed,omitempty"`
-	Backend     string `json:"backend,omitempty"`
 	Shards      int    `json:"shards,omitempty"`
 	Panes       int    `json:"panes,omitempty"`
 	PaneWidthMS int64  `json:"pane_width_ms,omitempty"`
@@ -63,49 +60,24 @@ func sketchOptions(spec Spec) []repro.Option {
 	return opts
 }
 
-// backendOf maps the spec's backend string to a facade Backend. Mmap
-// is deliberately absent: mapped checkpoints are read-only serving
-// replicas opened via OpenMmap, not something a live ingest endpoint
-// can sit on.
-func backendOf(name string) (repro.Backend, error) {
-	switch name {
-	case "", "dense":
-		return repro.BackendDense, nil
-	case "compressed":
-		return repro.BackendCompressed, nil
-	}
-	return repro.BackendDense, fmt.Errorf("%w: unknown backend %q (valid: dense, compressed)", ErrBadSpec, name)
-}
-
 // buildHandle constructs the serving handle a spec describes. Facade
-// errors (unknown algorithm, invalid shape, unsupported backend) pass
-// through typed, so callers map them to 400.
+// errors (unknown algorithm, invalid shape) pass through typed, so
+// callers map them to 400.
 func buildHandle(spec Spec) (handle, error) {
 	switch spec.Kind {
 	case "plain":
-		be, err := backendOf(spec.Backend)
-		if err != nil {
-			return nil, err
-		}
-		opts := append(sketchOptions(spec), repro.WithBackend(be))
-		sk, err := repro.New(spec.Algo, opts...)
+		sk, err := repro.New(spec.Algo, sketchOptions(spec)...)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		return &plainHandle{sk: sk, insertOnly: be == repro.BackendCompressed}, nil
+		return &plainHandle{sk: sk}, nil
 	case "sharded":
-		if spec.Backend != "" {
-			return nil, fmt.Errorf("%w: sharded sketches are dense-only", ErrBadSpec)
-		}
 		sh, err := repro.NewSharded(shardsOrDefault(spec.Shards), spec.Algo, sketchOptions(spec)...)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		return &shardedHandle{s: sh}, nil
 	case "windowed":
-		if spec.Backend != "" {
-			return nil, fmt.Errorf("%w: windowed sketches are dense-only", ErrBadSpec)
-		}
 		opts := sketchOptions(spec)
 		if spec.Panes > 0 {
 			opts = append(opts, repro.WithPanes(spec.Panes))
@@ -181,15 +153,11 @@ func (h *windowedHandle) checkpoint(w io.Writer) error { return h.w.Checkpoint(w
 
 // plainHandle serves a single repro.Sketch behind an RWMutex — the
 // fallback for algorithms without a Sharded wrapper (non-linear
-// conservative-update sketches, compressed backends). Writers
-// serialize; readers share.
+// conservative-update sketches, counterbraids). Writers serialize;
+// readers share.
 type plainHandle struct {
 	mu sync.RWMutex
 	sk repro.Sketch
-	// insertOnly marks a compressed counter plane: negative or
-	// fractional deltas would panic inside the braid, so the batch is
-	// pre-validated and rejected whole with a typed error instead.
-	insertOnly bool
 }
 
 func (h *plainHandle) kind() string { return "plain" }
@@ -198,13 +166,6 @@ func (h *plainHandle) dim() int     { return h.sk.Dim() }
 func (h *plainHandle) words() int   { return h.sk.Words() }
 
 func (h *plainHandle) updateBatch(_ int, idx []int, deltas []float64) error {
-	if h.insertOnly {
-		for j, d := range deltas {
-			if d < 0 || d != math.Trunc(d) {
-				return fmt.Errorf("%w: delta %v at batch element %d", repro.ErrInsertOnly, d, j)
-			}
-		}
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return repro.UpdateBatch(h.sk, idx, deltas)

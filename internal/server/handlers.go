@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -82,7 +83,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // recoverPanics is the outermost middleware: a panicking handler (a
-// poisoned sketch, an overloaded compressed plane's decode) becomes a
+// poisoned sketch, an overloaded counterbraids decode) becomes a
 // 500 and the process keeps serving every other tenant.
 func (s *Server) recoverPanics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -199,10 +200,30 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, tenant str
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// insertOnlyAlgo is the one algorithm that holds non-negative integer
+// counts only: a counterbraids sketch panics on any other delta.
+const insertOnlyAlgo = "counterbraids"
+
+// checkDeltas rejects a batch the named algorithm cannot absorb with
+// ErrInsertOnly, so a client's bad delta is a 400 and no counter
+// moves, whatever kind serves the sketch.
+func checkDeltas(algo string, deltas []float64) error {
+	if algo != insertOnlyAlgo {
+		return nil
+	}
+	for j, d := range deltas {
+		if d < 0 || d >= 1<<64 || d != math.Trunc(d) {
+			return fmt.Errorf("%w: delta %v at batch element %d", repro.ErrInsertOnly, d, j)
+		}
+	}
+	return nil
+}
+
 // handleIngest applies one wire-v2 batch frame. Decode validates the
 // whole frame — framing, element count, every index against the
-// sketch's dimension, NaN — before a single update is applied, so a
-// hostile payload is a 400, never a partial write.
+// sketch's dimension, NaN — and checkDeltas the deltas the algorithm
+// accepts, all before a single update is applied, so a hostile payload
+// is a 400, never a partial write.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, tenant string) {
 	e, err := s.reg.get(tenant, r.PathValue("name"))
 	if err != nil {
@@ -217,6 +238,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, tenant str
 		}
 	}
 	idx, deltas, err := repro.DecodeBatch(http.MaxBytesReader(w, r.Body, maxIngestBody), e.h.dim())
+	if err == nil {
+		err = checkDeltas(e.h.algo(), deltas)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -339,8 +363,7 @@ func statusOf(err error) int {
 	case errors.Is(err, ErrBadSpec), errors.Is(err, ErrBadName),
 		errors.Is(err, repro.ErrInvalidOption), errors.Is(err, repro.ErrUnknownAlgorithm),
 		errors.Is(err, repro.ErrNotLinear), errors.Is(err, repro.ErrBadBatch),
-		errors.Is(err, repro.ErrInsertOnly), errors.Is(err, repro.ErrBackendUnsupported),
-		errors.Is(err, repro.ErrNoBias):
+		errors.Is(err, repro.ErrInsertOnly), errors.Is(err, repro.ErrNoBias):
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -167,6 +168,8 @@ func TestHandlerRejects(t *testing.T) {
 		{"unknown algo", "POST", "/v1/acme/sketches", `{"name":"x","kind":"plain","algo":"hyperloglog","dim":10}`, 400},
 		{"unknown kind", "POST", "/v1/acme/sketches", `{"name":"x","kind":"fancy","algo":"countmin","dim":10}`, 400},
 		{"zero dim", "POST", "/v1/acme/sketches", `{"name":"x","kind":"plain","algo":"countmin"}`, 400},
+		// Every sketch keeps dense counters; "backend" is not a spec
+		// field, so naming it is an unknown-field 400.
 		{"unknown backend", "POST", "/v1/acme/sketches", `{"name":"x","kind":"plain","algo":"countmin","dim":10,"backend":"mmap"}`, 400},
 		{"backend on sharded", "POST", "/v1/acme/sketches", `{"name":"x","kind":"sharded","algo":"countmin","dim":10,"backend":"compressed"}`, 400},
 		{"compressed l2sr", "POST", "/v1/acme/sketches", `{"name":"x","kind":"plain","algo":"l2sr","dim":10,"backend":"compressed"}`, 400},
@@ -229,27 +232,35 @@ func TestHandlerRejects(t *testing.T) {
 	}
 }
 
-// A compressed plain sketch is insert-only: negative and fractional
-// deltas are rejected whole with 400 before any counter moves, and
-// valid inserts keep serving.
+// A counterbraids sketch is insert-only: negative, fractional and
+// unrepresentably large deltas are client errors, rejected whole with
+// 400 before any counter moves, and valid inserts keep serving — on
+// the plain kind and on the linear kinds that wrap it.
 func TestCompressedPlainInsertOnly(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	mustCreate(t, ts.URL, "acme",
-		`{"name":"c","kind":"plain","algo":"countmin","dim":1000,"words":2048,"depth":2,"backend":"compressed"}`)
-	url := ts.URL + "/v1/acme/sketches/c/ingest"
-
-	if resp, body := ingest(t, url, frame(t, []int{1, 2}, []float64{3, -1})); resp.StatusCode != 400 {
-		t.Fatalf("negative delta: got %d (%s)", resp.StatusCode, body)
-	}
-	if resp, body := ingest(t, url, frame(t, []int{1}, []float64{0.5})); resp.StatusCode != 400 {
-		t.Fatalf("fractional delta: got %d (%s)", resp.StatusCode, body)
-	}
-	if resp, body := ingest(t, url, frame(t, []int{7, 7}, []float64{2, 3})); resp.StatusCode != 200 {
-		t.Fatalf("valid insert: got %d (%s)", resp.StatusCode, body)
-	}
-	resp, body := do(t, "GET", ts.URL+"/v1/acme/sketches/c/query?i=7", "")
-	if resp.StatusCode != 200 || !strings.Contains(body, "[5]") {
-		t.Errorf("compressed query: %s %s", resp.Status, body)
+	for _, kind := range []string{"plain", "sharded", "windowed"} {
+		mustCreate(t, ts.URL, "acme", `{"name":"`+kind+`","kind":"`+kind+`","algo":"counterbraids","dim":1000}`)
+		url := ts.URL + "/v1/acme/sketches/" + kind + "/ingest"
+		for _, bad := range []struct {
+			name   string
+			deltas []float64
+		}{
+			{"negative", []float64{3, -3}},
+			{"fractional", []float64{0.5, 1}},
+			{"infinite", []float64{1, math.Inf(1)}},
+			{"beyond 2^64", []float64{1, 1 << 64}},
+		} {
+			if resp, body := ingest(t, url, frame(t, []int{1, 2}, bad.deltas)); resp.StatusCode != 400 || !strings.Contains(body, "insert-only") {
+				t.Fatalf("%s: %s delta: got %d (%s), want 400 naming the insert-only constraint", kind, bad.name, resp.StatusCode, body)
+			}
+		}
+		if resp, body := ingest(t, url, frame(t, []int{7, 7}, []float64{2, 3})); resp.StatusCode != 200 {
+			t.Fatalf("%s: valid insert: got %d (%s)", kind, resp.StatusCode, body)
+		}
+		resp, body := do(t, "GET", ts.URL+"/v1/acme/sketches/"+kind+"/query?i=1&i=2&i=7", "")
+		if resp.StatusCode != 200 || !strings.Contains(body, "[0,0,5]") {
+			t.Errorf("%s: query after rejected batches: %s %s", kind, resp.Status, body)
+		}
 	}
 }
 
@@ -415,13 +426,14 @@ func TestCheckpointSchedulerAndRestore(t *testing.T) {
 	}
 }
 
-// Every kind round-trips through its checkpoint: plain dense, plain
-// compressed, and windowed (sharded is covered above and in the soak).
+// Every kind round-trips through its checkpoint: plain l2sr, plain
+// counterbraids, and windowed (sharded is covered above and in the
+// soak).
 func TestCheckpointRestoreAllKinds(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{DataDir: dir})
 	mustCreate(t, ts.URL, "acme", `{"name":"dense","kind":"plain","algo":"l2sr","dim":1000,"words":256,"seed":1}`)
-	mustCreate(t, ts.URL, "acme", `{"name":"braid","kind":"plain","algo":"countmin","dim":1000,"words":2048,"depth":2,"backend":"compressed"}`)
+	mustCreate(t, ts.URL, "acme", `{"name":"braid","kind":"plain","algo":"counterbraids","dim":1000}`)
 	mustCreate(t, ts.URL, "acme", `{"name":"win","kind":"windowed","algo":"countmin","dim":1000,"words":128,"depth":2,"panes":4,"pane_width_ms":3600000}`)
 
 	for _, name := range []string{"dense", "braid", "win"} {

@@ -27,8 +27,8 @@ var (
 	ErrNotFound = errors.New("server: no such sketch")
 	// ErrExists: create collided with a live sketch (HTTP 409).
 	ErrExists = errors.New("server: sketch already exists")
-	// ErrBadSpec: the create spec is malformed — unknown kind, backend
-	// on a sharded spec, and so on (HTTP 400).
+	// ErrBadSpec: the create spec is malformed — unknown kind, unknown
+	// field, and so on (HTTP 400).
 	ErrBadSpec = errors.New("server: bad sketch spec")
 	// ErrBadName: tenant or sketch name outside [A-Za-z0-9_-]{1,64}
 	// (HTTP 400). Names are path and filename components; the charset

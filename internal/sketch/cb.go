@@ -1,11 +1,29 @@
 package sketch
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/counterbraids"
 )
+
+// Typed Counter Braids errors, so callers can errors.Is against the
+// constraint a braid hit.
+var (
+	// ErrInsertOnly is returned when an update violates the braid's
+	// constraint: deltas must be non-negative integers.
+	ErrInsertOnly = errors.New("sketch: counterbraids is insert-only (non-negative integer deltas)")
+	// ErrDecodeBudget is returned when the braid cannot reconstruct its
+	// counts — it was loaded beyond its decoding threshold (wraps
+	// counterbraids.ErrNoConverge).
+	ErrDecodeBudget = errors.New("sketch: counterbraids decode failed")
+)
+
+// cbDecodeIters bounds the min-sum iterations per braid layer of a
+// decode. Below the decoding threshold the message passing settles in
+// a handful of rounds; 32 matches the guidance on counterbraids.Decode.
+const cbDecodeIters = 32
 
 // CounterBraids adapts the two-layer Counter Braids structure of Lu et
 // al. (SIGMETRICS 2008) to the Sketch interface, so the related work §2
@@ -17,7 +35,7 @@ import (
 //   - decode-at-query: a braid has no per-coordinate query — the whole
 //     vector is reconstructed by message passing the first time a query
 //     arrives after a write, and the reconstruction fails with
-//     ErrPlaneDecode once the braid is loaded past its decoding
+//     ErrDecodeBudget once the braid is loaded past its decoding
 //     threshold.
 //
 // Below the threshold the reconstruction is exact while the braid
@@ -40,10 +58,6 @@ func NewCounterBraids(n int, r *rand.Rand) (*CounterBraids, error) {
 	}
 	return &CounterBraids{br: counterbraids.New(counterbraids.Config{N: n}, r)}, nil
 }
-
-// Backend reports the storage backend. A braid is its own compressed
-// representation, so this is always BackendCompressed.
-func (c *CounterBraids) Backend() BackendKind { return BackendCompressed }
 
 // Update adds delta to coordinate i. The structure is insert-only:
 // negative or fractional deltas panic with an ErrInsertOnly-wrapped
@@ -86,7 +100,7 @@ func (c *CounterBraids) UpdateBatch(idx []int, deltas []float64) {
 // message-passing decode if a write happened since the last call and
 // caching the result. Callers must not modify the returned slice. Past
 // the decoding threshold the reconstruction fails with an
-// ErrPlaneDecode-wrapped error (counterbraids.ErrNoConverge is in the
+// ErrDecodeBudget-wrapped error (counterbraids.ErrNoConverge is in the
 // chain).
 func (c *CounterBraids) Decoded() ([]float64, error) {
 	if c.fresh {
@@ -94,7 +108,7 @@ func (c *CounterBraids) Decoded() ([]float64, error) {
 	}
 	x, err := c.br.Decode(cbDecodeIters)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrPlaneDecode, err)
+		return nil, fmt.Errorf("%w: %w", ErrDecodeBudget, err)
 	}
 	c.decoded, c.fresh = x, true
 	return x, nil
@@ -104,7 +118,7 @@ func (c *CounterBraids) Decoded() ([]float64, error) {
 // whole vector on the first query after a write (there is no
 // per-coordinate read — that is the API criticism §2 makes concrete).
 // A braid loaded past its decoding threshold panics with the
-// ErrPlaneDecode-wrapped error Decoded returns; error-aware callers
+// ErrDecodeBudget-wrapped error Decoded returns; error-aware callers
 // use Decoded directly.
 func (c *CounterBraids) Query(i int) float64 {
 	if i < 0 || i >= c.br.Dim() {
@@ -163,9 +177,8 @@ func (c *CounterBraids) MergeFrom(other Linear) error {
 	return nil
 }
 
-// Marshal serializes the braid's native two-layer counter state —
-// no decode happens, so (unlike the compressed counter plane of the
-// table sketches) a braid past its decoding threshold still
+// Marshal serializes the braid's native two-layer counter state — no
+// decode happens, so a braid past its decoding threshold still
 // checkpoints losslessly.
 func (c *CounterBraids) Marshal() ([]byte, error) { return c.br.Marshal(), nil }
 

@@ -1,9 +1,6 @@
 package sketch
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // CMCU is Count-Min with conservative update (Estan–Varghese [17],
 // Goyal et al. [21]): on an increment, only the buckets that would
@@ -20,30 +17,15 @@ type CMCU struct {
 	hbuf []int // d×batch bucket indexes, row-major, reused across UpdateBatch calls
 }
 
-// NewCMCU creates a dense conservative-update Count-Min sketch.
-// Invalid configurations return an ErrConfig-wrapped error.
+// NewCMCU creates a conservative-update Count-Min sketch. Invalid
+// configurations return an ErrConfig-wrapped error.
 func NewCMCU(cfg Config, r *rand.Rand) (*CMCU, error) {
-	return NewCMCUBackend(cfg, Backend{}, r)
-}
-
-// NewCMCUBackend creates a conservative-update Count-Min sketch on the
-// chosen counter plane. The conservative raise sets buckets to a
-// target value — not a linear add — which the compressed plane cannot
-// represent: BackendCompressed returns ErrBackendUnsupported. Dense
-// and mmap (read-only) are supported.
-func NewCMCUBackend(cfg Config, be Backend, r *rand.Rand) (*CMCU, error) {
-	if be.Kind == BackendCompressed {
-		return nil, fmt.Errorf("%w: cmcu's conservative raise sets buckets in place, the compressed plane only adds", ErrBackendUnsupported)
-	}
-	tb, err := newTable(cfg, r, be)
+	tb, err := newTable(cfg, r)
 	if err != nil {
 		return nil, err
 	}
 	return &CMCU{tb: tb}, nil
 }
-
-// Backend reports the counter plane's storage backend.
-func (c *CMCU) Backend() BackendKind { return c.tb.backend() }
 
 // growHbuf ensures the row-major bucket-index scratch holds n entries;
 // growth helper kept out of the tagged hot path.
@@ -63,7 +45,7 @@ func (c *CMCU) Update(i int, delta float64) {
 	if delta < 0 {
 		panic("sketch: CMCU does not support negative updates (insert-only)")
 	}
-	cells := c.tb.writable()
+	cells := c.tb.cells
 	depth := len(cells)
 	c.growHbuf(depth)
 	hb := c.hbuf[:depth]
@@ -94,7 +76,7 @@ func (c *CMCU) UpdateBatch(idx []int, deltas []float64) {
 			panic("sketch: CMCU does not support negative updates (insert-only)")
 		}
 	}
-	cells := c.tb.writable()
+	cells := c.tb.cells
 	m := len(idx)
 	depth := len(cells)
 	c.growHbuf(depth * m)
@@ -145,7 +127,7 @@ func (c *CMCU) Words() int { return c.tb.words() }
 
 // Marshal serializes the counter matrix. CM-CU is not linear — a
 // restored sketch resumes local ingestion, it cannot be merged.
-func (c *CMCU) Marshal() ([]byte, error) { return c.tb.marshalCells() }
+func (c *CMCU) Marshal() ([]byte, error) { return c.tb.marshalCells(), nil }
 
 // Unmarshal restores state captured by Marshal on a sketch built with
 // the same configuration and seeds.

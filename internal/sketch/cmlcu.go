@@ -32,26 +32,15 @@ type CMLCU struct {
 	hbuf []int // d×batch bucket indexes, row-major, reused across UpdateBatch calls
 }
 
-// NewCMLCU creates a dense Count-Min-Log sketch with the given shape
-// and base. Pass DefaultCMLBase to mirror the paper's configuration.
+// NewCMLCU creates a Count-Min-Log sketch with the given shape and
+// base. Pass DefaultCMLBase to mirror the paper's configuration.
 // Invalid configurations (including base ≤ 1) return an
 // ErrConfig-wrapped error.
 func NewCMLCU(cfg Config, base float64, r *rand.Rand) (*CMLCU, error) {
-	return NewCMLCUBackend(cfg, base, Backend{}, r)
-}
-
-// NewCMLCUBackend creates a Count-Min-Log sketch on the chosen counter
-// plane. Like CM-CU the conservative raise sets buckets in place, so
-// BackendCompressed returns ErrBackendUnsupported; dense and mmap
-// (read-only) are supported.
-func NewCMLCUBackend(cfg Config, base float64, be Backend, r *rand.Rand) (*CMLCU, error) {
 	if base <= 1 {
 		return nil, fmt.Errorf("%w: CMLCU base must exceed 1, got %v", ErrConfig, base)
 	}
-	if be.Kind == BackendCompressed {
-		return nil, fmt.Errorf("%w: cmlcu's conservative raise sets buckets in place, the compressed plane only adds", ErrBackendUnsupported)
-	}
-	tb, err := newTable(cfg, r, be)
+	tb, err := newTable(cfg, r)
 	if err != nil {
 		return nil, err
 	}
@@ -62,9 +51,6 @@ func NewCMLCUBackend(cfg Config, base float64, be Backend, r *rand.Rand) (*CMLCU
 		rng:  rand.New(rand.NewSource(r.Int63())),
 	}, nil
 }
-
-// Backend reports the counter plane's storage backend.
-func (c *CMLCU) Backend() BackendKind { return c.tb.backend() }
 
 // value decodes a log counter into a linear-scale estimate.
 func (c *CMLCU) value(counter float64) float64 {
@@ -93,7 +79,7 @@ func (c *CMLCU) Update(i int, delta float64) {
 	if delta < 0 {
 		panic("sketch: CMLCU does not support negative updates (insert-only)")
 	}
-	cells := c.tb.writable()
+	cells := c.tb.cells
 	depth := len(cells)
 	c.growHbuf(depth)
 	hb := c.hbuf[:depth]
@@ -130,7 +116,7 @@ func (c *CMLCU) UpdateBatch(idx []int, deltas []float64) {
 			panic("sketch: CMLCU does not support negative updates (insert-only)")
 		}
 	}
-	cells := c.tb.writable()
+	cells := c.tb.cells
 	m := len(idx)
 	depth := len(cells)
 	c.growHbuf(depth * m)
@@ -194,7 +180,7 @@ func (c *CMLCU) Words() int { return c.tb.words() }
 // rounding RNG is not part of the state: queries never touch it, and a
 // restored sketch that keeps ingesting just continues with the fresh
 // seed-derived stream.
-func (c *CMLCU) Marshal() ([]byte, error) { return c.tb.marshalCells() }
+func (c *CMLCU) Marshal() ([]byte, error) { return c.tb.marshalCells(), nil }
 
 // Unmarshal restores state captured by Marshal on a sketch built with
 // the same configuration, base, and seeds.

@@ -63,10 +63,10 @@ func (c *CountMedian) BucketIndexes(i int, out []int) {
 }
 
 // Bucket returns the raw value of bucket b in row t.
-func (c *CountMedian) Bucket(t, b int) float64 { return c.tb.rows()[t][b] }
+func (c *CountMedian) Bucket(t, b int) float64 { return c.tb.cells[t][b] }
 
 // Row returns row t's counters. Callers must not modify the slice.
-func (c *CountMedian) Row(t int) []float64 { return c.tb.rows()[t] }
+func (c *CountMedian) Row(t int) []float64 { return c.tb.cells[t] }
 
 // CheckIndexBatch validates a query batch (matching lengths, in-range
 // indexes) without touching any state, for the recovery algorithms
@@ -130,10 +130,10 @@ func (c *CountSketch) BucketIndexes(i int, out []int) {
 }
 
 // Bucket returns the raw (signed-sum) value of bucket b in row t.
-func (c *CountSketch) Bucket(t, b int) float64 { return c.tb.rows()[t][b] }
+func (c *CountSketch) Bucket(t, b int) float64 { return c.tb.cells[t][b] }
 
 // Row returns row t's counters. Callers must not modify the slice.
-func (c *CountSketch) Row(t int) []float64 { return c.tb.rows()[t] }
+func (c *CountSketch) Row(t int) []float64 { return c.tb.cells[t] }
 
 // SignOf returns r_t(i) as a float64.
 func (c *CountSketch) SignOf(t, i int) float64 {

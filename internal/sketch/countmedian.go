@@ -17,27 +17,16 @@ type CountMedian struct {
 	pis atomic.Pointer[[][]float64] // cached per-row column counts π (see columns.go)
 }
 
-// NewCountMedian creates a dense Count-Median sketch with the given
-// shape, drawing hash functions from r. Invalid configurations return
-// an ErrConfig-wrapped error.
+// NewCountMedian creates a Count-Median sketch with the given shape,
+// drawing hash functions from r. Invalid configurations return an
+// ErrConfig-wrapped error.
 func NewCountMedian(cfg Config, r *rand.Rand) (*CountMedian, error) {
-	return NewCountMedianBackend(cfg, Backend{}, r)
-}
-
-// NewCountMedianBackend creates a Count-Median sketch on the chosen
-// counter plane. Updates are plain linear adds, so every backend is
-// supported: dense, compressed (insert-only integer streams), and
-// mmap (read-only).
-func NewCountMedianBackend(cfg Config, be Backend, r *rand.Rand) (*CountMedian, error) {
-	tb, err := newTable(cfg, r, be)
+	tb, err := newTable(cfg, r)
 	if err != nil {
 		return nil, err
 	}
 	return &CountMedian{tb: tb, buf: make([]float64, cfg.Depth)}, nil
 }
-
-// Backend reports the counter plane's storage backend.
-func (c *CountMedian) Backend() BackendKind { return c.tb.backend() }
 
 // Update applies x[i] += delta.
 //
@@ -101,20 +90,19 @@ func (c *CountMedian) Dim() int { return c.tb.dim() }
 func (c *CountMedian) Words() int { return c.tb.words() }
 
 // MergeFrom adds another CountMedian with identical shape and seeds.
-// Backends may differ wherever the values admit it; read-only
-// receivers return ErrReadOnlyPlane.
 func (c *CountMedian) MergeFrom(other Linear) error {
 	o, ok := other.(*CountMedian)
 	if !ok || !c.tb.sameShape(&o.tb) {
 		return ErrIncompatible
 	}
-	return c.tb.mergeFrom(&o.tb)
+	c.tb.mergeFrom(&o.tb)
+	return nil
 }
 
 // Marshal serializes the counter state (not the hash seeds; in the
 // distributed model hash functions are shared up front by the
 // coordinator, §5.5 footnote 4).
-func (c *CountMedian) Marshal() ([]byte, error) { return c.tb.marshalCells() }
+func (c *CountMedian) Marshal() ([]byte, error) { return c.tb.marshalCells(), nil }
 
 // Unmarshal restores counter state written by Marshal.
 func (c *CountMedian) Unmarshal(b []byte) error { return c.tb.unmarshalCells(b) }

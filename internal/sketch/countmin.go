@@ -13,26 +13,15 @@ type CountMin struct {
 	tb table
 }
 
-// NewCountMin creates a dense Count-Min sketch with the given shape.
+// NewCountMin creates a Count-Min sketch with the given shape.
 // Invalid configurations return an ErrConfig-wrapped error.
 func NewCountMin(cfg Config, r *rand.Rand) (*CountMin, error) {
-	return NewCountMinBackend(cfg, Backend{}, r)
-}
-
-// NewCountMinBackend creates a Count-Min sketch on the chosen counter
-// plane. Count-Min's updates are plain non-negative-leaning linear
-// adds, so every backend is supported: dense, compressed (insert-only
-// integer streams), and mmap (read-only).
-func NewCountMinBackend(cfg Config, be Backend, r *rand.Rand) (*CountMin, error) {
-	tb, err := newTable(cfg, r, be)
+	tb, err := newTable(cfg, r)
 	if err != nil {
 		return nil, err
 	}
 	return &CountMin{tb: tb}, nil
 }
-
-// Backend reports the counter plane's storage backend.
-func (c *CountMin) Backend() BackendKind { return c.tb.backend() }
 
 // Update applies x[i] += delta.
 //
@@ -79,21 +68,17 @@ func (c *CountMin) Dim() int { return c.tb.dim() }
 func (c *CountMin) Words() int { return c.tb.words() }
 
 // MergeFrom adds another CountMin with identical shape and seeds.
-// Backends may differ wherever the values admit it (a compressed
-// receiver re-inserts a dense source's cells); read-only receivers
-// return ErrReadOnlyPlane.
 func (c *CountMin) MergeFrom(other Linear) error {
 	o, ok := other.(*CountMin)
 	if !ok || !c.tb.sameShape(&o.tb) {
 		return ErrIncompatible
 	}
-	return c.tb.mergeFrom(&o.tb)
+	c.tb.mergeFrom(&o.tb)
+	return nil
 }
 
-// Marshal serializes the counter state in the backend-independent wire
-// cell layout. A compressed plane loaded past its decoding threshold
-// cannot serialize (ErrPlaneDecode).
-func (c *CountMin) Marshal() ([]byte, error) { return c.tb.marshalCells() }
+// Marshal serializes the counter state in the wire cell layout.
+func (c *CountMin) Marshal() ([]byte, error) { return c.tb.marshalCells(), nil }
 
 // Unmarshal restores counter state written by Marshal.
 func (c *CountMin) Unmarshal(b []byte) error { return c.tb.unmarshalCells(b) }

@@ -1,7 +1,6 @@
 package sketch
 
 import (
-	"fmt"
 	"math/rand"
 	"sync/atomic"
 
@@ -22,26 +21,14 @@ type CountSketch struct {
 	psis atomic.Pointer[[][]float64] // cached per-row signed column sums ψ (see columns.go)
 }
 
-// NewCountSketch creates a dense Count-Sketch with the given shape.
-// Invalid configurations return an ErrConfig-wrapped error.
-func NewCountSketch(cfg Config, r *rand.Rand) (*CountSketch, error) {
-	return NewCountSketchBackend(cfg, Backend{}, r)
-}
-
-// NewCountSketchBackend creates a Count-Sketch on the chosen counter
-// plane. The signed updates r_t(i)·delta go negative on every second
-// coordinate, which the insert-only compressed plane cannot represent —
-// BackendCompressed returns ErrBackendUnsupported. Dense and mmap
-// (read-only) are supported.
+// NewCountSketch creates a Count-Sketch with the given shape. Invalid
+// configurations return an ErrConfig-wrapped error.
 //
 // The sign family is drawn from r after the table's hash family — the
 // same order as every prior release, so sketches keep their exact
 // seeds.
-func NewCountSketchBackend(cfg Config, be Backend, r *rand.Rand) (*CountSketch, error) {
-	if be.Kind == BackendCompressed {
-		return nil, fmt.Errorf("%w: countsketch writes signed cell values, the compressed plane is insert-only", ErrBackendUnsupported)
-	}
-	tb, err := newTable(cfg, r, be)
+func NewCountSketch(cfg Config, r *rand.Rand) (*CountSketch, error) {
+	tb, err := newTable(cfg, r)
 	if err != nil {
 		return nil, err
 	}
@@ -52,16 +39,13 @@ func NewCountSketchBackend(cfg Config, be Backend, r *rand.Rand) (*CountSketch, 
 	}, nil
 }
 
-// Backend reports the counter plane's storage backend.
-func (c *CountSketch) Backend() BackendKind { return c.tb.backend() }
-
 // Update applies x[i] += delta.
 //
 //sketch:hotpath
 func (c *CountSketch) Update(i int, delta float64) {
 	c.tb.checkIndex(i)
 	u := uint64(i)
-	cells := c.tb.writable()
+	cells := c.tb.cells
 	for t, h := range c.tb.hash {
 		cells[t][h.Hash(u)] += c.signs[t].SignFloat(u) * delta
 	}
@@ -85,7 +69,7 @@ func (c *CountSketch) UpdateBatch(idx []int, deltas []float64) {
 	c.tb.checkBatch(idx, deltas)
 	c.growSbuf(len(idx))
 	sg := c.sbuf[:len(idx)]
-	for t, row := range c.tb.writable() {
+	for t, row := range c.tb.cells {
 		c.signs.SignFloatMany(t, idx, sg)
 		for j, b := range c.tb.hashRow(t, idx) {
 			row[b] += sg[j] * deltas[j]
@@ -146,7 +130,6 @@ func (c *CountSketch) Dim() int { return c.tb.dim() }
 func (c *CountSketch) Words() int { return c.tb.words() }
 
 // MergeFrom adds another CountSketch with identical shape and seeds.
-// Read-only receivers return ErrReadOnlyPlane.
 func (c *CountSketch) MergeFrom(other Linear) error {
 	o, ok := other.(*CountSketch)
 	if !ok || !c.tb.sameShape(&o.tb) {
@@ -155,11 +138,12 @@ func (c *CountSketch) MergeFrom(other Linear) error {
 	if !c.signs.Equal(o.signs) {
 		return ErrIncompatible
 	}
-	return c.tb.mergeFrom(&o.tb)
+	c.tb.mergeFrom(&o.tb)
+	return nil
 }
 
 // Marshal serializes the counter state.
-func (c *CountSketch) Marshal() ([]byte, error) { return c.tb.marshalCells() }
+func (c *CountSketch) Marshal() ([]byte, error) { return c.tb.marshalCells(), nil }
 
 // Unmarshal restores counter state written by Marshal.
 func (c *CountSketch) Unmarshal(b []byte) error { return c.tb.unmarshalCells(b) }

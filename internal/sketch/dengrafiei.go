@@ -27,44 +27,20 @@ type DengRafiei struct {
 	buf   []float64
 }
 
-// NewDengRafiei creates a dense Deng–Rafiei corrected Count-Min
-// sketch. Invalid configurations (including Rows < 2, which the
+// NewDengRafiei creates a Deng–Rafiei corrected Count-Min sketch.
+// Invalid configurations (including Rows < 2, which the
 // noise-averaging denominator s−1 cannot tolerate) return an
 // ErrConfig-wrapped error.
 func NewDengRafiei(cfg Config, r *rand.Rand) (*DengRafiei, error) {
-	return NewDengRafieiBackend(cfg, Backend{}, r)
-}
-
-// NewDengRafieiBackend creates a Deng–Rafiei sketch on the chosen
-// counter plane. Updates are plain linear adds, so every backend is
-// supported: dense, compressed (insert-only integer streams), and
-// mmap (read-only).
-//
-// The sketch carries one scalar of state beyond the cell matrix — the
-// running total — so a mapped backend's byte region is the Marshal
-// layout: 8·Depth·Rows cell bytes followed by an 8-byte total.
-func NewDengRafieiBackend(cfg Config, be Backend, r *rand.Rand) (*DengRafiei, error) {
 	if cfg.Rows < 2 {
 		return nil, fmt.Errorf("%w: DengRafiei needs at least 2 buckets per row", ErrConfig)
 	}
-	var total float64
-	if be.Kind == BackendMmap {
-		cellBytes := 8 * cfg.Depth * cfg.Rows
-		if len(be.Mapped) != cellBytes+8 {
-			return nil, fmt.Errorf("%w: DengRafiei mapped state is %d bytes, want %d cell bytes + 8-byte total", ErrBackendState, len(be.Mapped), cellBytes)
-		}
-		total = math.Float64frombits(binary.LittleEndian.Uint64(be.Mapped[cellBytes:]))
-		be.Mapped = be.Mapped[:cellBytes]
-	}
-	tb, err := newTable(cfg, r, be)
+	tb, err := newTable(cfg, r)
 	if err != nil {
 		return nil, err
 	}
-	return &DengRafiei{tb: tb, total: total, buf: make([]float64, cfg.Depth)}, nil
+	return &DengRafiei{tb: tb, buf: make([]float64, cfg.Depth)}, nil
 }
-
-// Backend reports the counter plane's storage backend.
-func (c *DengRafiei) Backend() BackendKind { return c.tb.backend() }
 
 // Update applies x[i] += delta.
 //
@@ -144,10 +120,7 @@ func (c *DengRafiei) Words() int { return c.tb.words() + 1 }
 // Marshal serializes the counter matrix followed by the running total
 // (8 bytes, little endian).
 func (c *DengRafiei) Marshal() ([]byte, error) {
-	cells, err := c.tb.marshalCells()
-	if err != nil {
-		return nil, err
-	}
+	cells := c.tb.marshalCells()
 	out := make([]byte, len(cells)+8)
 	copy(out, cells)
 	binary.LittleEndian.PutUint64(out[len(cells):], math.Float64bits(c.total))
@@ -158,7 +131,7 @@ func (c *DengRafiei) Marshal() ([]byte, error) {
 // the same configuration and seeds.
 func (c *DengRafiei) Unmarshal(b []byte) error {
 	if len(b) < 8 {
-		return fmt.Errorf("%w: DengRafiei payload %d bytes, want at least 8", ErrBackendState, len(b))
+		return fmt.Errorf("sketch: DengRafiei payload %d bytes, want at least 8", len(b))
 	}
 	if err := c.tb.unmarshalCells(b[:len(b)-8]); err != nil {
 		return err
@@ -174,9 +147,7 @@ func (c *DengRafiei) MergeFrom(other Linear) error {
 	if !ok || !c.tb.sameShape(&o.tb) {
 		return ErrIncompatible
 	}
-	if err := c.tb.mergeFrom(&o.tb); err != nil {
-		return err
-	}
+	c.tb.mergeFrom(&o.tb)
 	c.total += o.total
 	return nil
 }

@@ -116,6 +116,10 @@ type Linear interface {
 // not share type, shape, or hash functions.
 var ErrIncompatible = errors.New("sketch: incompatible sketches")
 
+// ErrConfig wraps every invalid-configuration error a sketch
+// constructor returns.
+var ErrConfig = errors.New("sketch: invalid configuration")
+
 // Recover reconstructs the full estimate vector x̂ by querying every
 // coordinate — the recovery phase R(Φx) of §1.
 func Recover(s Sketch) []float64 {

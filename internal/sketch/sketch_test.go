@@ -324,6 +324,50 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// cmcu and cmlcu are not linear (no merge) but do checkpoint: their
+// Unmarshal paths restore exactly, and a truncated dengrafiei payload
+// is rejected.
+func TestNonLinearUnmarshal(t *testing.T) {
+	cfg := Config{N: 200, Rows: 16, Depth: 3}
+	cu := must(NewCMCU(cfg, rand.New(rand.NewSource(5))))
+	lu := must(NewCMLCU(cfg, DefaultCMLBase, rand.New(rand.NewSource(5))))
+	for i := 0; i < 800; i++ {
+		cu.Update(i%cfg.N, float64(1+i%3))
+		lu.Update(i%cfg.N, float64(1+i%3))
+	}
+	cu2 := must(NewCMCU(cfg, rand.New(rand.NewSource(5))))
+	if err := cu2.Unmarshal(must(cu.Marshal())); err != nil {
+		t.Fatal(err)
+	}
+	lu2 := must(NewCMLCU(cfg, DefaultCMLBase, rand.New(rand.NewSource(5))))
+	if err := lu2.Unmarshal(must(lu.Marshal())); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cfg.N; i += 7 {
+		if cu.Query(i) != cu2.Query(i) {
+			t.Fatalf("cmcu restore: Query(%d) disagrees", i)
+		}
+		if lu.Query(i) != lu2.Query(i) {
+			t.Fatalf("cmlcu restore: Query(%d) disagrees", i)
+		}
+	}
+
+	dr := must(NewDengRafiei(cfg, rand.New(rand.NewSource(6))))
+	for i := 0; i < 500; i++ {
+		dr.Update(i%cfg.N, 2)
+	}
+	dr2 := must(NewDengRafiei(cfg, rand.New(rand.NewSource(6))))
+	if err := dr2.Unmarshal(must(dr.Marshal())); err != nil {
+		t.Fatal(err)
+	}
+	if dr.Query(3) != dr2.Query(3) {
+		t.Error("dengrafiei restore: query disagrees")
+	}
+	if err := dr2.Unmarshal([]byte{1, 2}); err == nil {
+		t.Error("truncated dengrafiei payload should be rejected")
+	}
+}
+
 func TestCountSketchMarshalRoundTrip(t *testing.T) {
 	cfg := Config{N: 500, Rows: 32, Depth: 5}
 	a := must(NewCountSketch(cfg, rand.New(rand.NewSource(15))))

@@ -1,7 +1,9 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -12,180 +14,48 @@ import (
 // in this package, together with its row hash functions. It is the
 // in-memory realization of the stacked CM/CS-matrices of Definitions 1
 // and 2: row t holds the sketching vector Π(h_t)x (or Ψ(h_t,r_t)x).
-// Where the counters live is the plane's concern (see plane.go): the
-// table binds one Plane to the pairwise hash family and exposes the
-// read/write primitives the algorithms use.
+// The counters are dense float64 rows that every algorithm reads and
+// writes in place.
 type table struct {
 	cfg   Config
 	hash  hashing.Family
-	plane Plane
-
-	// wrows is the plane's direct-write row view — non-nil only for
-	// the dense backend. The update hot paths branch on it once and
-	// mutate in place, exactly as the pre-plane code did; the fallback
-	// routes through the plane's Add primitive.
-	wrows [][]float64
-	// rview is the current read view. For dense and mmap backends
-	// (fixed == true) it is set once at construction and never goes
-	// stale; the compressed backend re-materializes through the plane
-	// on every read batch (cached inside the plane until the next
-	// write).
-	rview [][]float64
-	fixed bool
+	cells [][]float64 // Depth rows of Rows counters
 
 	scratch []int // per-row bucket indexes, reused across UpdateBatch calls
 }
 
-// newTable builds a table on the requested backend. Invalid
-// configurations return ErrConfig (wrapped); unusable backend state
-// (mmap payloads) returns ErrBackendState.
-func newTable(cfg Config, r *rand.Rand, be Backend) (table, error) {
+// newTable builds a zeroed table. Invalid configurations return
+// ErrConfig (wrapped).
+func newTable(cfg Config, r *rand.Rand) (table, error) {
 	if err := cfg.Validate(); err != nil {
 		return table{}, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
-	// The hash family draws from r first under every backend, so two
-	// sketches built from the same seed share hashes regardless of the
-	// plane behind them — dense, compressed, and mmap replicas of one
-	// configuration answer against the same bucket geometry.
 	h, err := hashing.NewFamily(r, cfg.Depth, cfg.Rows)
 	if err != nil {
 		return table{}, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
-	var p Plane
-	switch be.Kind {
-	case BackendDense:
-		p = newDensePlane(cfg.Depth, cfg.Rows)
-	case BackendCompressed:
-		p = newCBPlane(cfg.Depth, cfg.Rows, r)
-	case BackendMmap:
-		mp, err := newMmapPlane(cfg.Depth, cfg.Rows, be.Mapped)
-		if err != nil {
-			return table{}, err
-		}
-		p = mp
-	default:
-		return table{}, fmt.Errorf("%w: unknown backend %v", ErrConfig, be.Kind)
+	cells := make([][]float64, cfg.Depth)
+	for t := range cells {
+		cells[t] = make([]float64, cfg.Rows)
 	}
-	tb := table{cfg: cfg, hash: h, plane: p, wrows: p.WritableRows()}
-	if be.Kind != BackendCompressed {
-		v, err := p.View()
-		if err != nil {
-			return table{}, err
-		}
-		tb.rview, tb.fixed = v, true
-	}
-	return tb, nil
+	return table{cfg: cfg, hash: h, cells: cells}, nil
 }
 
 func (tb *table) dim() int { return tb.cfg.N }
 
-// words reports the storage cost of the counter plane in 64-bit words,
-// rounding bit-packed backends up — dense and mmap planes report
-// exactly Depth·Rows, the compressed plane reports the braid's actual
-// footprint (its honest position on size-versus-accuracy plots).
-func (tb *table) words() int { return (tb.plane.Bits() + 63) / 64 }
-
-// backend reports the plane's kind.
-func (tb *table) backend() BackendKind { return tb.plane.Kind() }
-
-// rows returns the current read view of the counter matrix. Dense and
-// mmap planes resolve to a cached field load; the compressed plane
-// decodes on demand (panicking with an ErrPlaneDecode-wrapped error
-// past the braid threshold — see planeRows).
-//
-//sketch:hotpath
-func (tb *table) rows() [][]float64 {
-	if tb.fixed {
-		return tb.rview
-	}
-	return tb.planeRows()
-}
-
-// planeRows materializes the plane's view. Decode failure past the
-// compressed plane's threshold panics: the read hot paths (Query,
-// QueryBatch) have no error channel by design — the overload is
-// detectable up front via Readable, and the panic value wraps
-// ErrPlaneDecode for recover-based boundaries.
-func (tb *table) planeRows() [][]float64 {
-	v, err := tb.plane.View()
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// readable reports whether the plane can currently serve reads —
-// false only for a compressed plane loaded beyond its decoding
-// threshold, with the ErrPlaneDecode-wrapped cause.
-func (tb *table) readable() error {
-	_, err := tb.plane.View()
-	return err
-}
-
-// writable returns the direct-write rows, panicking on read-only
-// planes. Only the dense backend is in-place writable; the algorithms
-// that need read-modify-write semantics (conservative update, signed
-// updates) reject the compressed backend at construction, so reaching
-// this with nil wrows means an mmap plane absorbed an update call.
-//
-//sketch:hotpath
-func (tb *table) writable() [][]float64 {
-	if tb.wrows == nil {
-		panic(ErrReadOnlyPlane)
-	}
-	return tb.wrows
-}
-
-// addSlow routes one linear add through the plane's Add primitive —
-// the non-dense path of the linear algorithms' Update. Constraint
-// violations (read-only plane, non-integer delta on the compressed
-// plane) panic with their typed error, mirroring the panic-on-misuse
-// contract of the in-range checks.
-func (tb *table) addSlow(i int, delta float64) {
-	if err := tb.plane.ValidateAdd(delta); err != nil {
-		panic(err)
-	}
-	u := uint64(i)
-	for t, h := range tb.hash {
-		if err := tb.plane.Add(t, h.Hash(u), delta); err != nil {
-			panic(err)
-		}
-	}
-}
-
-// addBatchSlow is addSlow over a batch: the whole batch is validated
-// against the plane's add constraint before any counter moves, so a
-// panic cannot leave the plane partially updated.
-func (tb *table) addBatchSlow(idx []int, deltas []float64) {
-	for _, d := range deltas {
-		if err := tb.plane.ValidateAdd(d); err != nil {
-			panic(err)
-		}
-	}
-	for t := 0; t < tb.cfg.Depth; t++ {
-		for j, b := range tb.hashRow(t, idx) {
-			if err := tb.plane.Add(t, b, deltas[j]); err != nil {
-				panic(err)
-			}
-		}
-	}
-}
+// words reports the storage cost of the counters in 64-bit words.
+func (tb *table) words() int { return tb.cfg.Depth * tb.cfg.Rows }
 
 // addPoint applies one linear add of delta at every row's bucket for
 // coordinate i — the element-wise write primitive of the linear
-// sketches. Dense rows are written in place; other planes go through
-// their Add primitive.
+// sketches.
 //
 //sketch:hotpath
 func (tb *table) addPoint(i int, delta float64) {
-	w := tb.wrows
-	if w == nil {
-		tb.addSlow(i, delta)
-		return
-	}
+	cells := tb.cells
 	u := uint64(i)
 	for t, h := range tb.hash {
-		w[t][h.Hash(u)] += delta
+		cells[t][h.Hash(u)] += delta
 	}
 }
 
@@ -196,12 +66,7 @@ func (tb *table) addPoint(i int, delta float64) {
 //
 //sketch:hotpath
 func (tb *table) addBatch(idx []int, deltas []float64) {
-	w := tb.wrows
-	if w == nil {
-		tb.addBatchSlow(idx, deltas)
-		return
-	}
-	for t, row := range w {
+	for t, row := range tb.cells {
 		for j, b := range tb.hashRow(t, idx) {
 			row[b] += deltas[j]
 		}
@@ -216,7 +81,7 @@ func (tb *table) addBatch(idx []int, deltas []float64) {
 func (tb *table) gatherRowValues(t int, tile []int, o []float64, sc *QScratch) {
 	hb := sc.Ints[:len(tile)]
 	tb.hash.HashMany(t, tile, hb)
-	row := tb.rows()[t]
+	row := tb.cells[t]
 	for j, b := range hb {
 		o[j] = row[b]
 	}
@@ -228,7 +93,7 @@ func (tb *table) gatherRowValues(t int, tile []int, o []float64, sc *QScratch) {
 //sketch:hotpath
 func (tb *table) minPoint(i int) float64 {
 	u := uint64(i)
-	cells := tb.rows()
+	cells := tb.cells
 	hs := tb.hash
 	m := cells[0][hs[0].Hash(u)]
 	for t := 1; t < len(cells); t++ {
@@ -243,40 +108,58 @@ func (tb *table) minPoint(i int) float64 {
 //sketch:hotpath
 func (tb *table) gatherPoint(i int, buf []float64) {
 	u := uint64(i)
-	cells := tb.rows()
+	cells := tb.cells
 	for t, h := range tb.hash {
 		buf[t] = cells[t][h.Hash(u)]
 	}
 }
 
 // sameShape reports whether two tables share shape and hash seeds, the
-// precondition for a meaningful merge. Backends may differ: shape is
-// about the sketched linear map, not the storage behind it.
+// precondition for a meaningful merge.
 func (tb *table) sameShape(o *table) bool {
 	return tb.cfg == o.cfg && tb.hash.Equal(o.hash)
 }
 
-// mergeFrom adds o's counters into tb through the planes. Caller must
-// have checked sameShape. Dense←dense is the flat cell loop it always
-// was; compressed←compressed merges braid state exactly; read-only
-// receivers return ErrReadOnlyPlane.
-func (tb *table) mergeFrom(o *table) error {
-	return tb.plane.MergeFrom(o.plane)
+// mergeFrom adds o's counters into tb cell by cell. Caller must have
+// checked sameShape.
+func (tb *table) mergeFrom(o *table) {
+	for t, row := range tb.cells {
+		orow := o.cells[t]
+		for b := range row {
+			row[b] += orow[b]
+		}
+	}
 }
 
-// marshalCells serializes the counter matrix to a byte slice (8 bytes
-// per cell, little endian) — the wire cell layout every backend emits,
-// so checkpoints restore across backends. The compressed plane must
-// decode to serialize and fails past its threshold.
-func (tb *table) marshalCells() ([]byte, error) {
-	return tb.plane.MarshalCells()
+// marshalCells serializes the counter matrix in the wire cell layout:
+// 8 bytes per cell, little endian, row-major.
+func (tb *table) marshalCells() []byte {
+	buf := make([]byte, 8*tb.words())
+	off := 0
+	for _, row := range tb.cells {
+		for _, v := range row {
+			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
+			off += 8
+		}
+	}
+	return buf
 }
 
 // unmarshalCells overwrites the counter matrix from marshalCells
-// output. Read-only planes reject it; the compressed plane re-inserts
-// the cell totals (exact, but only for non-negative integer cells).
+// output, rejecting a payload of the wrong length before any counter
+// moves.
 func (tb *table) unmarshalCells(buf []byte) error {
-	return tb.plane.UnmarshalCells(buf)
+	if want := 8 * tb.words(); len(buf) != want {
+		return fmt.Errorf("sketch: cell payload %d bytes, want %d", len(buf), want)
+	}
+	off := 0
+	for _, row := range tb.cells {
+		for b := range row {
+			row[b] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+			off += 8
+		}
+	}
+	return nil
 }
 
 // checkIndex panics on out-of-range coordinate indexes; sketches are
@@ -472,7 +355,7 @@ func (tb *table) minRows(idx []int, out []float64) {
 	sc := GetQScratch(0, len(idx))
 	defer PutQScratch(sc)
 	hb := sc.Ints[:len(idx)]
-	for t, row := range tb.rows() {
+	for t, row := range tb.cells {
 		tb.hash.HashMany(t, idx, hb)
 		if t == 0 {
 			for j, b := range hb {

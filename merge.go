@@ -34,13 +34,7 @@ func mergeHandles(dst *handle, other Sketch) error {
 		return fmt.Errorf("%w: %T was not built by repro.New", ErrIncompatible, other)
 	}
 	ob := o.base()
-	// The backend is a storage choice, not part of the sketch's
-	// identity: a dense receiver may fold in a mapped checkpoint of the
-	// same shape and seed. Read-only receivers are refused one layer
-	// down, with ErrReadOnly.
-	da, db := dst.desc, ob.desc
-	da.Backend, db.Backend = BackendDense, BackendDense
-	if ob.entry != dst.entry || da != db {
+	if ob.entry != dst.entry || dst.desc != ob.desc {
 		return fmt.Errorf("%w: %v vs %v", ErrIncompatible, dst, ob)
 	}
 	return registry.Merge(dst.inner, ob.inner)

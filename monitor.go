@@ -126,9 +126,6 @@ func Monitor(
 	if err != nil {
 		return nil, MonitorReport{}, err
 	}
-	if nc.backend != BackendDense {
-		return nil, MonitorReport{}, fmt.Errorf("%w: monitored sites are dense-only", ErrInvalidOption)
-	}
 	desc := codec.Desc{Algo: e.Name, N: nc.dim, S: nc.words, D: nc.depth, Seed: nc.seed}
 
 	tc := distributed.TreeConfig{

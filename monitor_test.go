@@ -136,10 +136,6 @@ func TestMonitorErrors(t *testing.T) {
 	if _, _, err := repro.Monitor("l2sr", repro.MonitorConfig{Restarts: []repro.MonitorRestart{{Round: 1, Site: 99}}}, streams, nil, base...); !errors.Is(err, repro.ErrInvalidOption) {
 		t.Fatalf("out-of-range restart err = %v", err)
 	}
-	if _, _, err := repro.Monitor("l2sr", repro.MonitorConfig{}, streams, nil,
-		repro.WithDim(100), repro.WithWords(8), repro.WithDepth(2), repro.WithBackend(repro.BackendCompressed)); !errors.Is(err, repro.ErrInvalidOption) {
-		t.Fatalf("non-dense backend err = %v", err)
-	}
 	if _, _, err := repro.Monitor("l2sr", repro.MonitorConfig{}, streams, nil, repro.WithWords(-1)); !errors.Is(err, repro.ErrInvalidOption) {
 		t.Fatalf("bad option err = %v", err)
 	}

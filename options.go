@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/registry"
-	"repro/internal/sketch"
 )
 
 // Defaults applied by New when the corresponding option is omitted —
@@ -41,11 +40,10 @@ var ErrInvalidOption = errors.New("repro: invalid option")
 type Option func(*newConfig)
 
 type newConfig struct {
-	dim     int
-	words   int
-	depth   int
-	seed    int64
-	backend Backend
+	dim   int
+	words int
+	depth int
+	seed  int64
 
 	// Sliding-window knobs, consumed by NewWindowed only (New and
 	// NewSharded validate but otherwise ignore them).
@@ -74,21 +72,6 @@ func WithDepth(d int) Option { return func(c *newConfig) { c.depth = d } }
 // only under the same seed: this is the paper's shared-randomness
 // protocol (§5.5 footnote 4). Default 1.
 func WithSeed(seed int64) Option { return func(c *newConfig) { c.seed = seed } }
-
-// WithBackend selects the counter-plane storage backend New builds the
-// sketch on. BackendDense (the default) is the flat float64 table every
-// prior release used — bit-identical behavior, allocation-free hot
-// paths. BackendCompressed stores the counters in a Counter Braids
-// layered structure at a fraction of the memory, with the CB
-// constraints: insert-only (negative or fractional updates return
-// ErrInsertOnly) and decode-at-query (a query past the braid's load
-// threshold returns ErrDecodeBudget). Not every algorithm supports
-// every backend — see Backends; unsupported pairs return
-// ErrBackendUnsupported from New.
-//
-// BackendMmap cannot be requested here: a memory-mapped sketch is
-// opened from a checkpoint file via OpenMmap, not built empty.
-func WithBackend(b Backend) Option { return func(c *newConfig) { c.backend = b } }
 
 // WithPanes sets the sliding-window length in panes for NewWindowed:
 // the open pane absorbing writes plus panes-1 closed ones, so queries
@@ -143,13 +126,6 @@ func buildConfig(opts []Option) (newConfig, error) {
 	}
 	if cfg.clockSet && cfg.clock == nil {
 		return cfg, fmt.Errorf("%w: WithClock must be non-nil", ErrInvalidOption)
-	}
-	switch cfg.backend {
-	case sketch.BackendDense, sketch.BackendCompressed:
-	case sketch.BackendMmap:
-		return cfg, fmt.Errorf("%w: WithBackend(BackendMmap) — mmap sketches are opened from a checkpoint file via OpenMmap, not built empty", ErrInvalidOption)
-	default:
-		return cfg, fmt.Errorf("%w: unknown backend %v", ErrInvalidOption, cfg.backend)
 	}
 	// Enforce the wire format's descriptor bounds at construction time,
 	// so every sketch New builds can be marshaled AND unmarshaled — a

@@ -52,7 +52,7 @@ func TestQueryBatchMatchesQueryProperty(t *testing.T) {
 				idx[j] = r.Intn(n)
 			}
 			equal, overloaded := func() (equal bool, overloaded bool) {
-				// A random shape can load a compressed plane past its
+				// A random shape can load a counterbraids sketch past its
 				// decodable threshold; the documented ErrDecodeBudget
 				// panic is a capacity limit, not a batching bug — skip
 				// the shape instead of failing the property.

@@ -121,8 +121,17 @@ var (
 	// ErrNotSerializable is returned by Marshal for sketches whose
 	// state the wire format does not carry (exact).
 	ErrNotSerializable = errors.New("repro: sketch is not serializable")
-	// ErrHashUnsupported is returned by Unmarshal, Decode, OpenMmap,
-	// and the other restore paths for a payload whose descriptor names
+	// ErrInsertOnly is the panic value (wrapped) when a counterbraids
+	// sketch receives a negative or fractional delta: a braid holds
+	// non-negative integer counts only.
+	ErrInsertOnly = sketch.ErrInsertOnly
+	// ErrDecodeBudget is the panic value (wrapped) when a counterbraids
+	// query cannot decode the braid — it was loaded past its decodable
+	// threshold. The sketch is still intact and serializable; only
+	// queries are unavailable.
+	ErrDecodeBudget = sketch.ErrDecodeBudget
+	// ErrHashUnsupported is returned by Unmarshal, Decode, and the
+	// other restore paths for a payload whose descriptor names
 	// a hash family other than the pairwise one every sketch here
 	// uses. Older builds wrote such payloads for sketches built on
 	// simple tabulation hashing; they are refused rather than restored
@@ -240,12 +249,11 @@ func New(algo string, opts ...Option) (Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner, err := registry.SafeNewBackend(e.Name, cfg.shape(),
-		sketch.Backend{Kind: cfg.backend})
+	inner, err := registry.SafeNew(e.Name, cfg.shape())
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
-	desc := codec.Desc{Algo: e.Name, N: cfg.dim, S: cfg.words, D: cfg.depth, Seed: cfg.seed, Backend: cfg.backend}
+	desc := codec.Desc{Algo: e.Name, N: cfg.dim, S: cfg.words, D: cfg.depth, Seed: cfg.seed}
 	return wrap(e, inner, desc), nil
 }
 

@@ -52,9 +52,6 @@ func NewSharded(shards int, algo string, opts ...Option) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.backend != BackendDense {
-		return nil, fmt.Errorf("%w: WithBackend(%v) — sharded and windowed replicas are mutable merge targets, so they are dense-only", ErrInvalidOption, cfg.backend)
-	}
 	mk := func() sketch.Sketch { return e.MustNew(cfg.shape()) }
 	inner, err := newShards(e.Name, shards, mk)
 	if err != nil {

@@ -56,9 +56,6 @@ func NewWindowed(shards int, algo string, opts ...Option) (*Windowed, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.backend != BackendDense {
-		return nil, fmt.Errorf("%w: WithBackend(%v) — sharded and windowed replicas are mutable merge targets, so they are dense-only", ErrInvalidOption, cfg.backend)
-	}
 	// Probe the constructor once so a parameter combination the
 	// algorithm rejects surfaces here as an error, not as a panic from
 	// the first pane rotation.
