@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -84,6 +85,43 @@ func TestCounterBraidsFacade(t *testing.T) {
 		a.Update(0, -1)
 		t.Error("negative update was accepted")
 	}()
+}
+
+// Counter Braids keeps its counts in compressed counters and is
+// insert-only: a negative, fractional or NaN delta must refuse loudly
+// (typed panic) on the single and the batched update path, before any
+// counter moves.
+func TestCompressedInsertOnly(t *testing.T) {
+	const n = 200
+	expectInsertOnly := func(name string, delta float64, fn func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			err, ok := r.(error)
+			if !ok || !errors.Is(err, repro.ErrInsertOnly) {
+				t.Errorf("%s delta %v: recovered %v, want ErrInsertOnly", name, delta, r)
+			}
+		}()
+		fn()
+		t.Errorf("%s delta %v: update was accepted", name, delta)
+	}
+	for _, delta := range []float64{-1, 2.5, math.NaN()} {
+		sk, err := repro.New("counterbraids", repro.WithDim(n), repro.WithSeed(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk.Update(3, 4)
+		expectInsertOnly("Update", delta, func() { sk.Update(3, delta) })
+		expectInsertOnly("UpdateBatch", delta, func() {
+			_ = repro.UpdateBatch(sk, []int{5, 3}, []float64{1, delta})
+		})
+		if got := sk.Query(3); got != 4 {
+			t.Errorf("delta %v: Query(3) = %v after rejected updates, want 4", delta, got)
+		}
+		if got := sk.Query(5); got != 0 {
+			t.Errorf("delta %v: Query(5) = %v after a rejected batch, want 0", delta, got)
+		}
+	}
 }
 
 // An overloaded braid must fail decode loudly (typed error), and still

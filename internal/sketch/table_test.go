@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// The counter matrix round-trips through the wire cell layout with
-// signed values intact, and a payload of the wrong length is rejected
-// before any counter moves.
-func TestTableCellsRoundTrip(t *testing.T) {
+// The dense counter plane is the table's own d×s rows: the matrix
+// round-trips through the wire cell layout with signed values intact,
+// and a payload of the wrong length is rejected before any counter
+// moves.
+func TestDensePlaneContract(t *testing.T) {
 	cfg := Config{N: 50, Rows: 4, Depth: 3}
 	tb := must(newTable(cfg, rand.New(rand.NewSource(1))))
 	tb.addPoint(7, -2.5)
