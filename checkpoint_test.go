@@ -17,6 +17,9 @@ import (
 	"repro"
 	"repro/internal/bench"
 	"repro/internal/codec"
+	"repro/internal/concurrent"
+	"repro/internal/registry"
+	"repro/internal/sketch"
 )
 
 // linearAlgos is every registry algorithm Sharded/Windowed accept —
@@ -159,6 +162,46 @@ func TestShardedCheckpointRestoreBitIdentical(t *testing.T) {
 				t.Fatalf("%s: re-checkpoint diverged (%d vs %d bytes)", algo, again.Len(), ref.Len())
 			}
 		})
+	}
+}
+
+// A sharded checkpoint whose shard carries state under epoch 0 passes
+// every decode check. The restored Sharded must answer with that state
+// folded in, as Merged and Checkpoint do: a snapshot sums every shard,
+// whatever its epoch.
+func TestShardedRestoreFoldsEpochZeroState(t *testing.T) {
+	desc := codec.Desc{Algo: "countmin", N: 100, S: 16, D: 3, Seed: 1}
+	e, ok := registry.Lookup(desc.Algo)
+	if !ok {
+		t.Fatal("countmin not registered")
+	}
+	src := concurrent.New(2, func() sketch.Sketch { return e.MustNew(desc.Shape()) }, registry.Merge)
+	if err := src.RestoreShards(func(i int, sk sketch.Sketch) (uint64, error) {
+		if i == 0 {
+			sk.Update(7, 4)
+		}
+		return 0, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := codec.EncodeSharded(&buf, desc, src); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := repro.RestoreSharded(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.Query(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := restored.Merged()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := merged.Query(7); got != want || got != 4 {
+		t.Fatalf("Query(7) = %v, Merged().Query(7) = %v, want both 4", got, want)
 	}
 }
 

@@ -76,13 +76,15 @@
 // being written are safe.
 //
 // Sharded serves reads from snapshots: every shard carries an epoch
-// bumped per write, Refresh freezes only the shards that changed and
-// atomically publishes an immutable merged replica, and Snapshot
-// returns the published replica with zero shard locks — readers never
-// block writers and never see a torn merge, at the cost of reading a
-// view that is only as fresh as the last Refresh. The snapshot exposes
-// the full read surface (Query, QueryBatch, Bias, TopK, Scan, Stale)
-// plus Owned, which clones it into a mutable facade sketch.
+// bumped per write. Once some epoch has moved, Refresh merges every
+// shard into one fresh replica (the same pass Merged runs) and
+// atomically publishes it as an immutable snapshot; Snapshot returns
+// the published replica with zero shard locks. Readers never block
+// writers and never see a torn merge, at the cost of reading a view
+// that is only as fresh as the last Refresh, and memory is P+1
+// single-sketch replicas. The snapshot exposes the full read surface
+// (Query, QueryBatch, Bias, TopK, Scan, Stale) plus Owned, which
+// clones it into a mutable facade sketch.
 //
 // # Wire format and checkpoint/restore
 //

@@ -394,11 +394,7 @@ func captureState(sk sketch.Sketch) (byte, []byte, error) {
 	if err != nil {
 		return 0, nil, fmt.Errorf("codec: %T is not serializable (its state is not carried by the wire format)", sk)
 	}
-	payload, err := st.MarshalState()
-	if err != nil {
-		return 0, nil, fmt.Errorf("codec: capturing %T state: %w", sk, err)
-	}
-	return secState, payload, nil
+	return secState, st.MarshalState(), nil
 }
 
 // readStateSection consumes a state section for a sketch of the given
@@ -580,10 +576,7 @@ func EncodeV1(w io.Writer, desc Desc, sk sketch.Sketch) error {
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	payload, err := st.MarshalState()
-	if err != nil {
-		return fmt.Errorf("codec: capturing %T state: %w", sk, err)
-	}
+	payload := st.MarshalState()
 	var plen [8]byte
 	binary.LittleEndian.PutUint64(plen[:], uint64(len(payload)))
 	if _, err := w.Write(plen[:]); err != nil {

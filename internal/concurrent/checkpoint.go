@@ -4,10 +4,10 @@ import "fmt"
 
 // This file is the checkpoint surface the streaming codec drives: a
 // Sharded's durable identity is its per-shard replica states plus the
-// per-shard epochs. Capturing both lets a restore rebuild not just the
-// summed answer but the exact snapshot behavior — which shards a
-// Refresh freezes, and in what order the frozen replicas merge — so a
-// restored Sharded answers queries bit-identically to the original.
+// per-shard epochs. A refresh merges every shard into one replica in
+// shard order, so restoring the same states in the same order makes a
+// restored Sharded answer queries bit-identically to the original;
+// the epochs carry on its staleness tracking.
 
 // CheckpointShards invokes f once per shard, in shard order, with the
 // shard's live sketch and current epoch, holding that shard's lock for
@@ -67,10 +67,10 @@ func (s *Sharded[S]) Epochs(dst []uint64) []uint64 {
 // RestoreShards rebuilds every shard from checkpointed state: f is
 // invoked once per shard in shard order with the shard's replica to
 // mutate in place, and returns the epoch to install — the value
-// CheckpointShards reported, so the restored Sharded freezes and
-// merges exactly as the original would. The snapshot machinery is
-// reset (frozen copies dropped, published view cleared); the next read
-// rebuilds it from the restored shards.
+// CheckpointShards reported, so the restored Sharded tracks staleness
+// exactly as the original would. The published view is cleared, and
+// the next read merges every restored shard, whatever its epoch, into
+// one fresh replica.
 //
 // Restore is meant for a freshly constructed Sharded (the codec path).
 // Restoring a live instance is safe with respect to locks, but
@@ -78,13 +78,10 @@ func (s *Sharded[S]) Epochs(dst []uint64) []uint64 {
 func (s *Sharded[S]) RestoreShards(f func(i int, sk S) (epoch uint64, err error)) error {
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
-	var zero S
 	for i := range s.shards {
 		if err := s.restoreShard(i, f); err != nil {
 			return fmt.Errorf("concurrent: restoring shard %d: %w", i, err)
 		}
-		s.frozen[i] = zero
-		s.frozenEpo[i] = 0
 	}
 	s.view.Store(nil)
 	return nil

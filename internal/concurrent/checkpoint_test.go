@@ -100,8 +100,9 @@ func TestRestoreShardsResetsSnapshots(t *testing.T) {
 	if _, err := s.Refresh(); err != nil {
 		t.Fatal(err)
 	}
+	empty := mkL2(11)().MarshalState()
 	err := s.RestoreShards(func(i int, sk *core.L2SR) (uint64, error) {
-		return 0, nil // empty state, never written
+		return 0, sk.UnmarshalState(empty) // empty state, never written
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,14 +14,14 @@
 // The read side is epoch-counted: every shard carries an atomic epoch
 // bumped on each write, and the merged replica readers see is an
 // immutable Snapshot swapped in atomically by Refresh. Reading a
-// published snapshot takes zero shard locks and never blocks writers;
-// a refresh locks — briefly, one at a time — only the shards whose
-// epoch advanced since their state was last frozen, re-freezes those,
-// and re-sums the frozen replicas lock-free. The price is a lazily
-// made frozen replica per written shard plus the published merge
-// (memory up to 2P+1 single sketches once snapshots are in use); the
-// return is a serving path where query bursts from many goroutines
-// proceed with no coordination at all.
+// published snapshot takes zero shard locks and never blocks writers.
+// A refresh that finds some shard's epoch moved builds one fresh
+// replica and merges every shard into it in shard order, locking each
+// shard briefly, one at a time; Merged runs the same pass, so both
+// return the same sum. The price is the published merge (memory P+1
+// single sketches once snapshots are in use); the return is a serving
+// path where query bursts from many goroutines proceed with no
+// coordination at all.
 package concurrent
 
 import (
@@ -47,12 +47,9 @@ type Sharded[S Mergeable] struct {
 	merge  func(dst, src S) error
 
 	// view is the published read replica; readers atomic-load it and
-	// never touch shard locks. refreshMu serializes refreshes and
-	// guards frozen/frozenOK/frozenEpo.
+	// never touch shard locks. refreshMu serializes refreshes.
 	view      atomic.Pointer[Snapshot[S]]
 	refreshMu sync.Mutex
-	frozen    []S      // per-shard copy as of frozenEpo[i], lazily made
-	frozenEpo []uint64 // shard epoch when frozen[i] was captured; 0 = never frozen
 }
 
 type shard[S Mergeable] struct {
@@ -69,21 +66,10 @@ func New[S Mergeable](p int, mk func() S, merge func(dst, src S) error) *Sharded
 	if p <= 0 {
 		panic(fmt.Sprintf("concurrent: shard count %d must be positive", p))
 	}
-	s := &Sharded[S]{
-		shards:    make([]shard[S], p),
-		mk:        mk,
-		merge:     merge,
-		frozen:    make([]S, p),
-		frozenEpo: make([]uint64, p),
-	}
+	s := &Sharded[S]{shards: make([]shard[S], p), mk: mk, merge: merge}
 	for i := range s.shards {
 		s.shards[i].sk = mk()
 	}
-	// Frozen replicas are made lazily, on the first refresh that finds
-	// the shard written: a never-written shard is empty, exactly what an
-	// absent frozen copy contributes to the merged snapshot, and
-	// write-only users (or Merged-only users) never pay the extra P
-	// replicas at all.
 	return s
 }
 
@@ -269,103 +255,40 @@ func (s *Sharded[S]) Snapshot() (*Snapshot[S], error) {
 	return s.Refresh()
 }
 
-// Refresh folds shards that changed since the last refresh into a new
-// immutable snapshot, publishes it atomically, and returns it. Only
-// the changed shards are locked — briefly, one at a time, to re-freeze
-// their state — so writers stall at most for one state copy; the
-// re-sum of the frozen replicas runs without any lock. If nothing
-// changed, the published snapshot is returned as is. On a merge error
-// the previous snapshot stays published.
+// Refresh returns a snapshot with every write so far folded in. If no
+// shard's epoch moved since the published snapshot, that snapshot is
+// returned as is, after an atomic epoch scan and no lock. Otherwise
+// Refresh builds one fresh replica, merges every shard into it in
+// shard order, and publishes it atomically. Each shard is locked
+// briefly, one at a time, so a writer stalls for at most one merge.
+// Merged sums the shards the same way, so both return the same sum.
+// On a merge error the previous snapshot stays published.
 func (s *Sharded[S]) Refresh() (*Snapshot[S], error) {
-	s.refreshMu.Lock()
-	defer s.refreshMu.Unlock()
-	for i := range s.shards {
-		if s.shards[i].epoch.Load() == s.frozenEpo[i] {
-			continue // also covers never-written shards: no frozen copy needed
-		}
-		epoch, fresh, err := s.freezeShard(i)
-		if err != nil {
-			return nil, fmt.Errorf("concurrent: freezing shard %d: %w", i, err)
-		}
-		s.frozen[i] = fresh
-		s.frozenEpo[i] = epoch
-	}
-	// Republish the current view only if it already carries everything
-	// frozen — comparing against the view's own epochs (not a "did this
-	// call freeze anything" flag) so that a previous refresh that froze
-	// state but failed to publish is retried here instead of silently
-	// dropping those writes.
-	if v := s.view.Load(); v != nil && equalEpochs(v.epochs, s.frozenEpo) {
+	if v := s.view.Load(); v != nil && !v.Stale() {
 		return v, nil
 	}
-	merged := s.mk()
-	for i := range s.frozen {
-		if s.frozenEpo[i] == 0 {
-			continue // never frozen, hence never written: nothing to add
-		}
-		if err := s.merge(merged, s.frozen[i]); err != nil {
-			return nil, fmt.Errorf("concurrent: merging frozen shard %d: %w", i, err)
-		}
+	s.refreshMu.Lock()
+	defer s.refreshMu.Unlock()
+	prev := s.view.Load()
+	if prev != nil && !prev.Stale() {
+		return prev, nil // an earlier waiter already published it
+	}
+	merged, epochs, err := s.sum()
+	if err != nil {
+		return nil, err
 	}
 	// Replica query caches are seed-determined: adopt them from the
 	// outgoing snapshot when possible, compute them once otherwise, so
 	// refreshes after the first don't pay the O(n·d) warm-up.
-	if a, ok := any(merged).(readCacheAdopter); ok {
-		if prev := s.view.Load(); prev != nil {
-			a.AdoptReadCaches(any(prev.sk))
-		}
+	if a, ok := any(merged).(readCacheAdopter); ok && prev != nil {
+		a.AdoptReadCaches(any(prev.sk))
 	}
 	if p, ok := any(merged).(readPreparer); ok {
 		p.PrepareRead()
 	}
-	snap := &Snapshot[S]{
-		owner:  s,
-		sk:     merged,
-		epochs: append([]uint64(nil), s.frozenEpo...),
-	}
+	snap := &Snapshot[S]{owner: s, sk: merged, epochs: epochs}
 	s.view.Store(snap)
 	return snap, nil
-}
-
-// equalEpochs compares two per-shard epoch vectors. A length mismatch
-// is "not equal" — fail closed as stale: the vectors can only diverge
-// in length through a bug (say, a restore path swapping in a replica
-// set of a different shard count), and silently comparing a prefix
-// would let a snapshot built for the wrong shard set stay published.
-func equalEpochs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// freezeShard copies shard i's current state into a fresh replica,
-// holding the shard lock with defer so a panicking merge cannot leave
-// the shard locked, and returns the epoch the copy is valid for.
-func (s *Sharded[S]) freezeShard(i int) (uint64, S, error) {
-	fresh := s.mk()
-	sh := &s.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := s.merge(fresh, sh.sk); err != nil {
-		var zero S
-		return 0, zero, err
-	}
-	return sh.epoch.Load(), fresh, nil
-}
-
-// fresh returns a snapshot with every write so far folded in: the
-// published view if no shard advanced, otherwise a refresh.
-func (s *Sharded[S]) fresh() (*Snapshot[S], error) {
-	if v := s.view.Load(); v != nil && !v.Stale() {
-		return v, nil
-	}
-	return s.Refresh()
 }
 
 // Merged merges all shards into a fresh sketch that the caller owns
@@ -375,23 +298,37 @@ func (s *Sharded[S]) fresh() (*Snapshot[S], error) {
 // stall only briefly; the result is a consistent sum of some
 // interleaving of the updates.
 func (s *Sharded[S]) Merged() (S, error) {
-	out := s.mk()
-	for i := range s.shards {
-		if err := s.mergeShard(out, i); err != nil {
-			var zero S
-			return zero, fmt.Errorf("concurrent: merging shard %d: %w", i, err)
-		}
-	}
-	return out, nil
+	out, _, err := s.sum()
+	return out, err
 }
 
-// mergeShard folds shard idx into out, holding the shard lock with
+// sum merges every shard, in shard order, into one fresh replica and
+// returns it with the epoch each shard was merged at.
+func (s *Sharded[S]) sum() (S, []uint64, error) {
+	out := s.mk()
+	epochs := make([]uint64, len(s.shards))
+	for i := range s.shards {
+		epoch, err := s.mergeShard(out, i)
+		if err != nil {
+			var zero S
+			return zero, nil, fmt.Errorf("concurrent: merging shard %d: %w", i, err)
+		}
+		epochs[i] = epoch
+	}
+	return out, epochs, nil
+}
+
+// mergeShard folds shard idx into out and returns the epoch of the
+// state it folded, read under the same lock. The lock is released by
 // defer so a panicking merge cannot leave the shard locked.
-func (s *Sharded[S]) mergeShard(out S, idx int) error {
+func (s *Sharded[S]) mergeShard(out S, idx int) (uint64, error) {
 	sh := &s.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.merge(out, sh.sk)
+	if err := s.merge(out, sh.sk); err != nil {
+		return 0, err
+	}
+	return sh.epoch.Load(), nil
 }
 
 // Query answers a point query with every write so far folded in,
@@ -400,7 +337,7 @@ func (s *Sharded[S]) mergeShard(out S, idx int) error {
 //
 //sketch:hotpath
 func (s *Sharded[S]) Query(i int) (float64, error) {
-	snap, err := s.fresh()
+	snap, err := s.Refresh()
 	if err != nil {
 		return 0, err
 	}
@@ -412,7 +349,7 @@ func (s *Sharded[S]) Query(i int) (float64, error) {
 //
 //sketch:hotpath
 func (s *Sharded[S]) QueryBatch(idx []int, out []float64) error {
-	snap, err := s.fresh()
+	snap, err := s.Refresh()
 	if err != nil {
 		return err
 	}
@@ -425,7 +362,7 @@ func (s *Sharded[S]) Shards() int { return len(s.shards) }
 
 // Words returns the total memory across shards (P× the single-sketch
 // cost — the price of contention-free writes; once snapshots are in
-// use, frozen replicas and the published merge add up to P+1 more).
+// use, the published merge adds one more, P+1 in all).
 func (s *Sharded[S]) Words() int {
 	var w int
 	for idx := range s.shards {

@@ -206,9 +206,9 @@ func BenchmarkMerged(b *testing.B) {
 	}
 }
 
-// Refresh with exactly one dirty shard per iteration: the epoch check
-// skips the seven clean shards, so this measures one freeze plus the
-// frozen-replica re-sum.
+// Refresh with exactly one dirty shard per iteration: the moved epoch
+// triggers the full pass, so this measures one construction plus the
+// merge of all eight shards.
 func BenchmarkRefreshOneDirtyShard(b *testing.B) {
 	sh := New(8, mkL2(11), mergeL2)
 	for u := 0; u < 100000; u++ {

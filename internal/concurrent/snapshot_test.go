@@ -63,8 +63,9 @@ func TestSnapshotStalenessSemantics(t *testing.T) {
 }
 
 // Refresh is epoch-gated: an unchanged Sharded republishes the same
-// snapshot, and a refresh after writes to one shard freezes only that
-// shard — observable through the replica-constructor call count.
+// snapshot and builds nothing, and a refresh after writes builds
+// exactly one replica — the merged sum — however many shards changed.
+// Observable through the replica-constructor call count.
 func TestRefreshMergesOnlyChangedShards(t *testing.T) {
 	var mkCalls atomic.Int64
 	mk := func() *stream.Exact {
@@ -72,7 +73,7 @@ func TestRefreshMergesOnlyChangedShards(t *testing.T) {
 		return stream.NewExact(50)
 	}
 	sh := New(4, mk, mergeExact)
-	if got := mkCalls.Load(); got != 4 { // shards only: frozen copies are lazy
+	if got := mkCalls.Load(); got != 4 { // the shards only
 		t.Fatalf("New made %d replicas, want 4", got)
 	}
 
@@ -99,9 +100,22 @@ func TestRefreshMergesOnlyChangedShards(t *testing.T) {
 	if _, err := sh.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	// One freeze for the dirty shard + one merged sum: 2 more.
-	if got := mkCalls.Load(); got != 7 {
-		t.Fatalf("one-dirty-shard refresh made %d extra replicas, want 2", got-5)
+	if got := mkCalls.Load() - 5; got != 1 {
+		t.Fatalf("one-dirty-shard refresh made %d replicas, want 1", got)
+	}
+
+	for slot := 0; slot < 4; slot++ { // dirty every shard
+		sh.Update(slot, 3, 1)
+	}
+	snap3, err := sh.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mkCalls.Load() - 6; got != 1 {
+		t.Fatalf("all-dirty refresh made %d replicas, want 1", got)
+	}
+	if got := snap3.Query(1) + snap3.Query(3); got != 5 {
+		t.Fatalf("refreshed sum lost writes: x[1]+x[3] = %v, want 5", got)
 	}
 }
 
@@ -216,9 +230,9 @@ func TestShardedQueryBatch(t *testing.T) {
 	}
 }
 
-// A refresh that froze shard state but failed to publish (merge error
-// in the re-sum) must not let the next refresh republish the stale
-// view as if it were current — the frozen writes have to surface once
+// A refresh whose merge pass fails must leave the previous snapshot
+// published without marking the writes as folded in: the next refresh
+// must still see the shard epochs move and surface the writes once
 // the fault clears.
 func TestRefreshRetriesAfterFailedPublish(t *testing.T) {
 	sh := New(2, mkExact(10), mergeExact)
@@ -227,8 +241,8 @@ func TestRefreshRetriesAfterFailedPublish(t *testing.T) {
 	}
 	sh.Update(0, 3, 5)
 
-	// The freeze copy is the first merge call of the next refresh, the
-	// re-sum the second: let the freeze pass, fail the sum.
+	// The next refresh merges shard 0 first, then shard 1: let the
+	// first merge pass, fail the second.
 	calls := 0
 	sh.merge = func(dst, src *stream.Exact) error {
 		if calls++; calls > 1 {
@@ -237,7 +251,7 @@ func TestRefreshRetriesAfterFailedPublish(t *testing.T) {
 		return mergeExact(dst, src)
 	}
 	if _, err := sh.Refresh(); err == nil {
-		t.Fatal("refresh should surface the sum-merge error")
+		t.Fatal("refresh should surface the merge error")
 	}
 	sh.merge = mergeExact
 
@@ -246,7 +260,7 @@ func TestRefreshRetriesAfterFailedPublish(t *testing.T) {
 		t.Fatalf("refresh after fault cleared: %v", err)
 	}
 	if got := snap.Query(3); got != 5 {
-		t.Fatalf("write frozen before the failed publish was dropped: Query(3) = %v, want 5", got)
+		t.Fatalf("write merged before the failed publish was dropped: Query(3) = %v, want 5", got)
 	}
 }
 
@@ -381,25 +395,4 @@ func TestSnapshotQueryReturnsPooledBuffersOnPanic(t *testing.T) {
 		}
 	}
 	t.Fatal("panicking QueryBatch leaked the pooled point buffers: no later Query ever saw the same buffer again")
-}
-
-// equalEpochs must fail closed on a length mismatch: a shard-count
-// divergence (e.g. a restore-path regression swapping in a different
-// replica set) must read as "stale", never as a silent prefix match.
-func TestEqualEpochsLengthMismatch(t *testing.T) {
-	if equalEpochs([]uint64{1}, []uint64{1, 2}) {
-		t.Fatal("prefix of a longer vector compared equal")
-	}
-	if equalEpochs([]uint64{1, 2}, []uint64{1}) {
-		t.Fatal("longer vector compared equal to its prefix")
-	}
-	if !equalEpochs([]uint64{3, 4}, []uint64{3, 4}) {
-		t.Fatal("identical vectors compared unequal")
-	}
-	if equalEpochs([]uint64{3, 4}, []uint64{3, 5}) {
-		t.Fatal("differing vectors compared equal")
-	}
-	if !equalEpochs(nil, nil) {
-		t.Fatal("two empty vectors compared unequal")
-	}
 }

@@ -136,7 +136,7 @@ func TestStateRoundTrip(t *testing.T) {
 		a := NewL1SR(cfg, rand.New(rand.NewSource(11)))
 		feed(a, x)
 		b := NewL1SR(cfg, rand.New(rand.NewSource(11)))
-		if err := b.UnmarshalState(must(a.MarshalState())); err != nil {
+		if err := b.UnmarshalState(a.MarshalState()); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i += 41 {
@@ -154,7 +154,7 @@ func TestStateRoundTrip(t *testing.T) {
 		a := NewL2SR(cfg, rand.New(rand.NewSource(12)))
 		feed(a, x)
 		b := NewL2SR(cfg, rand.New(rand.NewSource(12)))
-		if err := b.UnmarshalState(must(a.MarshalState())); err != nil {
+		if err := b.UnmarshalState(a.MarshalState()); err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(a.Bias()-b.Bias()) > 1e-12 {
@@ -178,7 +178,7 @@ func TestStateRoundTrip(t *testing.T) {
 		a := NewL2SR(cfg, rand.New(rand.NewSource(13)))
 		feed(a, x)
 		b := NewL2SR(cfg, rand.New(rand.NewSource(13)))
-		if err := b.UnmarshalState(must(a.MarshalState())); err != nil {
+		if err := b.UnmarshalState(a.MarshalState()); err != nil {
 			t.Fatal(err)
 		}
 		if a.Bias() != b.Bias() {
@@ -192,13 +192,13 @@ func TestStateErrors(t *testing.T) {
 	if err := l2.UnmarshalState([]byte{1, 2}); err == nil {
 		t.Error("short state should fail")
 	}
-	good := must(l2.MarshalState())
+	good := l2.MarshalState()
 	if err := l2.UnmarshalState(good[:len(good)-3]); err == nil {
 		t.Error("truncated state should fail")
 	}
 	// State from a different shape must be rejected.
 	other := NewL2SR(L2Config{N: 100, K: 4}, rand.New(rand.NewSource(15)))
-	if err := l2.UnmarshalState(must(other.MarshalState())); err == nil {
+	if err := l2.UnmarshalState(other.MarshalState()); err == nil {
 		t.Error("mismatched shape state should fail")
 	}
 }

@@ -14,12 +14,8 @@ import (
 // paper's distributed protocol, §5.5 footnote 4).
 
 // MarshalState serializes the CM cells and bias-estimator state.
-func (l *L1SR) MarshalState() ([]byte, error) {
-	cells, err := l.cm.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	return packState(cells, l.est.State()), nil
+func (l *L1SR) MarshalState() []byte {
+	return packState(l.cm.Marshal(), l.est.State())
 }
 
 // UnmarshalState restores state captured by MarshalState on a sketch
@@ -36,12 +32,8 @@ func (l *L1SR) UnmarshalState(b []byte) error {
 }
 
 // MarshalState serializes the CS cells and bias-estimator state.
-func (l *L2SR) MarshalState() ([]byte, error) {
-	cells, err := l.cs.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	return packState(cells, l.est.State()), nil
+func (l *L2SR) MarshalState() []byte {
+	return packState(l.cs.Marshal(), l.est.State())
 }
 
 // UnmarshalState restores state captured by MarshalState on a sketch

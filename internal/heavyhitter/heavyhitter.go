@@ -138,84 +138,3 @@ func (h *devMinHeap) Pop() interface{} {
 	*h = old[:n-1]
 	return x
 }
-
-// Tracker maintains an online candidate set of deviating coordinates
-// during an insert-only stream, so heavy hitters are available at any
-// time without an O(n) scan. After each sketch update, call Observe
-// with the updated coordinate; if its current estimated deviation
-// exceeds the threshold it becomes a candidate. Candidates are
-// re-verified (re-queried against the current bias) when read.
-//
-// The insert-only assumption matters: a coordinate can only become a
-// deviator through its own updates (upward) — a coordinate that is
-// never updated stays at zero, which is itself a deviation when the
-// bias is large, so Tracker also accepts an explicit low-side scan at
-// read time via VerifyScanLow.
-type Tracker struct {
-	sk        BiasedSketch
-	threshold float64
-	maxSize   int
-	candidate map[int]bool
-}
-
-// NewTracker creates a tracker over sk reporting deviations above
-// threshold, holding at most maxSize candidates (oldest-evicted... the
-// smallest current deviation is evicted when full).
-func NewTracker(sk BiasedSketch, threshold float64, maxSize int) *Tracker {
-	if maxSize <= 0 {
-		panic("heavyhitter: maxSize must be positive")
-	}
-	return &Tracker{
-		sk:        sk,
-		threshold: threshold,
-		maxSize:   maxSize,
-		candidate: make(map[int]bool),
-	}
-}
-
-// Observe examines coordinate i after an update to it.
-func (t *Tracker) Observe(i int) {
-	if t.candidate[i] {
-		return
-	}
-	if math.Abs(t.sk.Query(i)-t.sk.Bias()) > t.threshold {
-		if len(t.candidate) >= t.maxSize {
-			t.evictWeakest()
-		}
-		t.candidate[i] = true
-	}
-}
-
-// evictWeakest removes the candidate with the smallest current
-// deviation.
-func (t *Tracker) evictWeakest() {
-	beta := t.sk.Bias()
-	worst, worstDev := -1, math.Inf(1)
-	for i := range t.candidate {
-		if dev := math.Abs(t.sk.Query(i) - beta); dev < worstDev {
-			worst, worstDev = i, dev
-		}
-	}
-	if worst >= 0 {
-		delete(t.candidate, worst)
-	}
-}
-
-// Candidates re-verifies every tracked coordinate against the current
-// bias and returns those still above threshold, sorted by decreasing
-// deviation.
-func (t *Tracker) Candidates() []Deviator {
-	beta := t.sk.Bias()
-	var out []Deviator
-	for i := range t.candidate {
-		est := t.sk.Query(i)
-		if dev := math.Abs(est - beta); dev > t.threshold {
-			out = append(out, Deviator{Index: i, Estimate: est, Deviation: dev})
-		}
-	}
-	sortDeviators(out)
-	return out
-}
-
-// Size returns the current candidate-set size.
-func (t *Tracker) Size() int { return len(t.candidate) }

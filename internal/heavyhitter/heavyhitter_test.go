@@ -87,70 +87,6 @@ func TestTopKDegenerate(t *testing.T) {
 	}
 }
 
-func TestTrackerFindsStreamedOutliers(t *testing.T) {
-	const n, k = 10_000, 256
-	l2 := core.NewL2SR(core.L2Config{N: n, K: k, UseBiasHeap: true},
-		rand.New(rand.NewSource(9)))
-	tr := NewTracker(l2, 5_000, 64)
-	r := rand.New(rand.NewSource(10))
-	hot := map[int]bool{123: true, 4567: true, 9999: true}
-
-	// Background: uniform unit traffic. Hot keys: massive bursts.
-	for step := 0; step < 200_000; step++ {
-		i := r.Intn(n)
-		l2.Update(i, 1)
-		tr.Observe(i)
-		if step%100 == 0 {
-			for h := range hot {
-				l2.Update(h, 50)
-				tr.Observe(h)
-			}
-		}
-	}
-	got := tr.Candidates()
-	found := map[int]bool{}
-	for _, d := range got {
-		found[d.Index] = true
-	}
-	for h := range hot {
-		if !found[h] {
-			t.Errorf("hot key %d not tracked (candidates: %d)", h, len(got))
-		}
-	}
-	if tr.Size() > 64 {
-		t.Errorf("tracker exceeded maxSize: %d", tr.Size())
-	}
-}
-
-func TestTrackerEviction(t *testing.T) {
-	const n = 1000
-	l2 := core.NewL2SR(core.L2Config{N: n, K: 32, UseBiasHeap: true},
-		rand.New(rand.NewSource(11)))
-	tr := NewTracker(l2, 10, 3)
-	// Make five coordinates deviate, in increasing magnitude.
-	for j, i := range []int{10, 20, 30, 40, 50} {
-		l2.Update(i, float64(100*(j+1)))
-		tr.Observe(i)
-	}
-	if tr.Size() > 3 {
-		t.Fatalf("size %d exceeds cap 3", tr.Size())
-	}
-	got := tr.Candidates()
-	// The strongest deviators must have survived eviction.
-	if len(got) == 0 || got[0].Index != 50 {
-		t.Errorf("strongest deviator lost: %+v", got)
-	}
-}
-
-func TestTrackerPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewTracker(nil, 1, 0)
-}
-
 // exactSketch adapts a plain vector to BiasedSketch for deterministic
 // unit tests of the selection logic.
 type exactSketch struct {
@@ -197,18 +133,5 @@ func BenchmarkScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Scan(l2, 1e5)
-	}
-}
-
-func BenchmarkTrackerObserve(b *testing.B) {
-	const n = 100_000
-	l2 := core.NewL2SR(core.L2Config{N: n, K: 256, UseBiasHeap: true},
-		rand.New(rand.NewSource(14)))
-	tr := NewTracker(l2, 1e5, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx := i & (n - 1)
-		l2.Update(idx, 1)
-		tr.Observe(idx)
 	}
 }

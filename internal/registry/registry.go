@@ -86,19 +86,19 @@ func (e *Entry) MustNew(sh Shape) sketch.Sketch {
 // Stateful is the capture/restore surface a sketch must offer to be
 // serializable (the sketchio payload body).
 type Stateful interface {
-	MarshalState() ([]byte, error)
+	MarshalState() []byte
 	UnmarshalState([]byte) error
 }
 
 // marshaler is the simpler state surface of the table-based sketches.
 type marshaler interface {
-	Marshal() ([]byte, error)
+	Marshal() []byte
 	Unmarshal([]byte) error
 }
 
 type marshalAdapter struct{ m marshaler }
 
-func (a marshalAdapter) MarshalState() ([]byte, error) { return a.m.Marshal() }
+func (a marshalAdapter) MarshalState() []byte          { return a.m.Marshal() }
 func (a marshalAdapter) UnmarshalState(b []byte) error { return a.m.Unmarshal(b) }
 
 var (

@@ -180,7 +180,7 @@ func (c *CounterBraids) MergeFrom(other Linear) error {
 // Marshal serializes the braid's native two-layer counter state — no
 // decode happens, so a braid past its decoding threshold still
 // checkpoints losslessly.
-func (c *CounterBraids) Marshal() ([]byte, error) { return c.br.Marshal(), nil }
+func (c *CounterBraids) Marshal() []byte { return c.br.Marshal() }
 
 // Unmarshal restores state captured by Marshal on a braid built with
 // the same configuration and seeds.

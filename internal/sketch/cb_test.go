@@ -103,7 +103,7 @@ func TestCounterBraidsAdapter(t *testing.T) {
 		t.Errorf("cross-type merge: %v, want ErrIncompatible", err)
 	}
 
-	blob := must(cb.Marshal())
+	blob := cb.Marshal()
 	back := must(NewCounterBraids(n, rand.New(rand.NewSource(1))))
 	if err := back.Unmarshal(blob); err != nil {
 		t.Fatalf("Unmarshal: %v", err)

@@ -127,7 +127,7 @@ func (c *CMCU) Words() int { return c.tb.words() }
 
 // Marshal serializes the counter matrix. CM-CU is not linear — a
 // restored sketch resumes local ingestion, it cannot be merged.
-func (c *CMCU) Marshal() ([]byte, error) { return c.tb.marshalCells(), nil }
+func (c *CMCU) Marshal() []byte { return c.tb.marshalCells() }
 
 // Unmarshal restores state captured by Marshal on a sketch built with
 // the same configuration and seeds.

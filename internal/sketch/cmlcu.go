@@ -180,7 +180,7 @@ func (c *CMLCU) Words() int { return c.tb.words() }
 // rounding RNG is not part of the state: queries never touch it, and a
 // restored sketch that keeps ingesting just continues with the fresh
 // seed-derived stream.
-func (c *CMLCU) Marshal() ([]byte, error) { return c.tb.marshalCells(), nil }
+func (c *CMLCU) Marshal() []byte { return c.tb.marshalCells() }
 
 // Unmarshal restores state captured by Marshal on a sketch built with
 // the same configuration, base, and seeds.

@@ -116,7 +116,7 @@ func TestCountMinMarshalRoundTrip(t *testing.T) {
 		a.Update(i%cfg.N, 2)
 	}
 	b := must(NewCountMin(cfg, rand.New(rand.NewSource(6))))
-	if err := b.Unmarshal(must(a.Marshal())); err != nil {
+	if err := b.Unmarshal(a.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < cfg.N; i++ {

@@ -102,7 +102,7 @@ func (c *CountMedian) MergeFrom(other Linear) error {
 // Marshal serializes the counter state (not the hash seeds; in the
 // distributed model hash functions are shared up front by the
 // coordinator, §5.5 footnote 4).
-func (c *CountMedian) Marshal() ([]byte, error) { return c.tb.marshalCells(), nil }
+func (c *CountMedian) Marshal() []byte { return c.tb.marshalCells() }
 
 // Unmarshal restores counter state written by Marshal.
 func (c *CountMedian) Unmarshal(b []byte) error { return c.tb.unmarshalCells(b) }

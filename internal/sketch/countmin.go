@@ -78,7 +78,7 @@ func (c *CountMin) MergeFrom(other Linear) error {
 }
 
 // Marshal serializes the counter state in the wire cell layout.
-func (c *CountMin) Marshal() ([]byte, error) { return c.tb.marshalCells(), nil }
+func (c *CountMin) Marshal() []byte { return c.tb.marshalCells() }
 
 // Unmarshal restores counter state written by Marshal.
 func (c *CountMin) Unmarshal(b []byte) error { return c.tb.unmarshalCells(b) }

@@ -143,7 +143,7 @@ func (c *CountSketch) MergeFrom(other Linear) error {
 }
 
 // Marshal serializes the counter state.
-func (c *CountSketch) Marshal() ([]byte, error) { return c.tb.marshalCells(), nil }
+func (c *CountSketch) Marshal() []byte { return c.tb.marshalCells() }
 
 // Unmarshal restores counter state written by Marshal.
 func (c *CountSketch) Unmarshal(b []byte) error { return c.tb.unmarshalCells(b) }

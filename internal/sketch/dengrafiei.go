@@ -119,12 +119,12 @@ func (c *DengRafiei) Words() int { return c.tb.words() + 1 }
 
 // Marshal serializes the counter matrix followed by the running total
 // (8 bytes, little endian).
-func (c *DengRafiei) Marshal() ([]byte, error) {
+func (c *DengRafiei) Marshal() []byte {
 	cells := c.tb.marshalCells()
 	out := make([]byte, len(cells)+8)
 	copy(out, cells)
 	binary.LittleEndian.PutUint64(out[len(cells):], math.Float64bits(c.total))
-	return out, nil
+	return out
 }
 
 // Unmarshal restores state captured by Marshal on a sketch built with

@@ -311,7 +311,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		a.Update(i%cfg.N, float64(i%7))
 	}
 	b := must(NewCountMedian(cfg, rand.New(rand.NewSource(14))))
-	if err := b.Unmarshal(must(a.Marshal())); err != nil {
+	if err := b.Unmarshal(a.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < cfg.N; i++ {
@@ -336,11 +336,11 @@ func TestNonLinearUnmarshal(t *testing.T) {
 		lu.Update(i%cfg.N, float64(1+i%3))
 	}
 	cu2 := must(NewCMCU(cfg, rand.New(rand.NewSource(5))))
-	if err := cu2.Unmarshal(must(cu.Marshal())); err != nil {
+	if err := cu2.Unmarshal(cu.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	lu2 := must(NewCMLCU(cfg, DefaultCMLBase, rand.New(rand.NewSource(5))))
-	if err := lu2.Unmarshal(must(lu.Marshal())); err != nil {
+	if err := lu2.Unmarshal(lu.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < cfg.N; i += 7 {
@@ -357,7 +357,7 @@ func TestNonLinearUnmarshal(t *testing.T) {
 		dr.Update(i%cfg.N, 2)
 	}
 	dr2 := must(NewDengRafiei(cfg, rand.New(rand.NewSource(6))))
-	if err := dr2.Unmarshal(must(dr.Marshal())); err != nil {
+	if err := dr2.Unmarshal(dr.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	if dr.Query(3) != dr2.Query(3) {
@@ -375,7 +375,7 @@ func TestCountSketchMarshalRoundTrip(t *testing.T) {
 		a.Update(i%cfg.N, 1)
 	}
 	b := must(NewCountSketch(cfg, rand.New(rand.NewSource(15))))
-	if err := b.Unmarshal(must(a.Marshal())); err != nil {
+	if err := b.Unmarshal(a.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < cfg.N; i += 13 {

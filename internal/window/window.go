@@ -390,7 +390,7 @@ func (w *Window[S]) refresh() (*View[S], error) {
 		return v, nil // an earlier waiter already rebuilt it
 	}
 	// Capture a consistent rotation state; the open pane's snapshot is
-	// taken outside the lock (Refresh locks only changed shards).
+	// taken outside the lock (Refresh locks one shard at a time).
 	gen, cur, closedSum, hasClosed := w.rotationState()
 
 	snap, err := cur.Refresh()

@@ -18,15 +18,15 @@ import (
 //
 // The read side is snapshot-based. Every shard carries an epoch bumped
 // on each write; Snapshot returns the current published read replica —
-// an immutable merged sum served with zero shard locks — and Refresh
-// folds in the shards that changed since the last refresh (locking
-// only those, briefly, one at a time) before atomically swapping a new
-// replica in. A snapshot is therefore as fresh as the last Refresh:
-// writes land in it only when some reader (or Query/QueryBatch, which
-// refresh on staleness) next refreshes, never retroactively. Total
-// memory is up to 2P+1 single-sketch replicas (the P shards, lazily
-// made frozen copies of written shards, and the published snapshot) —
-// the price of contention-free writes and coordination-free reads.
+// an immutable merged sum served with zero shard locks — and Refresh,
+// once some shard's epoch moved, merges every shard into one fresh
+// replica (locking each briefly, one at a time) before atomically
+// swapping it in. A snapshot is therefore as fresh as the last
+// Refresh: writes land in it only when some reader (or
+// Query/QueryBatch, which refresh on staleness) next refreshes, never
+// retroactively. Total memory is P+1 single-sketch replicas (the P
+// shards and the published snapshot) — the price of contention-free
+// writes and coordination-free reads.
 type Sharded struct {
 	inner *concurrent.Sharded[sketch.Sketch]
 	entry *registry.Entry
@@ -141,10 +141,12 @@ func (s *Sharded) Snapshot() (*Snapshot, error) {
 	return &Snapshot{view: v, entry: s.entry, desc: s.desc}, nil
 }
 
-// Refresh folds the shards that changed since the last refresh into a
-// new published snapshot and returns it. Only the changed shards are
-// locked — briefly, one at a time — so writers stall at most for one
-// state copy; unchanged shards are not touched at all.
+// Refresh returns a snapshot with every write so far folded in. If no
+// shard changed since the published snapshot, that snapshot is
+// returned without taking a lock. Otherwise every shard is merged, in
+// shard order, into one fresh replica — the same sum Merged returns —
+// which is published and returned. Shards are locked briefly, one at a
+// time, so writers stall at most for one merge.
 func (s *Sharded) Refresh() (*Snapshot, error) {
 	v, err := s.inner.Refresh()
 	if err != nil {
