@@ -142,14 +142,131 @@ func TestMonitorTreeArgumentErrors(t *testing.T) {
 	if _, _, err := MonitorTree(cfg, desc, make([][]stream.Update, 3), nil); !errors.Is(err, ErrNoSites) {
 		t.Errorf("stream/site mismatch: %v", err)
 	}
+}
+
+// A monitoring run refuses a missing site set, an algorithm the
+// registry does not know, and a shape it cannot build, before any
+// site ingests.
+func TestRunErrors(t *testing.T) {
+	desc := codec.Desc{Algo: "countmedian", N: 10, S: 8, D: 2, Seed: 1}
+	cfg := TreeConfig{Sites: 2, SyncEvery: 5, FanIn: 2, Shards: 2}
 	streams := [][]stream.Update{{{I: 1, Delta: 1}}, {{I: 2, Delta: 1}}}
-	for _, algo := range []string{"cmcu", "cmlcu", "exact", "no-such-algo"} {
-		bad := desc
-		bad.Algo = algo
-		if _, _, err := MonitorTree(cfg, bad, streams, nil); err == nil {
-			t.Errorf("%s: MonitorTree should refuse", algo)
+	if _, _, err := MonitorTree(cfg, desc, nil, nil); !errors.Is(err, ErrNoSites) {
+		t.Errorf("no sites: %v", err)
+	}
+	bogus := desc
+	bogus.Algo = "no-such-algo"
+	if _, _, err := MonitorTree(cfg, bogus, streams, nil); !errors.Is(err, ErrUnknownAlgorithm) {
+		t.Errorf("unknown algorithm: %v", err)
+	}
+	empty := desc
+	empty.S = 0
+	if _, _, err := MonitorTree(cfg, empty, streams, nil); err == nil {
+		t.Error("a shape the registry cannot build should error")
+	}
+}
+
+// Non-linear algorithms cannot participate in the distributed model at
+// all — the site sketches have no meaningful sum — and exact would
+// ship the raw vector, defeating the sketch. Both are rejected up
+// front.
+func TestRunRejectsUnshippableAlgorithms(t *testing.T) {
+	cfg := TreeConfig{Sites: 2, SyncEvery: 5, FanIn: 2, Shards: 2}
+	streams := [][]stream.Update{{{I: 1, Delta: 1}}, {{I: 2, Delta: 1}}}
+	for _, algo := range []string{"cmcu", "cmlcu", "exact"} {
+		desc := codec.Desc{Algo: algo, N: 10, S: 8, D: 2, Seed: 1}
+		if _, _, err := MonitorTree(cfg, desc, streams, nil); !errors.Is(err, ErrNotShippable) {
+			t.Errorf("%s: MonitorTree should refuse with ErrNotShippable, got %v", algo, err)
 		}
 	}
+}
+
+// Distributed recovery must equal centralized sketching of the global
+// vector, for the classical and the bias-aware sketches: each site
+// streams its share of the vector, and every hop to the coordinator
+// goes through encoded bytes. The shares are inexact fractions, so
+// this checks agreement to rounding, not bit identity.
+func TestDistributedEqualsCentralized(t *testing.T) {
+	const n, sites = 3000, 5
+	r := rand.New(rand.NewSource(2))
+	global := make([]float64, n)
+	for i := range global {
+		global[i] = math.Round(r.NormFloat64()*10 + 80)
+	}
+	streams := make([][]stream.Update, sites)
+	for p, part := range split(global, sites) {
+		for i, v := range part {
+			if v != 0 {
+				streams[p] = append(streams[p], stream.Update{I: i, Delta: v})
+			}
+		}
+	}
+	// One shard and a single-level tree: each round ships at most one
+	// sketch per site, the paper's budget of sites × sketch size.
+	cfg := TreeConfig{Sites: sites, SyncEvery: 500, FanIn: sites, Shards: 1}
+	monitor := func(t *testing.T, desc codec.Desc) (merged, central sketch.Sketch, st MonitorStats) {
+		t.Helper()
+		merged, st, err := MonitorTree(cfg, desc, streams, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		central, err = registry.SafeNew(desc.Algo, desc.Shape())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sketch.SketchVector(central, global); err != nil {
+			t.Fatal(err)
+		}
+		return merged, central, st
+	}
+
+	for _, tc := range []struct {
+		name string
+		desc codec.Desc
+	}{
+		{"countsketch", codec.Desc{Algo: "countsketch", N: n, S: 128, D: 8, Seed: 3}},
+		{"l2sr", codec.Desc{Algo: "l2sr", N: n, S: 128, D: 2, Seed: 4}},
+		{"l1sr", codec.Desc{Algo: "l1sr", N: n, S: 128, D: 2, Seed: 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			merged, central, st := monitor(t, tc.desc)
+			for i := 0; i < n; i += 61 {
+				if a, b := central.Query(i), merged.Query(i); math.Abs(a-b) > 1e-6 {
+					t.Fatalf("query %d: centralized %f distributed %f", i, a, b)
+				}
+			}
+			var updates int
+			for _, s := range streams {
+				updates += len(s)
+			}
+			if st.UpdatesApplied != updates || st.SketchWords != central.Words() ||
+				st.BudgetWordsPerRound != sites*central.Words() {
+				t.Errorf("bad stats %+v", st)
+			}
+			if st.CommBytes <= 0 {
+				t.Errorf("no bytes shipped: %+v", st)
+			}
+			for _, rs := range st.PerRound {
+				if rs.CommWords > st.BudgetWordsPerRound {
+					t.Errorf("round %d shipped %d words, over the budget %d",
+						rs.Round, rs.CommWords, st.BudgetWordsPerRound)
+				}
+			}
+			if st.BudgetWordsPerRound >= sites*n {
+				t.Errorf("sketching should compress: %d words per round for %d raw coordinates",
+					st.BudgetWordsPerRound, sites*n)
+			}
+		})
+	}
+
+	t.Run("l2sr bias survives shipping", func(t *testing.T) {
+		merged, central, _ := monitor(t, codec.Desc{Algo: "l2sr", N: n, S: 128, D: 2, Seed: 4})
+		cb := central.(interface{ Bias() float64 }).Bias()
+		mb := merged.(interface{ Bias() float64 }).Bias()
+		if math.Abs(cb-mb) > 1e-9 {
+			t.Fatalf("bias: centralized %f distributed %f", cb, mb)
+		}
+	})
 }
 
 func mkStreams(sites, perSite, n int, seed int64) ([][]stream.Update, []float64) {
