@@ -9,7 +9,7 @@ test:
 	$(GO) test -shuffle=on ./...
 
 race:
-	$(GO) test -race ./internal/concurrent/... ./internal/window/... ./internal/codec/... ./internal/counterbraids/... ./internal/server/... ./internal/distributed/...
+	$(GO) test -race ./internal/concurrent/... ./internal/window/... ./internal/codec/... ./internal/counterbraids/... ./internal/server/... ./internal/distributed/... ./internal/registry/...
 
 # serve-smoke is the end-to-end sketchd drill: build the real binary,
 # boot it on an ephemeral port with a checkpoint directory, ingest and

@@ -77,12 +77,12 @@
 //
 // Sharded serves reads from snapshots: every shard carries an epoch
 // bumped per write. Once some epoch has moved, Refresh merges every
-// shard into one fresh replica (the same pass Merged runs) and
-// atomically publishes it as an immutable snapshot; Snapshot returns
-// the published replica with zero shard locks. Readers never block
-// writers and never see a torn merge, at the cost of reading a view
-// that is only as fresh as the last Refresh, and memory is P+1
-// single-sketch replicas. The snapshot exposes the full read surface
+// shard into one fresh replica (the same pass Merged runs; building it
+// allocates counters only) and atomically publishes it as an immutable
+// snapshot; Snapshot returns the published replica with zero shard
+// locks. Readers never block writers and never see a torn merge, at
+// the cost of reading a view that is only as fresh as the last
+// Refresh, and memory is P+1 single-sketch replicas. The snapshot exposes the full read surface
 // (Query, QueryBatch, Bias, TopK, Scan, Stale) plus Owned, which
 // clones it into a mutable facade sketch.
 //
@@ -100,6 +100,10 @@
 // Query/QueryBatch/TopK bit-identically to the checkpointed original
 // and keeps ingesting as its exact continuation; checkpoints taken
 // under concurrent writers are consistent (the Merged guarantee).
+// Only data-dependent state travels: what the seed fixes (hashes,
+// signs, sample positions, π/ψ) is the paper's common knowledge (§5.5,
+// footnote 4), held once per (algorithm, shape, seed) in a basis that
+// every bias-aware sketch built by name on it shares.
 // Legacy v1 payloads written by older builds still decode, and so do
 // the 8-byte-aligned checkpoint files older builds wrote for
 // memory-mapped serving; writers emit plain v2 only. Every row hashes with the paper's pairwise family, so

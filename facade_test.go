@@ -247,6 +247,26 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// A point query outside [0, Dim()) is a programmer error on every
+// algorithm alike: plain Query panics, as QueryBatch does, instead of
+// answering for a coordinate that does not exist.
+func TestQueryOutOfRangePanics(t *testing.T) {
+	for _, algo := range repro.Algorithms() {
+		s := mustNew(t, algo, repro.WithDim(1000), repro.WithWords(64), repro.WithDepth(5))
+		fill(s, 500, 3)
+		for _, i := range []int{-1, s.Dim()} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Query(%d) answered instead of panicking", algo, i)
+					}
+				}()
+				s.Query(i)
+			}()
+		}
+	}
+}
+
 // New must reject any shape the wire format's Unmarshal-side bounds
 // would reject, so a site can never marshal packets the coordinator
 // cannot load.

@@ -60,11 +60,12 @@ func New(pi []float64, mid int) *Heap {
 	}
 	// All keys start equal (w = 0), so the initial sections follow id
 	// order under the (key, id) total order: C gets the lowest ids, A
-	// the highest.
-	h.a = newIndexedHeap(h, false) // min-heap: top = smallest of the top section
-	h.b = newIndexedHeap(h, true)  // max-heap: top = largest of the rest
-	h.c = newIndexedHeap(h, true)  // max-heap: top = largest of the bottom section
-	h.d = newIndexedHeap(h, false) // min-heap: top = smallest of the rest
+	// the highest. Section sizes never change (a swap moves one id each
+	// way), so each heap is sized once.
+	h.a = newIndexedHeap(h, false, h.topSize)   // min-heap: top = smallest of the top section
+	h.b = newIndexedHeap(h, true, s-h.topSize)  // max-heap: top = largest of the rest
+	h.c = newIndexedHeap(h, true, h.botSize)    // max-heap: top = largest of the bottom section
+	h.d = newIndexedHeap(h, false, s-h.botSize) // min-heap: top = smallest of the rest
 	for id := 0; id < s; id++ {
 		if id >= s-h.topSize {
 			h.inA[id] = true
@@ -194,12 +195,13 @@ type indexedHeap struct {
 	pos []int // by bucket id; -1 when absent
 }
 
-func newIndexedHeap(h *Heap, max bool) *indexedHeap {
+// newIndexedHeap returns an empty heap with room for size ids.
+func newIndexedHeap(h *Heap, max bool, size int) *indexedHeap {
 	pos := make([]int, h.s)
 	for i := range pos {
 		pos[i] = -1
 	}
-	return &indexedHeap{h: h, max: max, pos: pos}
+	return &indexedHeap{h: h, max: max, ids: make([]int, 0, size), pos: pos}
 }
 
 func (q *indexedHeap) len() int { return len(q.ids) }

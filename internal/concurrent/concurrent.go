@@ -18,7 +18,10 @@
 // A refresh that finds some shard's epoch moved builds one fresh
 // replica and merges every shard into it in shard order, locking each
 // shard briefly, one at a time; Merged runs the same pass, so both
-// return the same sum. The price is the published merge (memory P+1
+// return the same sum. The replica factory shares everything the seed
+// fixes between replicas (the registry's common-knowledge basis), so a
+// refresh builds counters only and the snapshot's first read has no
+// cache to warm. The price is the published merge (memory P+1
 // single sketches once snapshots are in use); the return is a serving
 // path where query bursts from many goroutines proceed with no
 // coordination at all.
@@ -104,21 +107,6 @@ type batchUpdater interface {
 // batchQuerier is the read-side twin (sketch.BatchQuerier).
 type batchQuerier interface {
 	QueryBatch(idx []int, out []float64)
-}
-
-// readPreparer matches sketches that precompute lazily built query
-// caches, so the first reads of a published snapshot don't pay the
-// cache construction.
-type readPreparer interface {
-	PrepareRead()
-}
-
-// readCacheAdopter matches sketches that can copy seed-determined
-// query caches from an earlier replica of the same configuration —
-// successive snapshot replicas then share one cache instead of each
-// recomputing it.
-type readCacheAdopter interface {
-	AdoptReadCaches(src any)
 }
 
 // UpdateBatch applies x[idx[j]] += deltas[j] for every j on the slot's
@@ -269,22 +257,12 @@ func (s *Sharded[S]) Refresh() (*Snapshot[S], error) {
 	}
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
-	prev := s.view.Load()
-	if prev != nil && !prev.Stale() {
-		return prev, nil // an earlier waiter already published it
+	if v := s.view.Load(); v != nil && !v.Stale() {
+		return v, nil // an earlier waiter already published it
 	}
 	merged, epochs, err := s.sum()
 	if err != nil {
 		return nil, err
-	}
-	// Replica query caches are seed-determined: adopt them from the
-	// outgoing snapshot when possible, compute them once otherwise, so
-	// refreshes after the first don't pay the O(n·d) warm-up.
-	if a, ok := any(merged).(readCacheAdopter); ok && prev != nil {
-		a.AdoptReadCaches(any(prev.sk))
-	}
-	if p, ok := any(merged).(readPreparer); ok {
-		p.PrepareRead()
 	}
 	snap := &Snapshot[S]{owner: s, sk: merged, epochs: epochs}
 	s.view.Store(snap)

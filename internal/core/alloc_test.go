@@ -12,9 +12,9 @@ import (
 )
 
 // Runtime gates of the //sketch:hotpath contract for the bias-aware
-// recoveries: with query caches warm (π/ψ, the estimator cache) and
-// the shared scratch pool primed, QueryBatch and UpdateBatch run with
-// zero allocations per call.
+// recoveries: once the first query has built the lazy caches (the
+// basis's π/ψ, the estimator cache) and primed the shared scratch
+// pool, QueryBatch and UpdateBatch run with zero allocations per call.
 
 const (
 	allocDim   = 1 << 12
@@ -38,7 +38,6 @@ func TestL1SRQueryBatchAllocFree(t *testing.T) {
 		l := NewL1SR(L1Config{N: allocDim, K: 16, Estimator: est}, r)
 		idx, deltas, out := allocCoreBatch(r)
 		l.UpdateBatch(idx, deltas)
-		l.PrepareRead()
 		l.QueryBatch(idx, out) // warm-up: primes the scratch pool
 		if n := testing.AllocsPerRun(50, func() { l.QueryBatch(idx, out) }); n != 0 {
 			t.Errorf("estimator %v: QueryBatch allocates %.1f per call in steady state", est, n)
@@ -52,7 +51,6 @@ func TestL2SRQueryBatchAllocFree(t *testing.T) {
 		l := NewL2SR(L2Config{N: allocDim, K: 16, UseBiasHeap: heap}, r)
 		idx, deltas, out := allocCoreBatch(r)
 		l.UpdateBatch(idx, deltas)
-		l.PrepareRead()
 		l.QueryBatch(idx, out)
 		if n := testing.AllocsPerRun(50, func() { l.QueryBatch(idx, out) }); n != 0 {
 			t.Errorf("heap=%v: QueryBatch allocates %.1f per call in steady state", heap, n)

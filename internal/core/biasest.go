@@ -94,9 +94,10 @@ type meanEstimator struct {
 	n   float64
 }
 
-func newMeanEstimator(n int) *meanEstimator {
-	return &meanEstimator{n: float64(n)}
-}
+// meanSeed is the mean estimator's seed: nothing but the dimension n.
+type meanSeed int
+
+func (n meanSeed) fresh() Estimator { return &meanEstimator{n: float64(n)} }
 
 func (m *meanEstimator) Observe(_ int, delta float64) { m.sum += delta }
 
@@ -132,35 +133,44 @@ func (m *meanEstimator) SetState(v []float64) error {
 // Sampled-median estimator (ℓ1-S/R, Algorithm 1 line 1 + Algorithm 2
 // line 1, maintained in a balanced BST per §4.4)
 
-// sampleMedianEstimator realizes the sampling matrix Υ of Definition 3:
-// t rows each pick one uniformly random coordinate (with replacement);
-// the bias estimate is the median of the sampled values. An
-// order-statistic tree keeps the values sorted so streaming updates
-// cost O(log t) and the median O(log t).
-type sampleMedianEstimator struct {
+// sampleSeed is the sampled-median estimator's seed: the sampling
+// matrix Υ of Definition 3 (t rows each pick one uniformly random
+// coordinate, with replacement), indexed by coordinate, and the seed of
+// each replica's order-statistic tree.
+type sampleSeed struct {
 	slots    []int         // sampled coordinate per sample slot
-	vals     []float64     // current value of each slot
 	bySource map[int][]int // coordinate -> slots sampling it
-	tree     *ost.Tree
+	treeSeed int64
 }
 
-func newSampleMedianEstimator(n, t int, r *rand.Rand) *sampleMedianEstimator {
+func newSampleSeed(n, t int, r *rand.Rand) *sampleSeed {
 	if t <= 0 {
 		panic("core: sample count must be positive")
 	}
-	e := &sampleMedianEstimator{
-		slots:    make([]int, t),
-		vals:     make([]float64, t),
-		bySource: make(map[int][]int),
-		tree:     ost.New(r.Int63()),
-	}
-	for s := 0; s < t; s++ {
+	sd := &sampleSeed{slots: make([]int, t), bySource: make(map[int][]int), treeSeed: r.Int63()}
+	for s := range sd.slots {
 		i := r.Intn(n)
-		e.slots[s] = i
-		e.bySource[i] = append(e.bySource[i], s)
+		sd.slots[s] = i
+		sd.bySource[i] = append(sd.bySource[i], s)
+	}
+	return sd
+}
+
+func (sd *sampleSeed) fresh() Estimator {
+	e := &sampleMedianEstimator{sampleSeed: sd, vals: make([]float64, len(sd.slots)), tree: ost.New(sd.treeSeed)}
+	for range sd.slots {
 		e.tree.Insert(0)
 	}
 	return e
+}
+
+// sampleMedianEstimator estimates the bias as the median of the
+// sampled values. An order-statistic tree keeps the values sorted so
+// streaming updates cost O(log t) and the median O(log t).
+type sampleMedianEstimator struct {
+	*sampleSeed
+	vals []float64 // current value of each slot
+	tree *ost.Tree
 }
 
 func (e *sampleMedianEstimator) Observe(i int, delta float64) {
@@ -215,20 +225,49 @@ func (e *sampleMedianEstimator) SetState(v []float64) error {
 // Median-bucket estimator (ℓ2-S/R, Algorithm 3 line 1 + Algorithm 4
 // lines 1–2; streaming variant via the Bias-Heap of Algorithm 5)
 
-// medianBucketEstimator maintains w = Π(g)x for a single CM row of s
-// buckets plus the column counts π, and estimates the bias as the
-// average coordinate value inside the middle 2k buckets when buckets
-// are ordered by w_i/π_i. With useHeap it maintains the order
-// incrementally (Algorithm 5); otherwise it sorts lazily at query
-// time (Algorithm 4), caching until the next update.
-type medianBucketEstimator struct {
-	g  hashing.Pairwise
-	w  []float64
-	pi []float64
-	k  int
-
+// bucketSeed is the median-bucket estimator's seed: the hash g of the
+// CM-matrix row Π(g) and its column counts π.
+type bucketSeed struct {
+	g       hashing.Pairwise
+	pi      []float64
+	k       int
 	useHeap bool
-	heap    *biasheap.Heap
+}
+
+func newBucketSeed(n, s, k int, useHeap bool, r *rand.Rand) *bucketSeed {
+	if s < 2*k {
+		panic(fmt.Sprintf("core: bucket count s=%d must be at least 2k=%d", s, 2*k))
+	}
+	// s ≥ 2k ≥ 2 is checked above, so the range error is unreachable.
+	g, err := hashing.NewPairwise(r, s)
+	if err != nil {
+		panic(err)
+	}
+	bs := &bucketSeed{g: g, pi: make([]float64, s), k: k, useHeap: useHeap}
+	for j := 0; j < n; j++ {
+		bs.pi[g.Hash(uint64(j))]++
+	}
+	return bs
+}
+
+func (bs *bucketSeed) fresh() Estimator {
+	e := &medianBucketEstimator{bucketSeed: bs, w: make([]float64, len(bs.pi)), dirty: true}
+	if bs.useHeap {
+		e.heap = biasheap.New(bs.pi, 2*bs.k)
+	}
+	return e
+}
+
+// medianBucketEstimator maintains w = Π(g)x for a single CM row of s
+// buckets, and estimates the bias as the average coordinate value
+// inside the middle 2k buckets when buckets are ordered by w_i/π_i.
+// With useHeap it maintains the order incrementally (Algorithm 5);
+// otherwise it sorts lazily at query time (Algorithm 4), caching until
+// the next update.
+type medianBucketEstimator struct {
+	*bucketSeed
+	w    []float64
+	heap *biasheap.Heap
 
 	// The sort-at-query cache is guarded by mu so that concurrent
 	// readers of a quiescent sketch (the snapshot-serving contract of
@@ -238,32 +277,6 @@ type medianBucketEstimator struct {
 	mu     sync.Mutex
 	dirty  bool
 	cached float64
-}
-
-func newMedianBucketEstimator(n, s, k int, useHeap bool, r *rand.Rand) *medianBucketEstimator {
-	if s < 2*k {
-		panic(fmt.Sprintf("core: bucket count s=%d must be at least 2k=%d", s, 2*k))
-	}
-	// s ≥ 2k ≥ 2 is checked above, so the range error is unreachable.
-	g, err := hashing.NewPairwise(r, s)
-	if err != nil {
-		panic(err)
-	}
-	e := &medianBucketEstimator{
-		g:       g,
-		w:       make([]float64, s),
-		pi:      make([]float64, s),
-		k:       k,
-		useHeap: useHeap,
-		dirty:   true,
-	}
-	for j := 0; j < n; j++ {
-		e.pi[e.g.Hash(uint64(j))]++
-	}
-	if useHeap {
-		e.heap = biasheap.New(e.pi, 2*k)
-	}
-	return e
 }
 
 func (e *medianBucketEstimator) Observe(i int, delta float64) {

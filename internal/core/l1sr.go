@@ -88,37 +88,17 @@ func (c L1Config) Validate() error {
 // implementation of §4.4: point queries are answered in O(d + log t)
 // without any post-processing pass.
 type L1SR struct {
-	cfg  L1Config
-	cm   *sketch.CountMedian
-	est  Estimator
-	buf  []float64
-	hbuf []int // per-row bucket indices, reused across Query calls
+	b   *L1Basis
+	cm  *sketch.CountMedian
+	est Estimator
+	buf []float64 // per-row values, reused across Query calls
 }
 
-// NewL1SR creates an ℓ1-S/R sketch, drawing all randomness from r.
+// NewL1SR creates an ℓ1-S/R sketch, drawing all randomness from r. It
+// is the one replica of a basis of its own; replicas built by name
+// share one basis (see L1Basis).
 func NewL1SR(cfg L1Config, r *rand.Rand) *L1SR {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	scfg := sketch.Config{N: cfg.N, Rows: cfg.Cs * cfg.K, Depth: cfg.Depth}
-	cm, err := sketch.NewCountMedian(scfg, r)
-	if err != nil {
-		panic(err)
-	}
-	l := &L1SR{
-		cfg:  cfg,
-		cm:   cm,
-		buf:  make([]float64, cfg.Depth),
-		hbuf: make([]int, cfg.Depth),
-	}
-	switch cfg.Estimator {
-	case EstimatorSampledMedian:
-		l.est = newSampleMedianEstimator(cfg.N, cfg.SampleCount, r)
-	case EstimatorMean:
-		l.est = newMeanEstimator(cfg.N)
-	}
-	return l
+	return NewL1Basis(cfg, r).New()
 }
 
 // Update applies x[i] += delta to the CM rows and the sampled
@@ -153,10 +133,13 @@ func (l *L1SR) Bias() float64 { return l.est.Bias() }
 //
 //sketch:hotpath
 func (l *L1SR) Query(i int) float64 {
+	l.cm.CheckIndex(i)
 	beta := l.est.Bias()
-	l.cm.BucketIndexes(i, l.hbuf)
-	for t, b := range l.hbuf {
-		l.buf[t] = l.cm.Bucket(t, b) - beta*l.cm.ColumnCounts(t)[b]
+	pi := l.b.columnSums()
+	u := uint64(i)
+	for t, h := range l.b.hash {
+		b := h.Hash(u)
+		l.buf[t] = l.cm.Row(t)[b] - beta*pi[t][b]
 	}
 	return median(l.buf) + beta
 }
@@ -176,7 +159,7 @@ func (l *L1SR) Query(i int) float64 {
 //sketch:hotpath
 func (l *L1SR) QueryBatch(idx []int, out []float64) {
 	l.cm.CheckIndexBatch(idx, out)
-	sketch.QueryBatchMedian(l.cfg.Depth, idx, out, l.est.Bias(), l)
+	sketch.QueryBatchMedian(l.b.cfg.Depth, idx, out, l.est.Bias(), l)
 }
 
 // GatherRow implements sketch.BatchRecovery: row t's de-biased bucket
@@ -187,9 +170,9 @@ func (l *L1SR) QueryBatch(idx []int, out []float64) {
 //sketch:hotpath
 func (l *L1SR) GatherRow(t int, tile []int, o []float64, sc *sketch.QScratch) {
 	hb := sc.Ints[:len(tile)]
-	l.cm.BucketIndexMany(t, tile, hb)
+	l.b.hash.HashMany(t, tile, hb)
 	row := l.cm.Row(t)
-	pi := l.cm.ColumnCounts(t)
+	pi := l.b.columnSums()[t]
 	beta := sc.Bias
 	for j, b := range hb {
 		o[j] = row[b] - beta*pi[b]
@@ -204,29 +187,8 @@ func (l *L1SR) Combine(vals []float64, sc *sketch.QScratch) float64 {
 	return median(vals) + sc.Bias
 }
 
-// PrepareRead precomputes every lazily built, data-independent cache a
-// query touches (the per-row column counts π and the bias estimate's
-// internal cache). The caches are concurrency-safe to build on demand;
-// warming them up front just keeps the first reads of a published
-// replica from paying the O(n·d) π computation.
-func (l *L1SR) PrepareRead() {
-	l.cm.ColumnCounts(0)
-	l.est.Bias()
-}
-
-// AdoptReadCaches copies the seed-determined query caches (π) from a
-// previously prepared replica of the same configuration — "common
-// knowledge" in the paper's sense — so successive snapshot replicas
-// skip the O(n·d) recompute. A src of another type or shape is
-// ignored.
-func (l *L1SR) AdoptReadCaches(src any) {
-	if o, ok := src.(*L1SR); ok {
-		l.cm.ShareColumnCounts(o.cm)
-	}
-}
-
 // Dim returns n.
-func (l *L1SR) Dim() int { return l.cfg.N }
+func (l *L1SR) Dim() int { return l.b.cfg.N }
 
 // Words returns the sketch size in 64-bit words: the d·s counters plus
 // the sampled values. (π is hash-derived common knowledge, like the
@@ -234,13 +196,13 @@ func (l *L1SR) Dim() int { return l.cfg.N }
 func (l *L1SR) Words() int { return l.cm.Words() + l.est.Words() }
 
 // Config returns the (defaulted) configuration in use.
-func (l *L1SR) Config() L1Config { return l.cfg }
+func (l *L1SR) Config() L1Config { return l.b.cfg }
 
 // MergeFrom adds another L1SR built with the same configuration and
 // random seed, exploiting linearity of both the CM rows and the
 // sampled coordinates (the distributed model of §1).
 func (l *L1SR) MergeFrom(other *L1SR) error {
-	if other.cfg != l.cfg {
+	if other.b.cfg != l.b.cfg {
 		return sketch.ErrIncompatible
 	}
 	if err := l.cm.MergeFrom(other.cm); err != nil {

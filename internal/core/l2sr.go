@@ -91,41 +91,17 @@ func (c L2Config) Validate() error {
 // the Bias-Heap (Algorithms 5–6), making every point query O(d) after
 // O(log s) per update — the paper's real-time streaming mode.
 type L2SR struct {
-	cfg  L2Config
-	cs   *sketch.CountSketch
-	est  Estimator
-	buf  []float64
-	hbuf []int     // per-row bucket indices, reused across Query calls
-	sbuf []float64 // per-row signs, reused across Query calls
+	b   *L2Basis
+	cs  *sketch.CountSketch
+	est Estimator
+	buf []float64 // per-row values, reused across Query calls
 }
 
-// NewL2SR creates an ℓ2-S/R sketch, drawing all randomness from r.
+// NewL2SR creates an ℓ2-S/R sketch, drawing all randomness from r. It
+// is the one replica of a basis of its own; replicas built by name
+// share one basis (see L2Basis).
 func NewL2SR(cfg L2Config, r *rand.Rand) *L2SR {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	scfg := sketch.Config{N: cfg.N, Rows: cfg.Cs * cfg.K, Depth: cfg.Depth}
-	cs, err := sketch.NewCountSketch(scfg, r)
-	if err != nil {
-		panic(err)
-	}
-	l := &L2SR{
-		cfg:  cfg,
-		cs:   cs,
-		buf:  make([]float64, cfg.Depth),
-		hbuf: make([]int, cfg.Depth),
-		sbuf: make([]float64, cfg.Depth),
-	}
-	switch cfg.Estimator {
-	case EstimatorMedianBucket:
-		l.est = newMedianBucketEstimator(cfg.N, cfg.Cs*cfg.K, cfg.K, cfg.UseBiasHeap, r)
-	case EstimatorMean:
-		l.est = newMeanEstimator(cfg.N)
-	case EstimatorSampledMedian:
-		l.est = newSampleMedianEstimator(cfg.N, cfg.SampleCount, r)
-	}
-	return l
+	return NewL2Basis(cfg, r).New()
 }
 
 // Update applies x[i] += delta to the CS rows and the bias row
@@ -161,11 +137,13 @@ func (l *L2SR) Bias() float64 { return l.est.Bias() }
 //
 //sketch:hotpath
 func (l *L2SR) Query(i int) float64 {
+	l.cs.CheckIndex(i)
 	beta := l.est.Bias()
-	l.cs.BucketIndexes(i, l.hbuf)
-	l.cs.SignsOf(i, l.sbuf)
-	for t, b := range l.hbuf {
-		l.buf[t] = l.sbuf[t] * (l.cs.Bucket(t, b) - beta*l.cs.SignedColumnSums(t)[b])
+	psi := l.b.columnSums()
+	u := uint64(i)
+	for t, h := range l.b.hash {
+		b := h.Hash(u)
+		l.buf[t] = l.b.signs.SignFloat(t, u) * (l.cs.Row(t)[b] - beta*psi[t][b])
 	}
 	return median(l.buf) + beta
 }
@@ -185,7 +163,7 @@ func (l *L2SR) Query(i int) float64 {
 //sketch:hotpath
 func (l *L2SR) QueryBatch(idx []int, out []float64) {
 	l.cs.CheckIndexBatch(idx, out)
-	sketch.QueryBatchMedian(l.cfg.Depth, idx, out, l.est.Bias(), l)
+	sketch.QueryBatchMedian(l.b.cfg.Depth, idx, out, l.est.Bias(), l)
 }
 
 // GatherRow implements sketch.BatchRecovery: row t's de-biased,
@@ -197,10 +175,10 @@ func (l *L2SR) QueryBatch(idx []int, out []float64) {
 func (l *L2SR) GatherRow(t int, tile []int, o []float64, sc *sketch.QScratch) {
 	hb := sc.Ints[:len(tile)]
 	sg := sc.F1[:len(tile)]
-	l.cs.BucketIndexMany(t, tile, hb)
-	l.cs.SignOfMany(t, tile, sg)
+	l.b.hash.HashMany(t, tile, hb)
+	l.b.signs.SignFloatMany(t, tile, sg)
 	row := l.cs.Row(t)
-	psi := l.cs.SignedColumnSums(t)
+	psi := l.b.columnSums()[t]
 	beta := sc.Bias
 	for j, b := range hb {
 		o[j] = sg[j] * (row[b] - beta*psi[b])
@@ -215,42 +193,21 @@ func (l *L2SR) Combine(vals []float64, sc *sketch.QScratch) float64 {
 	return median(vals) + sc.Bias
 }
 
-// PrepareRead precomputes every lazily built, data-independent cache a
-// query touches (the per-row signed column sums ψ and the bias
-// estimate's internal cache). The caches are concurrency-safe to build
-// on demand; warming them up front just keeps the first reads of a
-// published replica from paying the O(n·d) ψ computation.
-func (l *L2SR) PrepareRead() {
-	l.cs.SignedColumnSums(0)
-	l.est.Bias()
-}
-
-// AdoptReadCaches copies the seed-determined query caches (ψ) from a
-// previously prepared replica of the same configuration — "common
-// knowledge" in the paper's sense — so successive snapshot replicas
-// skip the O(n·d) recompute. A src of another type or shape is
-// ignored.
-func (l *L2SR) AdoptReadCaches(src any) {
-	if o, ok := src.(*L2SR); ok {
-		l.cs.ShareSignedColumnSums(o.cs)
-	}
-}
-
 // Dim returns n.
-func (l *L2SR) Dim() int { return l.cfg.N }
+func (l *L2SR) Dim() int { return l.b.cfg.N }
 
 // Words returns the sketch size in 64-bit words: d·s CS counters plus
 // the s-bucket bias row (ψ and π are hash-derived common knowledge).
 func (l *L2SR) Words() int { return l.cs.Words() + l.est.Words() }
 
 // Config returns the (defaulted) configuration in use.
-func (l *L2SR) Config() L2Config { return l.cfg }
+func (l *L2SR) Config() L2Config { return l.b.cfg }
 
 // MergeFrom adds another L2SR built with the same configuration and
 // random seed (the distributed model of §1). Both the CS rows and the
 // bias row are linear.
 func (l *L2SR) MergeFrom(other *L2SR) error {
-	if other.cfg != l.cfg {
+	if other.b.cfg != l.b.cfg {
 		return sketch.ErrIncompatible
 	}
 	if err := l.cs.MergeFrom(other.cs); err != nil {

@@ -40,7 +40,7 @@ func (l *L2SR) TailEstimate() (est float64, ok bool) {
 	if !ok {
 		return 0, false
 	}
-	n := float64(l.cfg.N)
+	n := float64(l.b.cfg.N)
 	return math.Sqrt(n * sigma2), true
 }
 

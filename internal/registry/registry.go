@@ -1,21 +1,27 @@
 // Package registry is the single algorithm catalog behind every way a
 // sketch gets constructed by name: the public repro.New facade, the
-// bench harness's legend-name dispatch, and the sketchio wire-format
-// loader all resolve through the one table here. Each entry carries
+// bench harness's legend-name dispatch, and the codec's wire-format
+// decoders all resolve through the one table here. Each entry carries
 // the canonical public name, the paper's legend name, the accepted
 // aliases, the capability flags (linear / bias-aware), and the
 // constructor implementing the paper's equal-words sizing protocol
 // (§5.1): the bias-aware sketches use depth d with s extra words for
 // bias estimation, the baselines use depth d+1, so every algorithm
 // consumes (d+1)·s words at the same (s, d) setting.
+//
+// The bias-aware entries build every sketch of one (entry, shape) on
+// one shared core.L1Basis or core.L2Basis.
 package registry
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/sketch"
@@ -84,7 +90,7 @@ func (e *Entry) MustNew(sh Shape) sketch.Sketch {
 }
 
 // Stateful is the capture/restore surface a sketch must offer to be
-// serializable (the sketchio payload body).
+// serializable (the state section of a wire-format payload).
 type Stateful interface {
 	MarshalState() []byte
 	UnmarshalState([]byte) error
@@ -228,41 +234,78 @@ func kOf(s int) int {
 	return 1
 }
 
+// basisKey names one common-knowledge basis: the entry fixes the
+// scheme and estimator, the shape the seed.
+type basisKey struct {
+	entry string
+	sh    Shape
+}
+
+// bases maps each key to a weak.Pointer to its live core.L1Basis or
+// core.L2Basis. A basis lives exactly as long as some sketch built on
+// it, and a cleanup then drops its entry, so seeds that come and go
+// cannot grow the cache.
+var bases = struct {
+	mu sync.Mutex
+	m  map[basisKey]any
+}{m: map[basisKey]any{}}
+
+// sharedBasis returns the live basis for (entry, sh), drawing one with
+// build from sh's seed when none is alive. Concurrent first
+// constructions wait for the one build.
+func sharedBasis[C, B any](entry string, sh Shape, cfg C, build func(C, *rand.Rand) *B) *B {
+	key := basisKey{entry, sh}
+	bases.mu.Lock()
+	defer bases.mu.Unlock()
+	if wp, ok := bases.m[key].(weak.Pointer[B]); ok {
+		if b := wp.Value(); b != nil {
+			return b
+		}
+	}
+	b := build(cfg, rand.New(rand.NewSource(sh.Seed)))
+	wp := weak.Make(b)
+	bases.m[key] = wp
+	runtime.AddCleanup(b, func(key basisKey) {
+		bases.mu.Lock()
+		defer bases.mu.Unlock()
+		if bases.m[key] == any(wp) { // a newer basis may hold the key by now
+			delete(bases.m, key)
+		}
+	}, key)
+	return b
+}
+
 func init() {
 	Register(Entry{
 		Name: L1SR, Legend: "l1-S/R", Aliases: []string{"l1-sr", "l1s/r"},
 		Linear: true, Bias: true,
 		New: func(sh Shape) (sketch.Sketch, error) {
-			return core.NewL1SR(core.L1Config{
-				N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, SampleCount: sh.S,
-			}, rand.New(rand.NewSource(sh.Seed))), nil
+			cfg := core.L1Config{N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, SampleCount: sh.S}
+			return sharedBasis(L1SR, sh, cfg, core.NewL1Basis).New(), nil
 		},
 	})
 	Register(Entry{
 		Name: L2SR, Legend: "l2-S/R", Aliases: []string{"l2-sr", "l2s/r"},
 		Linear: true, Bias: true,
 		New: func(sh Shape) (sketch.Sketch, error) {
-			return core.NewL2SR(core.L2Config{
-				N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, UseBiasHeap: true,
-			}, rand.New(rand.NewSource(sh.Seed))), nil
+			cfg := core.L2Config{N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, UseBiasHeap: true}
+			return sharedBasis(L2SR, sh, cfg, core.NewL2Basis).New(), nil
 		},
 	})
 	Register(Entry{
 		Name: L1Mean, Legend: "l1-mean",
 		Linear: true, Bias: true,
 		New: func(sh Shape) (sketch.Sketch, error) {
-			return core.NewL1SR(core.L1Config{
-				N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, SampleCount: 1, Estimator: core.EstimatorMean,
-			}, rand.New(rand.NewSource(sh.Seed))), nil
+			cfg := core.L1Config{N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, SampleCount: 1, Estimator: core.EstimatorMean}
+			return sharedBasis(L1Mean, sh, cfg, core.NewL1Basis).New(), nil
 		},
 	})
 	Register(Entry{
 		Name: L2Mean, Legend: "l2-mean",
 		Linear: true, Bias: true,
 		New: func(sh Shape) (sketch.Sketch, error) {
-			return core.NewL2SR(core.L2Config{
-				N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, Estimator: core.EstimatorMean,
-			}, rand.New(rand.NewSource(sh.Seed))), nil
+			cfg := core.L2Config{N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, Estimator: core.EstimatorMean}
+			return sharedBasis(L2Mean, sh, cfg, core.NewL2Basis).New(), nil
 		},
 	})
 	Register(Entry{

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/sketch"
@@ -168,5 +169,33 @@ func TestMergeDispatch(t *testing.T) {
 	}
 	if _, ok := ex1.(*stream.Exact); !ok {
 		t.Errorf("exact entry built %T", ex1)
+	}
+
+	sh := Shape{N: 100, S: 16, D: 3, Seed: 1}
+	for _, name := range []string{L1SR, L2SR} {
+		dst, _ := SafeNew(name, sh)
+		src, _ := SafeNew(name, sh)
+		src.Update(5, 4)
+		if err := Merge(dst, src); err != nil {
+			t.Errorf("Merge(%s, %s): %v", name, name, err)
+		}
+	}
+	l1, _ := SafeNew(L1SR, sh)
+	l2, _ := SafeNew(L2SR, sh)
+	cmcu, _ := SafeNew(CMCU, sh)
+	ex3, _ := SafeNew(Exact, Shape{N: 11})
+	for name, pair := range map[string][2]sketch.Sketch{
+		"l1sr from l2sr":       {l1, l2},
+		"l2sr from l1sr":       {l2, l1},
+		"countmin from cmcu":   {a, cmcu},
+		"exact from countmin":  {ex1, a},
+		"exact of another dim": {ex1, ex3},
+	} {
+		if err := Merge(pair[0], pair[1]); !errors.Is(err, sketch.ErrIncompatible) {
+			t.Errorf("%s: got %v, want ErrIncompatible", name, err)
+		}
+	}
+	if err := Merge(cmcu, cmcu); !errors.Is(err, ErrNotLinear) {
+		t.Errorf("cmcu merge: got %v, want ErrNotLinear", err)
 	}
 }

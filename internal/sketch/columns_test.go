@@ -5,109 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/hashing"
 )
-
-// π must count every coordinate exactly once per row (columns of a
-// CM-matrix each have exactly one 1).
-func TestColumnCountsSumToN(t *testing.T) {
-	cfg := Config{N: 5000, Rows: 64, Depth: 4}
-	cm := must(NewCountMedian(cfg, rand.New(rand.NewSource(1))))
-	for tr := 0; tr < cfg.Depth; tr++ {
-		pi := cm.ColumnCounts(tr)
-		if len(pi) != cfg.Rows {
-			t.Fatalf("row %d: len(pi) = %d", tr, len(pi))
-		}
-		var sum float64
-		for _, v := range pi {
-			sum += v
-		}
-		if sum != float64(cfg.N) {
-			t.Errorf("row %d: sum(pi) = %f, want %d", tr, sum, cfg.N)
-		}
-	}
-	// Cached: same slice on second call.
-	if &cm.ColumnCounts(0)[0] != &cm.ColumnCounts(0)[0] {
-		t.Error("ColumnCounts not cached")
-	}
-}
-
-// π must agree with the bucket assignment: updating coordinate i by 1
-// lands in bucket BucketIndex(t, i), and that bucket's π counts i.
-func TestColumnCountsMatchBucketIndex(t *testing.T) {
-	cfg := Config{N: 300, Rows: 16, Depth: 3}
-	cm := must(NewCountMedian(cfg, rand.New(rand.NewSource(2))))
-	for tr := 0; tr < cfg.Depth; tr++ {
-		counts := make([]float64, cfg.Rows)
-		for i := 0; i < cfg.N; i++ {
-			counts[cm.BucketIndex(tr, i)]++
-		}
-		pi := cm.ColumnCounts(tr)
-		for b := range counts {
-			if counts[b] != pi[b] {
-				t.Fatalf("row %d bucket %d: recount %f != pi %f", tr, b, counts[b], pi[b])
-			}
-		}
-	}
-}
-
-// Sketching the all-ones vector must produce exactly π in every row:
-// Π(h)·1 = π by definition.
-func TestColumnCountsViaAllOnes(t *testing.T) {
-	cfg := Config{N: 1000, Rows: 32, Depth: 5}
-	cm := must(NewCountMedian(cfg, rand.New(rand.NewSource(3))))
-	for i := 0; i < cfg.N; i++ {
-		cm.Update(i, 1)
-	}
-	for tr := 0; tr < cfg.Depth; tr++ {
-		pi := cm.ColumnCounts(tr)
-		for b := 0; b < cfg.Rows; b++ {
-			if got := cm.Bucket(tr, b); got != pi[b] {
-				t.Fatalf("row %d bucket %d: Π·1 = %f != π = %f", tr, b, got, pi[b])
-			}
-		}
-	}
-}
-
-// Likewise Ψ(h,r)·1 = ψ for the Count-Sketch.
-func TestSignedColumnSumsViaAllOnes(t *testing.T) {
-	cfg := Config{N: 1000, Rows: 32, Depth: 5}
-	cs := must(NewCountSketch(cfg, rand.New(rand.NewSource(4))))
-	for i := 0; i < cfg.N; i++ {
-		cs.Update(i, 1)
-	}
-	for tr := 0; tr < cfg.Depth; tr++ {
-		psi := cs.SignedColumnSums(tr)
-		if len(psi) != cfg.Rows {
-			t.Fatalf("row %d: len(psi) = %d", tr, len(psi))
-		}
-		for b := 0; b < cfg.Rows; b++ {
-			if got := cs.Bucket(tr, b); math.Abs(got-psi[b]) > 1e-12 {
-				t.Fatalf("row %d bucket %d: Ψ·1 = %f != ψ = %f", tr, b, got, psi[b])
-			}
-		}
-	}
-}
-
-// ψ must be consistent with SignOf and BucketIndex.
-func TestSignedColumnSumsMatchSigns(t *testing.T) {
-	cfg := Config{N: 500, Rows: 16, Depth: 3}
-	cs := must(NewCountSketch(cfg, rand.New(rand.NewSource(5))))
-	for tr := 0; tr < cfg.Depth; tr++ {
-		sums := make([]float64, cfg.Rows)
-		for i := 0; i < cfg.N; i++ {
-			sums[cs.BucketIndex(tr, i)] += cs.SignOf(tr, i)
-			if s := cs.SignOf(tr, i); s != 1 && s != -1 {
-				t.Fatalf("SignOf(%d,%d) = %f", tr, i, s)
-			}
-		}
-		psi := cs.SignedColumnSums(tr)
-		for b := range sums {
-			if sums[b] != psi[b] {
-				t.Fatalf("row %d bucket %d: recomputed %f != psi %f", tr, b, sums[b], psi[b])
-			}
-		}
-	}
-}
 
 func TestCountMinMarshalRoundTrip(t *testing.T) {
 	cfg := Config{N: 200, Rows: 16, Depth: 3}
@@ -152,81 +52,77 @@ func TestDengRafieiRejectsOneRow(t *testing.T) {
 	}
 }
 
-// The batched and all-rows accessors the bias-aware recoveries build
-// on must agree with the per-row point accessors, and the cache-sharing
-// helpers must adopt a source's π/ψ only when the hashes match.
+// The On constructors the bias-aware recoveries build on must answer
+// exactly like the drawing constructors when handed the families those
+// draw from the same seed, must refuse families that do not fit the
+// shape, and the index checks must still reject bad input.
 func TestColumnAccessorsAgree(t *testing.T) {
 	cfg := Config{N: 400, Rows: 32, Depth: 4}
+	r := rand.New(rand.NewSource(6))
+	hash := must(hashing.NewFamily(r, cfg.Depth, cfg.Rows))
+	signs := hashing.NewSignFamily(r, cfg.Depth)
+
 	cm := must(NewCountMedian(cfg, rand.New(rand.NewSource(6))))
+	cmOn := must(NewCountMedianOn(cfg, hash))
 	cs := must(NewCountSketch(cfg, rand.New(rand.NewSource(6))))
-	idx := []int{0, 7, 99, 250, 399}
-	for _, i := range idx {
-		cm.Update(i, float64(i+1))
-		cs.Update(i, float64(i+1))
+	csOn := must(NewCountSketchOn(cfg, hash, signs))
+	ur := rand.New(rand.NewSource(7))
+	var mass float64
+	for u := 0; u < 2000; u++ {
+		i, d := ur.Intn(cfg.N), float64(ur.Intn(9)-3)
+		mass += d
+		for _, s := range []Sketch{cm, cmOn, cs, csOn} {
+			s.Update(i, d)
+		}
 	}
-	hb := make([]int, len(idx))
-	sg := make([]float64, len(idx))
+	for i := 0; i < cfg.N; i++ {
+		if a, b := cm.Query(i), cmOn.Query(i); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("countmedian query %d: drawn %v, On %v", i, a, b)
+		}
+		if a, b := cs.Query(i), csOn.Query(i); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("countsketch query %d: drawn %v, On %v", i, a, b)
+		}
+	}
 	for tr := 0; tr < cfg.Depth; tr++ {
-		cm.BucketIndexMany(tr, idx, hb)
-		for j, i := range idx {
-			if hb[j] != cm.BucketIndex(tr, i) || cm.Row(tr)[hb[j]] != cm.Bucket(tr, hb[j]) {
-				t.Fatalf("countmedian row %d elem %d: batched accessors disagree", tr, j)
-			}
+		var sum float64
+		for _, v := range cmOn.Row(tr) {
+			sum += v
 		}
-		cs.BucketIndexMany(tr, idx, hb)
-		cs.SignOfMany(tr, idx, sg)
-		for j, i := range idx {
-			if hb[j] != cs.BucketIndex(tr, i) || sg[j] != cs.SignOf(tr, i) || cs.Row(tr)[hb[j]] != cs.Bucket(tr, hb[j]) {
-				t.Fatalf("countsketch row %d elem %d: batched accessors disagree", tr, j)
-			}
-		}
-	}
-	rows := make([]int, cfg.Depth)
-	signs := make([]float64, cfg.Depth)
-	for _, i := range idx {
-		cm.BucketIndexes(i, rows)
-		for tr, b := range rows {
-			if b != cm.BucketIndex(tr, i) {
-				t.Fatalf("countmedian BucketIndexes(%d)[%d] = %d", i, tr, b)
-			}
-		}
-		cs.BucketIndexes(i, rows)
-		cs.SignsOf(i, signs)
-		for tr := range rows {
-			if rows[tr] != cs.BucketIndex(tr, i) || signs[tr] != cs.SignOf(tr, i) {
-				t.Fatalf("countsketch all-rows accessors disagree at %d row %d", i, tr)
-			}
+		if sum != mass {
+			t.Fatalf("countmedian row %d holds mass %v, want %v", tr, sum, mass)
 		}
 	}
 
-	twinM := must(NewCountMedian(cfg, rand.New(rand.NewSource(6))))
-	otherM := must(NewCountMedian(cfg, rand.New(rand.NewSource(7))))
-	pi := cm.ColumnCounts(0)
-	otherM.ShareColumnCounts(cm)
-	twinM.ShareColumnCounts(cm)
-	if otherM.pis.Load() != nil || &twinM.ColumnCounts(0)[0] != &pi[0] {
-		t.Error("ShareColumnCounts must adopt π exactly when the hashes match")
-	}
-	twinS := must(NewCountSketch(cfg, rand.New(rand.NewSource(6))))
-	otherS := must(NewCountSketch(cfg, rand.New(rand.NewSource(7))))
-	psi := cs.SignedColumnSums(0)
-	otherS.ShareSignedColumnSums(cs)
-	twinS.ShareSignedColumnSums(cs)
-	if otherS.psis.Load() != nil || &twinS.SignedColumnSums(0)[0] != &psi[0] {
-		t.Error("ShareSignedColumnSums must adopt ψ exactly when the hashes match")
+	wide := must(hashing.NewFamily(r, cfg.Depth, cfg.Rows+1))
+	for name, err := range map[string]error{
+		"countmedian short hash": second(NewCountMedianOn(cfg, hash[:cfg.Depth-1])),
+		"countmedian wide hash":  second(NewCountMedianOn(cfg, wide)),
+		"countmedian bad config": second(NewCountMedianOn(Config{N: 0, Rows: 32, Depth: 4}, hash)),
+		"countsketch short hash": second(NewCountSketchOn(cfg, hash[:cfg.Depth-1], signs)),
+		"countsketch wide hash":  second(NewCountSketchOn(cfg, wide, signs)),
+		"countsketch short sign": second(NewCountSketchOn(cfg, hash, signs[:cfg.Depth-1])),
+	} {
+		if !errors.Is(err, ErrConfig) {
+			t.Errorf("%s: got %v, want ErrConfig", name, err)
+		}
 	}
 
 	for name, check := range map[string]func(){
-		"countmedian": func() { cm.CheckIndexBatch(idx, make([]float64, 1)) },
-		"countsketch": func() { cs.CheckIndexBatch([]int{cfg.N}, make([]float64, 1)) },
+		"countmedian batch":    func() { cm.CheckIndexBatch([]int{0, 7}, make([]float64, 1)) },
+		"countsketch batch":    func() { cs.CheckIndexBatch([]int{cfg.N}, make([]float64, 1)) },
+		"countmedian negative": func() { cm.CheckIndex(-1) },
+		"countsketch past end": func() { cs.CheckIndex(cfg.N) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: CheckIndexBatch accepted a bad batch", name)
+					t.Errorf("%s: index check accepted bad input", name)
 				}
 			}()
 			check()
 		}()
 	}
 }
+
+// second returns the error of a constructor's (value, error) pair.
+func second[T any](_ T, err error) error { return err }

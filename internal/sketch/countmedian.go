@@ -2,7 +2,8 @@ package sketch
 
 import (
 	"math/rand"
-	"sync/atomic"
+
+	"repro/internal/hashing"
 )
 
 // CountMedian is the Count-Median sketch of Cormode and Muthukrishnan
@@ -13,15 +14,27 @@ import (
 type CountMedian struct {
 	tb  table
 	buf []float64 // scratch for the per-query median
-
-	pis atomic.Pointer[[][]float64] // cached per-row column counts π (see columns.go)
 }
 
 // NewCountMedian creates a Count-Median sketch with the given shape,
 // drawing hash functions from r. Invalid configurations return an
 // ErrConfig-wrapped error.
 func NewCountMedian(cfg Config, r *rand.Rand) (*CountMedian, error) {
-	tb, err := newTable(cfg, r)
+	hash, err := drawHash(cfg, r)
+	if err != nil {
+		return nil, err
+	}
+	return NewCountMedianOn(cfg, hash)
+}
+
+// NewCountMedianOn creates a zeroed Count-Median sketch on a row hash
+// family the caller owns and shares read-only: the bias-aware recovery
+// of Algorithm 2 owns the hashes and their column counts π, which the
+// seed fixes, and builds every replica's counters on them. A family
+// that does not fit cfg (length Depth, range Rows) returns an
+// ErrConfig-wrapped error.
+func NewCountMedianOn(cfg Config, hash hashing.Family) (*CountMedian, error) {
+	tb, err := newTableOn(cfg, hash)
 	if err != nil {
 		return nil, err
 	}
@@ -106,3 +119,15 @@ func (c *CountMedian) Marshal() []byte { return c.tb.marshalCells() }
 
 // Unmarshal restores counter state written by Marshal.
 func (c *CountMedian) Unmarshal(b []byte) error { return c.tb.unmarshalCells(b) }
+
+// Row returns row t's counters. Callers must not modify the slice.
+func (c *CountMedian) Row(t int) []float64 { return c.tb.cells[t] }
+
+// CheckIndex panics unless 0 <= i < Dim(), with Query's message, for
+// the recovery algorithms layered on top of this sketch.
+func (c *CountMedian) CheckIndex(i int) { c.tb.checkIndex(i) }
+
+// CheckIndexBatch validates a query batch (matching lengths, in-range
+// indexes) without touching any state, for the recovery algorithms
+// layered on top of this sketch.
+func (c *CountMedian) CheckIndexBatch(idx []int, out []float64) { c.tb.checkQueryBatch(idx, out) }

@@ -1,8 +1,8 @@
 package sketch
 
 import (
+	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"repro/internal/hashing"
 )
@@ -17,8 +17,6 @@ type CountSketch struct {
 	signs hashing.SignFamily
 	buf   []float64
 	sbuf  []float64 // per-row signs, reused across UpdateBatch calls
-
-	psis atomic.Pointer[[][]float64] // cached per-row signed column sums ψ (see columns.go)
 }
 
 // NewCountSketch creates a Count-Sketch with the given shape. Invalid
@@ -28,15 +26,27 @@ type CountSketch struct {
 // same order as every prior release, so sketches keep their exact
 // seeds.
 func NewCountSketch(cfg Config, r *rand.Rand) (*CountSketch, error) {
-	tb, err := newTable(cfg, r)
+	hash, err := drawHash(cfg, r)
 	if err != nil {
 		return nil, err
 	}
-	return &CountSketch{
-		tb:    tb,
-		signs: hashing.NewSignFamily(r, cfg.Depth),
-		buf:   make([]float64, cfg.Depth),
-	}, nil
+	return NewCountSketchOn(cfg, hash, hashing.NewSignFamily(r, cfg.Depth))
+}
+
+// NewCountSketchOn creates a zeroed Count-Sketch on bucket hash and
+// sign families the caller owns and shares read-only, as
+// NewCountMedianOn does for Algorithm 4's signed column sums ψ.
+// Families that do not fit cfg (length Depth, hash range Rows) return
+// an ErrConfig-wrapped error.
+func NewCountSketchOn(cfg Config, hash hashing.Family, signs hashing.SignFamily) (*CountSketch, error) {
+	tb, err := newTableOn(cfg, hash)
+	if err != nil {
+		return nil, err
+	}
+	if len(signs) != cfg.Depth {
+		return nil, fmt.Errorf("%w: %d row signs for depth %d", ErrConfig, len(signs), cfg.Depth)
+	}
+	return &CountSketch{tb: tb, signs: signs, buf: make([]float64, cfg.Depth)}, nil
 }
 
 // Update applies x[i] += delta.
@@ -147,3 +157,15 @@ func (c *CountSketch) Marshal() []byte { return c.tb.marshalCells() }
 
 // Unmarshal restores counter state written by Marshal.
 func (c *CountSketch) Unmarshal(b []byte) error { return c.tb.unmarshalCells(b) }
+
+// Row returns row t's counters. Callers must not modify the slice.
+func (c *CountSketch) Row(t int) []float64 { return c.tb.cells[t] }
+
+// CheckIndex panics unless 0 <= i < Dim(), with Query's message, for
+// the recovery algorithms layered on top of this sketch.
+func (c *CountSketch) CheckIndex(i int) { c.tb.checkIndex(i) }
+
+// CheckIndexBatch validates a query batch (matching lengths, in-range
+// indexes) without touching any state, for the recovery algorithms
+// layered on top of this sketch.
+func (c *CountSketch) CheckIndexBatch(idx []int, out []float64) { c.tb.checkQueryBatch(idx, out) }

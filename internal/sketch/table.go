@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/hashing"
@@ -24,21 +25,44 @@ type table struct {
 	scratch []int // per-row bucket indexes, reused across UpdateBatch calls
 }
 
-// newTable builds a zeroed table. Invalid configurations return
-// ErrConfig (wrapped).
-func newTable(cfg Config, r *rand.Rand) (table, error) {
+// drawHash draws the row hash family of a cfg-shaped table from r.
+// Invalid configurations return ErrConfig (wrapped).
+func drawHash(cfg Config, r *rand.Rand) (hashing.Family, error) {
 	if err := cfg.Validate(); err != nil {
-		return table{}, fmt.Errorf("%w: %w", ErrConfig, err)
+		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	h, err := hashing.NewFamily(r, cfg.Depth, cfg.Rows)
 	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
+	}
+	return h, nil
+}
+
+// newTable builds a zeroed table on a hash family drawn from r.
+func newTable(cfg Config, r *rand.Rand) (table, error) {
+	h, err := drawHash(cfg, r)
+	if err != nil {
+		return table{}, err
+	}
+	return newTableOn(cfg, h)
+}
+
+// newTableOn builds zeroed counters on a hash family the caller owns;
+// the table only reads it, so replicas of one configuration can share
+// one family. Invalid configurations, and a family whose length is not
+// cfg.Depth or whose range is not cfg.Rows, return ErrConfig (wrapped).
+func newTableOn(cfg Config, hash hashing.Family) (table, error) {
+	if err := cfg.Validate(); err != nil {
 		return table{}, fmt.Errorf("%w: %w", ErrConfig, err)
+	}
+	if len(hash) != cfg.Depth || slices.ContainsFunc(hash, func(h hashing.Pairwise) bool { return h.Range != uint64(cfg.Rows) }) {
+		return table{}, fmt.Errorf("%w: hash family does not fit %d rows of %d buckets", ErrConfig, cfg.Depth, cfg.Rows)
 	}
 	cells := make([][]float64, cfg.Depth)
 	for t := range cells {
 		cells[t] = make([]float64, cfg.Rows)
 	}
-	return table{cfg: cfg, hash: h, cells: cells}, nil
+	return table{cfg: cfg, hash: hash, cells: cells}, nil
 }
 
 func (tb *table) dim() int { return tb.cfg.N }

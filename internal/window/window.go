@@ -337,11 +337,6 @@ type batchQuerier interface {
 	QueryBatch(idx []int, out []float64)
 }
 
-// readPreparer and readCacheAdopter mirror the concurrent package's
-// snapshot warm-up hooks (see concurrent.Refresh).
-type readPreparer interface{ PrepareRead() }
-type readCacheAdopter interface{ AdoptReadCaches(src any) }
-
 // QueryBatch answers a batch of point queries against the view,
 // lock-free, through the replica's native batched path when it has one
 // (bit-identical to the Query loop either way).
@@ -405,16 +400,6 @@ func (w *Window[S]) refresh() (*View[S], error) {
 	}
 	if err := w.merge(merged, snap.Sketch()); err != nil {
 		return nil, fmt.Errorf("window: merging open pane: %w", err)
-	}
-	// Warm the replica's query caches, adopting seed-determined ones
-	// from the outgoing view so successive refreshes share them.
-	if a, ok := any(merged).(readCacheAdopter); ok {
-		if prev := w.view.Load(); prev != nil {
-			a.AdoptReadCaches(any(prev.sk))
-		}
-	}
-	if p, ok := any(merged).(readPreparer); ok {
-		p.PrepareRead()
 	}
 	v := &View[S]{owner: w, sk: merged, gen: gen, snap: snap}
 	w.view.Store(v)
