@@ -226,9 +226,10 @@ func TestBiasRobustToOutliers(t *testing.T) {
 }
 
 func TestWords(t *testing.T) {
+	// 6 word arrays of 16 plus 32 flag bytes; π is the caller's.
 	h := New(uniformPi(16, 1), 8)
-	if h.Words() != 96 {
-		t.Errorf("Words = %d, want 96", h.Words())
+	if h.Words() != 100 {
+		t.Errorf("Words = %d, want 100", h.Words())
 	}
 }
 

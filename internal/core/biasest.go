@@ -251,9 +251,12 @@ func newBucketSeed(n, s, k int, useHeap bool, r *rand.Rand) *bucketSeed {
 }
 
 func (bs *bucketSeed) fresh() Estimator {
-	e := &medianBucketEstimator{bucketSeed: bs, w: make([]float64, len(bs.pi)), dirty: true}
+	e := &medianBucketEstimator{bucketSeed: bs, dirty: true}
 	if bs.useHeap {
 		e.heap = biasheap.New(bs.pi, 2*bs.k)
+		e.w = e.heap.Masses()
+	} else {
+		e.w = make([]float64, len(bs.pi))
 	}
 	return e
 }
@@ -261,12 +264,12 @@ func (bs *bucketSeed) fresh() Estimator {
 // medianBucketEstimator maintains w = Π(g)x for a single CM row of s
 // buckets, and estimates the bias as the average coordinate value
 // inside the middle 2k buckets when buckets are ordered by w_i/π_i.
-// With useHeap it maintains the order incrementally (Algorithm 5);
-// otherwise it sorts lazily at query time (Algorithm 4), caching until
-// the next update.
+// With useHeap it maintains the order incrementally (Algorithm 5) and
+// rebuilds it once per merge or restore; otherwise it sorts lazily at
+// query time (Algorithm 4), caching until the next update.
 type medianBucketEstimator struct {
 	*bucketSeed
-	w    []float64
+	w    []float64 // with useHeap, the heap's own masses
 	heap *biasheap.Heap
 
 	// The sort-at-query cache is guarded by mu so that concurrent
@@ -281,12 +284,12 @@ type medianBucketEstimator struct {
 
 func (e *medianBucketEstimator) Observe(i int, delta float64) {
 	b := e.g.Hash(uint64(i))
-	e.w[b] += delta
 	if e.useHeap {
-		e.heap.Update(b, delta)
-	} else {
-		e.dirty = true
+		e.heap.Update(b, delta) // adds delta to e.w[b]
+		return
 	}
+	e.w[b] += delta
+	e.dirty = true
 }
 
 func (e *medianBucketEstimator) Bias() float64 {
@@ -357,13 +360,8 @@ func (e *medianBucketEstimator) SetState(v []float64) error {
 	if len(v) != len(e.w) {
 		return fmt.Errorf("core: bucket state length %d, want %d", len(v), len(e.w))
 	}
-	for b := range e.w {
-		if e.useHeap && v[b] != e.w[b] {
-			e.heap.Update(b, v[b]-e.w[b])
-		}
-		e.w[b] = v[b]
-	}
-	e.dirty = true
+	copy(e.w, v)
+	e.settle()
 	return nil
 }
 
@@ -372,17 +370,21 @@ func (e *medianBucketEstimator) Merge(other Estimator) error {
 	if !ok || o.g != e.g || o.k != e.k || len(o.w) != len(e.w) {
 		return ErrIncompatibleEstimator
 	}
-	for b := range e.w {
-		if o.w[b] == 0 {
-			continue
-		}
-		e.w[b] += o.w[b]
-		if e.useHeap {
-			e.heap.Update(b, o.w[b])
-		}
+	for b, m := range o.w {
+		e.w[b] += m
 	}
-	e.dirty = true
+	e.settle()
 	return nil
+}
+
+// settle brings the bucket order up to date after a bulk write of w:
+// one O(s) heap rebuild, or a re-sort at the next Bias.
+func (e *medianBucketEstimator) settle() {
+	if e.useHeap {
+		e.heap.Rebuild()
+	} else {
+		e.dirty = true
+	}
 }
 
 // defaultSampleCount is the paper's Θ(log n) sample size (Algorithm 1

@@ -29,8 +29,10 @@ type L2Config struct {
 	// UseBiasHeap selects the streaming implementation of the
 	// median-bucket estimator (Algorithms 5–6, O(log s) maintenance
 	// per update, O(1) per bias query) instead of the sort-at-query
-	// recovery of Algorithm 4. Both produce identical estimates; see
-	// TestBiasHeapMatchesSort.
+	// recovery of Algorithm 4. A merge or a restore rebuilds the heap
+	// once in O(s) instead of updating it bucket by bucket. Both
+	// estimators find the same middle buckets; on exact sums they
+	// produce identical estimates (TestBiasHeapMatchesSort).
 	UseBiasHeap bool
 
 	// SampleCount is used only with EstimatorSampledMedian.
@@ -89,7 +91,9 @@ func (c L2Config) Validate() error {
 //
 // With UseBiasHeap the bucket ordering is maintained incrementally by
 // the Bias-Heap (Algorithms 5–6), making every point query O(d) after
-// O(log s) per update — the paper's real-time streaming mode.
+// O(log s) per update — the paper's real-time streaming mode. MergeFrom
+// and UnmarshalState change every bucket at once, so they rebuild the
+// heap in O(s) instead.
 type L2SR struct {
 	b   *L2Basis
 	cs  *sketch.CountSketch
