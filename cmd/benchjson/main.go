@@ -46,9 +46,9 @@ import (
 
 // defaultBench selects the curated baseline set: per-algorithm update
 // and query paths (element-wise and batched), the wire-format
-// encode/decode round trip, the facade merge, the served ingestion
-// path, and the monitoring round.
-const defaultBench = "^(BenchmarkUpdate|BenchmarkUpdateBatch|BenchmarkQuery|BenchmarkQueryBatch|BenchmarkEncode|BenchmarkDecode|BenchmarkMerge|BenchmarkIngestEndpoint|BenchmarkMonitorRound)$"
+// encode/decode round trip, the facade merge, the facade TopK, the
+// served ingestion path, and the monitoring round.
+const defaultBench = "^(BenchmarkUpdate|BenchmarkUpdateBatch|BenchmarkQuery|BenchmarkQueryBatch|BenchmarkEncode|BenchmarkDecode|BenchmarkMerge|BenchmarkTopK|BenchmarkIngestEndpoint|BenchmarkMonitorRound)$"
 
 // defaultPackages are the benchmark homes: internal/bench holds the
 // per-algorithm paths, bench the facade/codec paths, internal/server

@@ -69,7 +69,12 @@
 // with results bit-identical to the element-wise Query loop. The
 // min-answer sketches gain ~1.5–1.7×, the median-answer ones ~1.1–1.4×
 // (the depth-d median is inherently per-element); see README.md for
-// measured numbers. Recover, TopK, and Scan use this path internally.
+// measured numbers. Recover uses this path internally. TopK and Scan
+// skip keys by a median bound: an estimate is β̂ plus a median over d
+// de-biased rows, so a key whose ⌊d/2⌋+1 rows are small in magnitude
+// cannot deviate much from β̂. Only the few keys the bound cannot rule
+// out get a batched query, and the answer is bit-identical to the full
+// scan.
 // Batched query scratch is borrowed from a sync.Pool per call — zero
 // steady-state allocations, no state shared between calls — so
 // concurrent QueryBatch calls against a sketch that is no longer

@@ -106,3 +106,28 @@ func TestL1SRUpdateBatchAllocFree(t *testing.T) {
 		t.Errorf("UpdateBatch (mean estimator) allocates %.1f per call in steady state", n)
 	}
 }
+
+// The range scan behind TopK and Scan runs allocation-free once the
+// pool is primed, on both recoveries, for a bound that prunes and one
+// that answers the whole range.
+func TestScanRangeAllocFree(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	l1 := NewL1SR(L1Config{N: allocDim, K: 16}, r)
+	l2 := NewL2SR(L2Config{N: allocDim, K: 16, UseBiasHeap: true}, r)
+	idx, deltas, _ := allocCoreBatch(r)
+	idx[0], deltas[0] = 3, 1e5
+	l1.UpdateBatch(idx, deltas)
+	l2.UpdateBatch(idx, deltas)
+	keys := make([]int, allocDim)
+	out := make([]float64, allocDim)
+	for name, s := range map[string]interface {
+		ScanRange(lo, hi int, tau float64, idx []int, out []float64) int
+	}{"l1sr": l1, "l2sr": l2} {
+		for _, tau := range []float64{1e4, -1} {
+			s.ScanRange(0, allocDim, tau, keys, out) // warm-up: primes the scratch pool
+			if n := testing.AllocsPerRun(20, func() { s.ScanRange(0, allocDim, tau, keys, out) }); n != 0 {
+				t.Errorf("%s tau=%v: ScanRange allocates %.1f per call in steady state", name, tau, n)
+			}
+		}
+	}
+}

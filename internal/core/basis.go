@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -49,6 +51,34 @@ func (b *basis) columnSums() [][]float64 {
 		}
 	})
 	return b.sums
+}
+
+// gatherMagRange writes |row[h_t(i)] − β̂·sums_t[h_t(i)]| for the keys
+// i = lo, lo+1, … into o, with β̂ read from sc.Bias — GatherMagRange of
+// both recoveries. A Count-Sketch sign has magnitude 1, so the ℓ2 rows
+// need no sign hash.
+//
+//sketch:hotpath
+func (b *basis) gatherMagRange(t, lo int, row, o []float64, sc *sketch.QScratch) {
+	hb := sc.Ints[:len(o)]
+	b.hash.HashRange(t, uint64(lo), hb)
+	sums := b.columnSums()[t]
+	beta := sc.Bias
+	for j, k := range hb {
+		o[j] = math.Abs(row[k] - beta*sums[k])
+	}
+}
+
+// checkRange panics unless 0 <= lo <= hi <= N and idx and out have
+// room for hi−lo keys — the contract of ScanRange, checked before
+// anything is written.
+func (b *basis) checkRange(lo, hi int, idx []int, out []float64) {
+	if lo < 0 || lo > hi || hi > b.scfg.N {
+		panic(fmt.Sprintf("core: range [%d,%d) out of [0,%d)", lo, hi, b.scfg.N))
+	}
+	if len(idx) < hi-lo || len(out) < hi-lo {
+		panic(fmt.Sprintf("core: range of %d keys, room for %d indexes and %d outputs", hi-lo, len(idx), len(out)))
+	}
 }
 
 // L1Basis is the common knowledge of one ℓ1-S/R configuration: the CM

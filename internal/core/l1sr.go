@@ -187,6 +187,28 @@ func (l *L1SR) Combine(vals []float64, sc *sketch.QScratch) float64 {
 	return median(vals) + sc.Bias
 }
 
+// GatherMagRange implements sketch.ScanRecovery: |y_t[h_t(i)] −
+// β̂·π_t[h_t(i)]| for the keys i = lo, lo+1, …, with β̂ read from
+// sc.Bias. Used by sketch.ScanMedian, not meant for direct callers.
+//
+//sketch:hotpath
+func (l *L1SR) GatherMagRange(t, lo int, o []float64, sc *sketch.QScratch) {
+	l.b.gatherMagRange(t, lo, l.cm.Row(t), o, sc)
+}
+
+// ScanRange writes into idx and out, in increasing key order, the keys
+// of [lo, hi) whose deviation |x̂_i − β̂| may exceed tau, with their
+// QueryBatch estimates, and returns how many. Every key it leaves out
+// deviates by at most tau; a tau that is not positive and finite
+// leaves none out. idx and out need room for hi−lo keys, and it panics
+// unless 0 <= lo <= hi <= Dim(). β̂ is read once, as in QueryBatch.
+//
+//sketch:hotpath
+func (l *L1SR) ScanRange(lo, hi int, tau float64, idx []int, out []float64) int {
+	l.b.checkRange(lo, hi, idx, out)
+	return sketch.ScanMedian(l.b.cfg.Depth, lo, hi, tau, l.est.Bias(), l, idx, out)
+}
+
 // Dim returns n.
 func (l *L1SR) Dim() int { return l.b.cfg.N }
 

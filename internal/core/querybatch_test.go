@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -12,6 +13,7 @@ type biasBatchQuerier interface {
 	Query(i int) float64
 	QueryBatch(idx []int, out []float64)
 	Bias() float64
+	ScanRange(lo, hi int, tau float64, idx []int, out []float64) int
 }
 
 func queryBatchCases() []struct {
@@ -139,5 +141,94 @@ func TestConcurrentColdCacheQueryBatch(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// ScanRange answers the keys it keeps with their QueryBatch estimates
+// bit for bit, in increasing order, and keeps every key whose
+// deviation exceeds tau — on every estimator variant, with planted
+// outliers, at bounds taken from the sketch's own deviations.
+func TestBiasAwareScanRangeMatchesQueryBatch(t *testing.T) {
+	const n = 10000
+	for _, tc := range queryBatchCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			sk := tc.mk(85)
+			r := rand.New(rand.NewSource(86))
+			for u := 0; u < 30000; u++ {
+				sk.Update(r.Intn(n), float64(1+r.Intn(5)))
+			}
+			for p := 0; p < 12; p++ {
+				sk.Update(r.Intn(n), float64(1000*(p+1)))
+			}
+			all := make([]int, n)
+			est := make([]float64, n)
+			for i := range all {
+				all[i] = i
+			}
+			sk.QueryBatch(all, est)
+			beta := sk.Bias()
+			top := 0.0
+			for _, e := range est {
+				top = max(top, math.Abs(e-beta))
+			}
+			idx := make([]int, n)
+			out := make([]float64, n)
+			for _, tau := range []float64{top / 2, top / 10, math.Abs(est[7] - beta), 0} {
+				lo, hi := 0, n
+				if tau != top/2 {
+					lo = r.Intn(n / 2)
+					hi = lo + r.Intn(n-lo+1)
+				}
+				m := sk.ScanRange(lo, hi, tau, idx, out)
+				kept := make(map[int]bool, m)
+				for j, i := range idx[:m] {
+					if i < lo || i >= hi || j > 0 && i <= idx[j-1] {
+						t.Fatalf("tau %v: survivors not ascending within [%d,%d)", tau, lo, hi)
+					}
+					kept[i] = true
+					if math.Float64bits(out[j]) != math.Float64bits(est[i]) {
+						t.Fatalf("key %d: ScanRange %v, QueryBatch %v", i, out[j], est[i])
+					}
+				}
+				for i := lo; i < hi; i++ {
+					if math.Abs(est[i]-beta) > tau && !kept[i] {
+						t.Fatalf("tau %v: dropped key %d with deviation %v", tau, i, math.Abs(est[i]-beta))
+					}
+				}
+				if tau == 0 && m != hi-lo {
+					t.Fatalf("tau 0 dropped %d keys", hi-lo-m)
+				}
+				if tau == top/2 && m > n/10 {
+					t.Fatalf("tau %v kept %d of %d keys: the bound prunes nothing", tau, m, hi-lo)
+				}
+			}
+		})
+	}
+}
+
+// A range outside [0, N) or buffers too short for it panic before
+// anything is written.
+func TestBiasAwareScanRangeValidates(t *testing.T) {
+	for _, tc := range queryBatchCases() {
+		sk := tc.mk(87)
+		for _, c := range []struct {
+			lo, hi, room int
+		}{{-1, 5, 10}, {5, 4, 10}, {0, 10001, 20000}, {0, 10, 9}} {
+			idx := make([]int, c.room)
+			out := make([]float64, c.room)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: ScanRange(%d, %d) with room %d should panic", tc.name, c.lo, c.hi, c.room)
+					}
+				}()
+				sk.ScanRange(c.lo, c.hi, 1, idx, out)
+			}()
+			for j := range idx {
+				if idx[j] != 0 || out[j] != 0 {
+					t.Fatalf("%s: rejected range wrote position %d", tc.name, j)
+				}
+			}
+		}
 	}
 }

@@ -25,6 +25,9 @@ func TestBatchedKernelsAllocFree(t *testing.T) {
 	if a := testing.AllocsPerRun(50, func() { f.HashMany(1, xs, hout) }); a != 0 {
 		t.Errorf("Family.HashMany allocates %.1f per call", a)
 	}
+	if a := testing.AllocsPerRun(50, func() { f.HashRange(1, 1<<20, hout) }); a != 0 {
+		t.Errorf("Family.HashRange allocates %.1f per call", a)
+	}
 	sf := NewSignFamily(r, 3)
 	if a := testing.AllocsPerRun(50, func() { sf.SignFloatMany(1, xs, sout) }); a != 0 {
 		t.Errorf("SignFamily.SignFloatMany allocates %.1f per call", a)

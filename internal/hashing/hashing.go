@@ -93,6 +93,24 @@ func (h Pairwise) HashMany(xs []int, out []int) {
 	}
 }
 
+// HashRange writes Hash(lo+j) into out[j] for every j — the kernel of
+// scans over a run of consecutive keys. From one key to the next,
+// (a·x + b) mod p steps by adding a instead of multiplying, so every
+// value is exactly Hash's.
+//
+//sketch:hotpath
+func (h Pairwise) HashRange(lo uint64, out []int) {
+	if len(out) == 0 {
+		return
+	}
+	a, rng := h.A, h.Range
+	v := addModP(mulModP(a, lo), h.B)
+	for j := range out {
+		out[j] = int(v % rng)
+		v = addModP(v, a)
+	}
+}
+
 // Sign is a 2-wise independent random sign function r: [n] -> {-1,+1}
 // (Definition 2 of the paper uses these in the CS-matrix).
 type Sign struct {
@@ -199,6 +217,12 @@ func (f Family) Hash(t int, x uint64) int { return f[t].Hash(x) }
 //
 //sketch:hotpath
 func (f Family) HashMany(t int, xs []int, out []int) { f[t].HashMany(xs, out) }
+
+// HashRange writes the family's row-t hash of lo+j into out[j] for
+// every j — the row kernel of range scans.
+//
+//sketch:hotpath
+func (f Family) HashRange(t int, lo uint64, out []int) { f[t].HashRange(lo, out) }
 
 // Equal reports whether two families draw the same functions — the
 // shared-randomness precondition for merging sketches.

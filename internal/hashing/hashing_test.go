@@ -360,6 +360,30 @@ func TestHashManyMatchesHash(t *testing.T) {
 	must(NewPairwise(r, 16)).HashMany(nil, nil)
 }
 
+// HashRange must agree with Hash on every key of the run: stepping by
+// a is the same function as multiplying, at any length and offset.
+func TestHashRangeMatchesHash(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	for _, n := range []int{1, 3, 1000, 4096, 1 << 16} {
+		for trial := 0; trial < 4; trial++ {
+			f := must(NewFamily(r, 2, 1+r.Intn(1<<17)))
+			lo := uint64(r.Int63n(1 << 26))
+			if trial == 0 {
+				lo = 0
+			}
+			out := make([]int, n)
+			f.HashRange(1, lo, out)
+			for j, v := range out {
+				if want := f.Hash(1, lo+uint64(j)); v != want {
+					t.Fatalf("n=%d lo=%d: HashRange[%d] = %d, Hash = %d", n, lo, j, v, want)
+				}
+			}
+		}
+	}
+	// An empty run is a no-op, not a panic.
+	must(NewPairwise(r, 16)).HashRange(5, nil)
+}
+
 func TestSignFloatManyMatchesSignFloat(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 20; trial++ {

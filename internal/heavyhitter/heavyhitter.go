@@ -5,6 +5,13 @@
 // notion ("largest coordinates") is useless because every coordinate
 // carries the bias mass; the meaningful heavy hitters are the
 // coordinates far from β.
+//
+// The bias-aware sketches answer x̂_i = β̂ + a median over d de-biased
+// rows (Algorithms 2 and 4), so x̂_i can deviate from β̂ by more than τ
+// only if at least ⌈d/2⌉ of its rows exceed τ in magnitude. TopK and
+// Scan drive the sketches' range scan, which drops every coordinate
+// that bound rules out and fully queries only the rest; sketches
+// without one get the full scan, which is also the tests' oracle.
 package heavyhitter
 
 import (
@@ -30,21 +37,32 @@ type Deviator struct {
 
 // batchQuerier matches sketches with a native batched query path — the
 // sketch.BatchQuerier capability, restated structurally so this
-// package keeps zero sketch dependencies. Scan and TopK drive it in
-// chunks: the full-vector recovery they perform is exactly the
-// read-heavy shape the row-major batch path accelerates, and QueryBatch
-// is bit-identical to the Query loop, so results never change.
+// package keeps zero sketch dependencies. The full scan drives it in
+// chunks: QueryBatch is bit-identical to the Query loop, so results
+// never change.
 type batchQuerier interface {
 	QueryBatch(idx []int, out []float64)
 }
 
-// scanChunk is the batch size of the chunked full-vector scans: large
-// enough to amortize per-row hash-coefficient loads, small enough that
-// the per-chunk scratch stays cache-resident.
+// rangeScanner matches sketches with a bounded range scan — the
+// ScanRange of core.L1SR and core.L2SR, restated structurally like
+// batchQuerier. ScanRange writes into idx and out, in increasing key
+// order, the keys of [lo, hi) whose deviation may exceed tau, with
+// their QueryBatch estimates, and returns how many; every key it
+// leaves out deviates by at most tau, and a tau that is not positive
+// and finite leaves none out.
+type rangeScanner interface {
+	ScanRange(lo, hi int, tau float64, idx []int, out []float64) int
+}
+
+// scanChunk is the batch size of the chunked scans: large enough to
+// amortize per-row hash-coefficient loads, small enough that the
+// per-chunk scratch stays cache-resident. A range scan reads its bound
+// once per chunk.
 const scanChunk = 1024
 
 // forEachEstimate calls visit(i, x̂_i) for every coordinate, through
-// the sketch's batched query path when it has one.
+// the sketch's batched query path when it has one — the full scan.
 func forEachEstimate(s BiasedSketch, visit func(i int, est float64)) {
 	n := s.Dim()
 	bq, ok := s.(batchQuerier)
@@ -71,14 +89,37 @@ func forEachEstimate(s BiasedSketch, visit func(i int, est float64)) {
 	}
 }
 
-// Scan queries every coordinate and returns those whose estimated
-// deviation from the bias exceeds threshold, sorted by decreasing
-// deviation (ties by index). O(n) point queries, batched when the
-// sketch supports it.
+// forEachCandidate calls visit(i, x̂_i), in increasing i, for every
+// coordinate whose deviation may exceed bound(), which it reads at the
+// start of each chunk; every coordinate it skips deviates by at most
+// the bound of its chunk. Sketches without a range scan get the full
+// scan.
+func forEachCandidate(s BiasedSketch, bound func() float64, visit func(i int, est float64)) {
+	rs, ok := s.(rangeScanner)
+	if !ok {
+		forEachEstimate(s, visit)
+		return
+	}
+	n := s.Dim()
+	idx := make([]int, scanChunk)
+	out := make([]float64, scanChunk)
+	for lo := 0; lo < n; lo += scanChunk {
+		m := rs.ScanRange(lo, min(lo+scanChunk, n), bound(), idx, out)
+		for j := 0; j < m; j++ {
+			visit(idx[j], out[j])
+		}
+	}
+}
+
+// Scan returns every coordinate whose estimated deviation from the
+// bias exceeds threshold, sorted by decreasing deviation (ties by
+// index). It fully queries only the coordinates the sketch's range
+// scan cannot rule out by a median bound (every coordinate, batched,
+// for a sketch without one), and the answer is the full scan's.
 func Scan(s BiasedSketch, threshold float64) []Deviator {
 	beta := s.Bias()
 	var out []Deviator
-	forEachEstimate(s, func(i int, est float64) {
+	forEachCandidate(s, func() float64 { return threshold }, func(i int, est float64) {
 		if dev := math.Abs(est - beta); dev > threshold {
 			out = append(out, Deviator{Index: i, Estimate: est, Deviation: dev})
 		}
@@ -88,16 +129,29 @@ func Scan(s BiasedSketch, threshold float64) []Deviator {
 }
 
 // TopK returns the k coordinates with the largest estimated deviation
-// from the bias, sorted by decreasing deviation. O(n) point queries —
-// batched when the sketch supports it — with an O(k)-size selection
-// heap.
+// from the bias, sorted by decreasing deviation (ties by index), from
+// an O(k)-size selection heap. Once the heap holds k coordinates, a
+// later one enters only by deviating more than the heap's minimum — a
+// tie loses to the smaller index already held — so that minimum is
+// the bound of the sketch's range scan, and only the coordinates it
+// cannot rule out are fully queried. The answer is the full scan's.
 func TopK(s BiasedSketch, k int) []Deviator {
 	if k <= 0 {
 		return nil
 	}
 	beta := s.Bias()
 	h := &devMinHeap{}
-	forEachEstimate(s, func(i int, est float64) {
+	// Once the heap is full its root's deviation never falls: a
+	// replacement deviates more, and sinks only below a smaller child.
+	// A NaN never moves once pushed, so it either stays at the root,
+	// where it bounds nothing, or hides only what sits below it.
+	bound := func() float64 {
+		if h.Len() < k {
+			return math.Inf(-1)
+		}
+		return (*h)[0].Deviation
+	}
+	forEachCandidate(s, bound, func(i int, est float64) {
 		d := Deviator{Index: i, Estimate: est, Deviation: math.Abs(est - beta)}
 		if h.Len() < k {
 			heap.Push(h, d)

@@ -18,6 +18,12 @@ func cswap(a, b *float64) {
 	*a, *b = min(x, y), max(x, y)
 }
 
+// maxNetwork is the longest length sortSmall has a network for. A
+// network's every output depends on every input and min/max propagate
+// NaN, so one NaN turns the median NaN; insertion sort beyond this
+// length leaves a NaN in place and sorts around it instead.
+const maxNetwork = 16
+
 // sortSmall fully sorts b when a fixed network exists for its length
 // and reports whether it did.
 func sortSmall(b []float64) bool {

@@ -274,6 +274,9 @@ type QScratch struct {
 
 	vb  []float64 // depth×tile row-major gather buffer
 	buf []float64 // depth-length per-element column
+
+	keys []int // ScanMedian's candidate keys within a tile
+	lows []int // per candidate, its rows at or below the bound so far
 }
 
 // grow resizes the buffers for a depth×width query; growth stays out
@@ -281,6 +284,12 @@ type QScratch struct {
 func (sc *QScratch) grow(depth, width int) {
 	if cap(sc.Ints) < width {
 		sc.Ints = make([]int, width)
+	}
+	if cap(sc.keys) < width {
+		sc.keys = make([]int, width)
+	}
+	if cap(sc.lows) < width {
+		sc.lows = make([]int, width)
 	}
 	if cap(sc.F1) < width {
 		sc.F1 = make([]float64, width)
@@ -363,6 +372,130 @@ func QueryBatchMedian(depth int, idx []int, out []float64, bias float64, r Batch
 			out[base+j] = r.Combine(buf, sc)
 		}
 	}
+}
+
+// ScanRecovery is a BatchRecovery whose Combine is Median(vals) +
+// sc.Bias, so a key's deviation from β̂ is the median of its row
+// values — the bound ScanMedian prunes by.
+type ScanRecovery interface {
+	BatchRecovery
+	// GatherMagRange writes |GatherRow value| of row t for the keys
+	// lo, lo+1, … into o, with the same scratch and bias contract as
+	// GatherRow.
+	GatherMagRange(t, lo int, o []float64, sc *QScratch)
+}
+
+// scanSlack scales the margin ScanMedian keeps below its bound:
+// fl(fl(m + β̂) − β̂) is within about 2^-52·(|m| + |β̂|) of m, so a key
+// whose row median is at most τ − scanSlack·(|τ| + |β̂|) in magnitude
+// deviates by at most τ.
+const scanSlack = 0x1p-40
+
+// ScanMedian answers the keys of [lo, hi) whose deviation from bias
+// may exceed tau, and skips every other. If ⌊d/2⌋+1 of a key's rows
+// are at most c in magnitude, its row median is too (for even d as
+// well: both middle values lie in [−c, c]), so with c = tau less the
+// rounding margin of scanSlack its deviation is at most tau. A tile at
+// a time, the scan reads the magnitudes of rows 0..⌊d/2⌋ for every
+// key, reads further rows only for the keys not yet ruled out,
+// dropping a key once ⌊d/2⌋+1 of its rows are at most c, and answers
+// the survivors through QueryBatchMedian — so every estimate is the
+// QueryBatch value. It writes the survivors and their estimates into
+// idx and out (room for hi−lo each) in increasing key order and
+// returns their count.
+//
+// A NaN row is never at most c, so it never rules a key out. A NaN
+// among the other rows makes a network-sorted median (4 to maxNetwork
+// rows) NaN, a deviation no bound admits; below 4 rows insertion sort
+// leaves the median NaN or on a row at most c. Beyond maxNetwork rows
+// insertion sort can sort around a NaN onto a large row, so those
+// depths are answered in full. So are a bound c that is not positive
+// and finite, and a c or β̂ so large that m + β̂ could overflow.
+//
+//sketch:hotpath
+func ScanMedian(depth, lo, hi int, tau, bias float64, r ScanRecovery, idx []int, out []float64) int {
+	m := hi - lo
+	c := tau - scanSlack*(math.Abs(tau)+math.Abs(bias))
+	const huge = math.MaxFloat64 / 4
+	if c > 0 && c <= huge && math.Abs(bias) <= huge && depth <= maxNetwork {
+		m = screenRange(depth, lo, hi, c, bias, r, idx)
+	} else {
+		for j := range m {
+			idx[j] = lo + j
+		}
+	}
+	QueryBatchMedian(depth, idx[:m], out[:m], bias, r)
+	return m
+}
+
+// screenRange writes into idx, in increasing order, every key of
+// [lo, hi) that fewer than ⌊d/2⌋+1 rows place at or below c in
+// magnitude, and returns their count.
+//
+//sketch:hotpath
+func screenRange(depth, lo, hi int, c, bias float64, r ScanRecovery, idx []int) int {
+	need := depth/2 + 1
+	sc := GetQScratch(depth, TileWidth(hi-lo))
+	defer PutQScratch(sc)
+	sc.Bias = bias
+	m := 0
+	for base := lo; base < hi; base += queryChunk {
+		w := min(queryChunk, hi-base)
+		vb := sc.vb[:need*w]
+		for t := 0; t < need; t++ {
+			r.GatherMagRange(t, base, vb[t*w:(t+1)*w], sc)
+		}
+		keys, lows := sc.keys[:w], sc.lows[:w]
+		k := screenTile(vb, w, need, c, base, keys, lows)
+		for t := need; t < depth && k > 0; t++ {
+			o := sc.vb[:k]
+			r.GatherRow(t, keys[:k], o, sc)
+			k = screenRow(o, need, c, keys, lows)
+		}
+		m += copy(idx[m:], keys[:k])
+	}
+	return m
+}
+
+// screenTile writes into keys, with their counts into lows, the keys
+// base..base+w−1 that fewer than need of the need×w magnitudes in vb
+// (row-major) place at or below c, and returns how many.
+//
+//sketch:hotpath
+func screenTile(vb []float64, w, need int, c float64, base int, keys, lows []int) int {
+	k := 0
+	for j := 0; j < w; j++ {
+		low := 0
+		for t := j; t < need*w; t += w {
+			if vb[t] <= c {
+				low++
+			}
+		}
+		if low < need {
+			keys[k], lows[k] = base+j, low
+			k++
+		}
+	}
+	return k
+}
+
+// screenRow adds the candidates' values of one more row, o, to their
+// counts and keeps, compacted in order, those still below need.
+//
+//sketch:hotpath
+func screenRow(o []float64, need int, c float64, keys, lows []int) int {
+	k := 0
+	for i, v := range o {
+		low := lows[i]
+		if math.Abs(v) <= c {
+			low++
+		}
+		if low < need {
+			keys[k], lows[k] = keys[i], low
+			k++
+		}
+	}
+	return k
 }
 
 // minRows writes, for every batch element, the minimum bucket value

@@ -384,25 +384,44 @@ func Bias(s Sketch) (float64, error) {
 type Deviator = heavyhitter.Deviator
 
 // TopK returns the k coordinates deviating most from the bias
-// estimate, sorted by decreasing deviation. ErrNoBias unless s is
+// estimate, sorted by decreasing deviation (ties by index). It fully
+// queries only the coordinates a median bound cannot rule out, and
+// answers exactly as the top k of Recover would. ErrNoBias unless s is
 // bias-aware.
 func TopK(s Sketch, k int) ([]Deviator, error) {
-	b, ok := s.(heavyhitter.BiasedSketch)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoBias, s.Algo())
+	b, err := deviationSketch(s)
+	if err != nil {
+		return nil, err
 	}
 	return heavyhitter.TopK(b, k), nil
 }
 
 // Scan returns every coordinate whose estimated deviation from the
-// bias exceeds threshold, sorted by decreasing deviation. ErrNoBias
-// unless s is bias-aware.
+// bias exceeds threshold, sorted by decreasing deviation (ties by
+// index). It fully queries only the coordinates a median bound cannot
+// rule out. ErrNoBias unless s is bias-aware.
 func Scan(s Sketch, threshold float64) ([]Deviator, error) {
+	b, err := deviationSketch(s)
+	if err != nil {
+		return nil, err
+	}
+	return heavyhitter.Scan(b, threshold), nil
+}
+
+// deviationSketch returns what TopK and Scan run on: a handle's inner
+// sketch, so they reach its range scan, or s itself. ErrNoBias unless
+// s is bias-aware.
+func deviationSketch(s Sketch) (heavyhitter.BiasedSketch, error) {
 	b, ok := s.(heavyhitter.BiasedSketch)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoBias, s.Algo())
 	}
-	return heavyhitter.Scan(b, threshold), nil
+	if h, ok := s.(baser); ok {
+		if inner, ok := h.base().inner.(heavyhitter.BiasedSketch); ok {
+			return inner, nil
+		}
+	}
+	return b, nil
 }
 
 // AvgAbsErr returns the mean absolute difference between a vector and
