@@ -9,7 +9,8 @@ test:
 	$(GO) test -shuffle=on ./...
 
 race:
-	$(GO) test -race ./internal/concurrent/... ./internal/window/... ./internal/codec/... ./internal/counterbraids/... ./internal/server/... ./internal/distributed/... ./internal/registry/...
+	$(GO) test -race ./internal/concurrent/... ./internal/window/... ./internal/codec/... ./internal/counterbraids/... ./internal/server/... ./internal/distributed/... ./internal/registry/... ./internal/core/...
+	$(GO) test -race -count=10 -run '^(TestConcurrentColdCacheQueryBatch|TestConcurrentFirstQueryBatch)$$' ./internal/core/ ./internal/registry/
 
 # serve-smoke is the end-to-end sketchd drill: build the real binary,
 # boot it on an ephemeral port with a checkpoint directory, ingest and

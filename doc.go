@@ -89,7 +89,11 @@
 // the cost of reading a view that is only as fresh as the last
 // Refresh, and memory is P+1 single-sketch replicas. The snapshot exposes the full read surface
 // (Query, QueryBatch, Bias, TopK, Scan, Stale) plus Owned, which
-// clones it into a mutable facade sketch.
+// clones it into a mutable facade sketch. An l2sr replica orders its
+// bias buckets (the Bias-Heap) at its first read, in O(s), and keeps
+// the order per update after that; merges and restores only add or
+// copy bucket masses. So a refresh orders once, at the snapshot's
+// first query, and shards that are only written never order.
 //
 // # Wire format and checkpoint/restore
 //

@@ -18,10 +18,13 @@
 // Update applies one stream update in O(log s): a single key change
 // needs at most one top swap per boundary (Algorithm 5). Rebuild
 // re-derives every section from the masses in O(s) by selection and
-// bottom-up heapify, once per bulk change such as a merge or a restore
-// (Algorithm 4's one-time ordering). Either way the heap sums w and π
-// over the middle only, so the mass of an outlier, which ends in A or
-// C, never shares a rounded running total with the crowd's.
+// bottom-up heapify (Algorithm 4's one-time ordering). A caller that
+// is not reading the heap may write the masses directly, through
+// Masses, and rebuild once before its next read: ℓ2-S/R replicas do so
+// until they are first read, and again after each merge or restore.
+// Either way the heap sums w and π over the middle only, so the mass
+// of an outlier, which ends in A or C, never shares a rounded running
+// total with the crowd's.
 package biasheap
 
 import (
@@ -211,9 +214,9 @@ func (h *Heap) swapCD(moving int) {
 }
 
 // Masses returns the bucket masses w. The slice is the heap's own: a
-// bulk change (a merge adding another replica's masses, a restore
-// copying saved ones) writes it in place and must then call Rebuild
-// before any other method.
+// caller may write it in place (stream updates, a merge adding another
+// replica's masses, a restore copying saved ones) and must then call
+// Rebuild before any other method.
 func (h *Heap) Masses() []float64 { return h.w }
 
 // Rebuild re-derives the keys, the four sections and the sums from the

@@ -14,7 +14,7 @@ import (
 
 func mkL2(seed int64) func() *core.L2SR {
 	return func() *core.L2SR {
-		return core.NewL2SR(core.L2Config{N: 10000, K: 64, UseBiasHeap: true},
+		return core.NewL2SR(core.L2Config{N: 10000, K: 64},
 			rand.New(rand.NewSource(seed)))
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // Runtime gates of the //sketch:hotpath contract for the bias-aware
 // recoveries: once the first query has built the lazy caches (the
-// basis's π/ψ, the estimator cache) and primed the shared scratch
+// basis's π/ψ, the Bias-Heap's order) and primed the shared scratch
 // pool, QueryBatch and UpdateBatch run with zero allocations per call.
 
 const (
@@ -46,29 +46,49 @@ func TestL1SRQueryBatchAllocFree(t *testing.T) {
 }
 
 func TestL2SRQueryBatchAllocFree(t *testing.T) {
-	for _, heap := range []bool{false, true} {
-		r := rand.New(rand.NewSource(11))
-		l := NewL2SR(L2Config{N: allocDim, K: 16, UseBiasHeap: heap}, r)
-		idx, deltas, out := allocCoreBatch(r)
-		l.UpdateBatch(idx, deltas)
-		l.QueryBatch(idx, out)
-		if n := testing.AllocsPerRun(50, func() { l.QueryBatch(idx, out) }); n != 0 {
-			t.Errorf("heap=%v: QueryBatch allocates %.1f per call in steady state", heap, n)
-		}
+	r := rand.New(rand.NewSource(11))
+	l := NewL2SR(L2Config{N: allocDim, K: 16}, r)
+	idx, deltas, out := allocCoreBatch(r)
+	l.UpdateBatch(idx, deltas)
+	l.QueryBatch(idx, out)
+	if n := testing.AllocsPerRun(50, func() { l.QueryBatch(idx, out) }); n != 0 {
+		t.Errorf("QueryBatch allocates %.1f per call in steady state", n)
 	}
 }
 
-// The ℓ2 update path is fully in-place for both estimator variants:
-// the bias row and the Bias-Heap re-seat buckets without allocating.
+// The ℓ2 update path is fully in-place: the bias row and the Bias-Heap
+// (TestL2SRSettleAllocFree) re-seat buckets without allocating.
 func TestL2SRUpdateBatchAllocFree(t *testing.T) {
-	for _, heap := range []bool{false, true} {
-		r := rand.New(rand.NewSource(11))
-		l := NewL2SR(L2Config{N: allocDim, K: 16, UseBiasHeap: heap}, r)
-		idx, deltas, _ := allocCoreBatch(r)
-		l.UpdateBatch(idx, deltas)
-		if n := testing.AllocsPerRun(50, func() { l.UpdateBatch(idx, deltas) }); n != 0 {
-			t.Errorf("heap=%v: UpdateBatch allocates %.1f per call in steady state", heap, n)
+	r := rand.New(rand.NewSource(11))
+	l := NewL2SR(L2Config{N: allocDim, K: 16}, r)
+	idx, deltas, _ := allocCoreBatch(r)
+	l.UpdateBatch(idx, deltas)
+	if n := testing.AllocsPerRun(50, func() { l.UpdateBatch(idx, deltas) }); n != 0 {
+		t.Errorf("UpdateBatch allocates %.1f per call in steady state", n)
+	}
+}
+
+// Settling allocates nothing: a read replica's UpdateBatch re-seats
+// buckets in the Bias-Heap in place, and the first read after a merge,
+// which unsettles the replica, rebuilds the heap in place.
+func TestL2SRSettleAllocFree(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	b := NewL2Basis(L2Config{N: allocDim, K: 16}, r)
+	l, empty := b.New(), b.New()
+	idx, deltas, out := allocCoreBatch(r)
+	l.UpdateBatch(idx, deltas)
+	l.QueryBatch(idx, out)
+	if n := testing.AllocsPerRun(50, func() { l.UpdateBatch(idx, deltas) }); n != 0 {
+		t.Errorf("settled UpdateBatch allocates %.1f per call", n)
+	}
+	settle := func() {
+		if err := l.MergeFrom(empty); err != nil {
+			t.Fatal(err)
 		}
+		l.QueryBatch(idx, out)
+	}
+	if n := testing.AllocsPerRun(50, settle); n != 0 {
+		t.Errorf("merge + first QueryBatch allocates %.1f per call", n)
 	}
 }
 
@@ -113,7 +133,7 @@ func TestL1SRUpdateBatchAllocFree(t *testing.T) {
 func TestScanRangeAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	l1 := NewL1SR(L1Config{N: allocDim, K: 16}, r)
-	l2 := NewL2SR(L2Config{N: allocDim, K: 16, UseBiasHeap: true}, r)
+	l2 := NewL2SR(L2Config{N: allocDim, K: 16}, r)
 	idx, deltas, _ := allocCoreBatch(r)
 	idx[0], deltas[0] = 3, 1e5
 	l1.UpdateBatch(idx, deltas)

@@ -144,7 +144,7 @@ func NewL2Basis(cfg L2Config, r *rand.Rand) *L2Basis {
 	b := &L2Basis{cfg: cfg, basis: basis{scfg: scfg, hash: hash, signs: hashing.NewSignFamily(r, scfg.Depth)}}
 	switch cfg.Estimator {
 	case EstimatorMedianBucket:
-		b.est = newBucketSeed(cfg.N, scfg.Rows, cfg.K, cfg.UseBiasHeap, r)
+		b.est = newBucketSeed(cfg.N, scfg.Rows, cfg.K, r)
 	case EstimatorMean:
 		b.est = meanSeed(cfg.N)
 	case EstimatorSampledMedian:

@@ -26,8 +26,11 @@ func TestBiasAwareUpdateBatchMatchesElementwise(t *testing.T) {
 		{"l1sr", func(seed int64) biasBatcher {
 			return NewL1SR(L1Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
 		}},
+		// l2sr-heap is read before its first update, so its Bias-Heap
+		// keeps the order per update (Algorithm 5); l2sr-sort is first
+		// read by the test and orders its buckets then (Algorithm 4).
 		{"l2sr-heap", func(seed int64) biasBatcher {
-			return NewL2SR(L2Config{N: n, K: 64, UseBiasHeap: true}, rand.New(rand.NewSource(seed)))
+			return settledL2SR(L2Config{N: n, K: 64}, seed)
 		}},
 		{"l2sr-sort", func(seed int64) biasBatcher {
 			return NewL2SR(L2Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
@@ -73,7 +76,7 @@ func TestBiasAwareUpdateBatchMatchesElementwise(t *testing.T) {
 // A batch with an invalid index panics before the CM/CS rows or the
 // estimator see anything — the sketch and estimator cannot diverge.
 func TestBiasAwareUpdateBatchAllOrNothing(t *testing.T) {
-	l2 := NewL2SR(L2Config{N: 100, K: 4, UseBiasHeap: true}, rand.New(rand.NewSource(63)))
+	l2 := NewL2SR(L2Config{N: 100, K: 4}, rand.New(rand.NewSource(63)))
 	func() {
 		defer func() {
 			if recover() == nil {

@@ -8,6 +8,12 @@
 // vector and (b) a bias estimator that watches the same update stream;
 // recovery de-biases the sketch by the estimate β̂ before the usual
 // Count-Median/Count-Sketch reconstruction and adds β̂ back at the end.
+//
+// The ℓ2-S/R estimator orders its buckets only once a replica is read:
+// the first β̂ settles it with one O(s) Bias-Heap rebuild (Algorithm 4),
+// and from then on each update keeps the order (Algorithm 5). Replicas
+// that are only written and merged, such as shards, window panes and
+// tree aggregates, never order theirs.
 package core
 
 import (
@@ -15,8 +21,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/biasheap"
 	"repro/internal/hashing"
@@ -228,13 +234,12 @@ func (e *sampleMedianEstimator) SetState(v []float64) error {
 // bucketSeed is the median-bucket estimator's seed: the hash g of the
 // CM-matrix row Π(g) and its column counts π.
 type bucketSeed struct {
-	g       hashing.Pairwise
-	pi      []float64
-	k       int
-	useHeap bool
+	g  hashing.Pairwise
+	pi []float64
+	k  int
 }
 
-func newBucketSeed(n, s, k int, useHeap bool, r *rand.Rand) *bucketSeed {
+func newBucketSeed(n, s, k int, r *rand.Rand) *bucketSeed {
 	if s < 2*k {
 		panic(fmt.Sprintf("core: bucket count s=%d must be at least 2k=%d", s, 2*k))
 	}
@@ -243,7 +248,7 @@ func newBucketSeed(n, s, k int, useHeap bool, r *rand.Rand) *bucketSeed {
 	if err != nil {
 		panic(err)
 	}
-	bs := &bucketSeed{g: g, pi: make([]float64, s), k: k, useHeap: useHeap}
+	bs := &bucketSeed{g: g, pi: make([]float64, s), k: k}
 	for j := 0; j < n; j++ {
 		bs.pi[g.Hash(uint64(j))]++
 	}
@@ -251,103 +256,57 @@ func newBucketSeed(n, s, k int, useHeap bool, r *rand.Rand) *bucketSeed {
 }
 
 func (bs *bucketSeed) fresh() Estimator {
-	e := &medianBucketEstimator{bucketSeed: bs, dirty: true}
-	if bs.useHeap {
-		e.heap = biasheap.New(bs.pi, 2*bs.k)
-		e.w = e.heap.Masses()
-	} else {
-		e.w = make([]float64, len(bs.pi))
-	}
+	e := &medianBucketEstimator{bucketSeed: bs, heap: biasheap.New(bs.pi, 2*bs.k)}
+	e.w = e.heap.Masses()
 	return e
 }
 
 // medianBucketEstimator maintains w = Π(g)x for a single CM row of s
 // buckets, and estimates the bias as the average coordinate value
 // inside the middle 2k buckets when buckets are ordered by w_i/π_i.
-// With useHeap it maintains the order incrementally (Algorithm 5) and
-// rebuilds it once per merge or restore; otherwise it sorts lazily at
-// query time (Algorithm 4), caching until the next update.
+// The order is derived state, kept in a Bias-Heap over w. A replica
+// starts unsettled, and updates, merges and restores only write w; the
+// first Bias settles it with one O(s) Rebuild. A settled replica keeps
+// the order per update until a merge or a restore unsettles it.
 type medianBucketEstimator struct {
 	*bucketSeed
-	w    []float64 // with useHeap, the heap's own masses
+	w    []float64 // the heap's own masses
 	heap *biasheap.Heap
 
-	// The sort-at-query cache is guarded by mu so that concurrent
-	// readers of a quiescent sketch (the snapshot-serving contract of
-	// QueryBatch) can share one estimator: the first Bias() after an
-	// update sorts and fills the cache, later ones read it. The heap
-	// variant needs no guard — its Bias() is a pure read.
-	mu     sync.Mutex
-	dirty  bool
-	cached float64
+	// settled reports whether the heap's sections match w. Writers
+	// (Observe, Merge, SetState) are exclusive with readers, but readers
+	// of a quiescent replica (a shared snapshot, the snapshot-serving
+	// contract of QueryBatch) may call Bias at once: mu lets one of them
+	// settle it, and the store publishes the rebuilt heap to the rest.
+	settled atomic.Bool
+	mu      sync.Mutex
 }
 
 func (e *medianBucketEstimator) Observe(i int, delta float64) {
 	b := e.g.Hash(uint64(i))
-	if e.useHeap {
+	if e.settled.Load() {
 		e.heap.Update(b, delta) // adds delta to e.w[b]
 		return
 	}
 	e.w[b] += delta
-	e.dirty = true
 }
 
 func (e *medianBucketEstimator) Bias() float64 {
-	if e.useHeap {
-		return e.heap.Bias()
+	if !e.settled.Load() {
+		e.settle()
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.dirty {
-		e.cached = e.sortBias()
-		e.dirty = false
-	}
-	return e.cached
+	return e.heap.Bias()
 }
 
-// sortBias implements Algorithm 4 line 2 directly: order buckets by
-// w_i/π_i (ties by id, matching the Bias-Heap's total order), exclude
-// the top and bottom (s−2k)/2, and average the rest.
-func (e *medianBucketEstimator) sortBias() float64 {
-	s := len(e.w)
-	ids := make([]int, s)
-	for i := range ids {
-		ids[i] = i
+// settle orders the buckets of an unsettled replica: one Rebuild, which
+// allocates nothing, and concurrent first readers wait for it.
+func (e *medianBucketEstimator) settle() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.settled.Load() {
+		e.heap.Rebuild()
+		e.settled.Store(true)
 	}
-	key := func(i int) float64 {
-		if e.pi[i] == 0 {
-			return 0
-		}
-		return e.w[i] / e.pi[i]
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		ka, kb := key(ids[a]), key(ids[b])
-		if ka != kb {
-			return ka < kb
-		}
-		return ids[a] < ids[b]
-	})
-	mid := 2 * e.k
-	topSize := (s - mid) / 2
-	botSize := (s - mid) - topSize
-	var wSum, piSum float64
-	for _, id := range ids[botSize : s-topSize] {
-		wSum += e.w[id]
-		piSum += e.pi[id]
-	}
-	if piSum > 0 {
-		return wSum / piSum
-	}
-	// Degenerate middle: fall back to the global average.
-	var wTot, piTot float64
-	for i := range e.w {
-		wTot += e.w[i]
-		piTot += e.pi[i]
-	}
-	if piTot > 0 {
-		return wTot / piTot
-	}
-	return 0
 }
 
 func (e *medianBucketEstimator) Words() int { return len(e.w) }
@@ -361,7 +320,7 @@ func (e *medianBucketEstimator) SetState(v []float64) error {
 		return fmt.Errorf("core: bucket state length %d, want %d", len(v), len(e.w))
 	}
 	copy(e.w, v)
-	e.settle()
+	e.settled.Store(false)
 	return nil
 }
 
@@ -373,18 +332,8 @@ func (e *medianBucketEstimator) Merge(other Estimator) error {
 	for b, m := range o.w {
 		e.w[b] += m
 	}
-	e.settle()
+	e.settled.Store(false)
 	return nil
-}
-
-// settle brings the bucket order up to date after a bulk write of w:
-// one O(s) heap rebuild, or a re-sort at the next Bias.
-func (e *medianBucketEstimator) settle() {
-	if e.useHeap {
-		e.heap.Rebuild()
-	} else {
-		e.dirty = true
-	}
 }
 
 // defaultSampleCount is the paper's Θ(log n) sample size (Algorithm 1

@@ -237,29 +237,38 @@ func TestMeanEstimatorContaminated(t *testing.T) {
 	}
 }
 
-// The streaming Bias-Heap mode must agree with the sort-based recovery
-// on every point query when built from the same seed.
+// A replica read from its first update on keeps the Bias-Heap current
+// per update (Algorithm 5); one never read orders its buckets at the
+// first query (Algorithm 4). Both must agree with a sort of the bucket
+// masses, mid-stream and at the end, built from the same seed.
 func TestBiasHeapMatchesSort(t *testing.T) {
 	const n, k = 5000, 16
 	x := biasedGaussian(n, 77, 9, 13)
-	mkCfg := func(heap bool) L2Config {
-		return L2Config{N: n, K: k, UseBiasHeap: heap}
-	}
-	a := NewL2SR(mkCfg(false), rand.New(rand.NewSource(14)))
-	b := NewL2SR(mkCfg(true), rand.New(rand.NewSource(14)))
+	streamed := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(14)))
+	cold := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(14)))
+	streamed.Bias() // settle before the first update
 	for i, v := range x {
-		a.Update(i, v)
-		b.Update(i, v)
+		streamed.Update(i, v)
+		cold.Update(i, v)
 		if i%997 == 0 {
 			// Bias estimates must agree mid-stream, not just at the end.
-			if math.Abs(a.Bias()-b.Bias()) > 1e-9 {
-				t.Fatalf("bias diverged mid-stream at %d: sort %f heap %f", i, a.Bias(), b.Bias())
+			if got, want := streamed.Bias(), sortBiasOf(cold); math.Abs(got-want) > 1e-9 {
+				t.Fatalf("bias diverged mid-stream at %d: sort %f heap %f", i, want, got)
 			}
 		}
 	}
+	if !isSettled(streamed) || isSettled(cold) {
+		t.Fatal("reading one replica settled the other")
+	}
+	want := sortBiasOf(cold)
+	for name, l := range map[string]*L2SR{"streamed": streamed, "never read": cold} {
+		if got := l.Bias(); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("%s: bias %f, sort %f", name, got, want)
+		}
+	}
 	for i := 0; i < n; i += 31 {
-		if qa, qb := a.Query(i), b.Query(i); math.Abs(qa-qb) > 1e-9 {
-			t.Fatalf("query %d: sort %f != heap %f", i, qa, qb)
+		if qa, qb := cold.Query(i), streamed.Query(i); math.Abs(qa-qb) > 1e-9 {
+			t.Fatalf("query %d: never read %f != streamed %f", i, qa, qb)
 		}
 	}
 }
@@ -306,23 +315,21 @@ func TestMergeEqualsWhole(t *testing.T) {
 	})
 
 	t.Run("l2", func(t *testing.T) {
-		for _, heap := range []bool{false, true} {
-			cfg := L2Config{N: n, K: k, UseBiasHeap: heap}
-			whole := NewL2SR(cfg, rand.New(rand.NewSource(17)))
-			feed(whole, global)
-			merged := NewL2SR(cfg, rand.New(rand.NewSource(17)))
-			feed(merged, parts[0])
-			for p := 1; p < sites; p++ {
-				site := NewL2SR(cfg, rand.New(rand.NewSource(17)))
-				feed(site, parts[p])
-				if err := merged.MergeFrom(site); err != nil {
-					t.Fatalf("heap=%v: merge: %v", heap, err)
-				}
+		cfg := L2Config{N: n, K: k}
+		whole := NewL2SR(cfg, rand.New(rand.NewSource(17)))
+		feed(whole, global)
+		merged := NewL2SR(cfg, rand.New(rand.NewSource(17)))
+		feed(merged, parts[0])
+		for p := 1; p < sites; p++ {
+			site := NewL2SR(cfg, rand.New(rand.NewSource(17)))
+			feed(site, parts[p])
+			if err := merged.MergeFrom(site); err != nil {
+				t.Fatalf("merge: %v", err)
 			}
-			for i := 0; i < n; i += 53 {
-				if w, m := whole.Query(i), merged.Query(i); math.Abs(w-m) > 1e-6 {
-					t.Fatalf("heap=%v: query %d: whole %f merged %f", heap, i, w, m)
-				}
+		}
+		for i := 0; i < n; i += 53 {
+			if w, m := whole.Query(i), merged.Query(i); math.Abs(w-m) > 1e-6 {
+				t.Fatalf("query %d: whole %f merged %f", i, w, m)
 			}
 		}
 	})
@@ -351,7 +358,7 @@ func TestTurnstileCancellation(t *testing.T) {
 	const n, k = 2000, 8
 	x := biasedGaussian(n, 60, 5, 21)
 	l1 := NewL1SR(L1Config{N: n, K: k}, rand.New(rand.NewSource(22)))
-	l2 := NewL2SR(L2Config{N: n, K: k, UseBiasHeap: true}, rand.New(rand.NewSource(23)))
+	l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(23)))
 	for i, v := range x {
 		l1.Update(i, v)
 		l2.Update(i, v)
@@ -375,7 +382,7 @@ func TestTurnstileCancellation(t *testing.T) {
 func TestStreamingMidStreamQueries(t *testing.T) {
 	const n, k = 3000, 8
 	r := rand.New(rand.NewSource(24))
-	l2 := NewL2SR(L2Config{N: n, K: k, UseBiasHeap: true}, rand.New(rand.NewSource(25)))
+	l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(25)))
 	prefix := make([]float64, n)
 	for step := 0; step < 60000; step++ {
 		i := r.Intn(n)
@@ -467,34 +474,36 @@ func BenchmarkL1Update(b *testing.B) {
 	}
 }
 
-func BenchmarkL2UpdateHeap(b *testing.B) {
-	l := NewL2SR(L2Config{N: 1 << 20, K: 256, UseBiasHeap: true}, rand.New(rand.NewSource(1)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Update(i&(1<<20-1), 1)
+// BenchmarkL2Update streams updates into a replica that is never read
+// (it only adds into the bucket masses) and into one that was read
+// first (the Bias-Heap keeps its order per update).
+func BenchmarkL2Update(b *testing.B) {
+	for _, read := range []bool{false, true} {
+		name := "unsettled"
+		if read {
+			name = "settled"
+		}
+		b.Run(name, func(b *testing.B) {
+			l := NewL2SR(L2Config{N: 1 << 20, K: 256}, rand.New(rand.NewSource(1)))
+			if read {
+				l.Bias()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Update(i&(1<<20-1), 1)
+			}
+		})
 	}
 }
 
-func BenchmarkL2QueryHeap(b *testing.B) {
-	l := NewL2SR(L2Config{N: 1 << 18, K: 256, UseBiasHeap: true}, rand.New(rand.NewSource(1)))
-	for i := 0; i < 1<<18; i++ {
-		l.Update(i, 100)
-	}
-	// Warm the ψ caches once so the benchmark measures queries.
-	l.Query(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Query(i & (1<<18 - 1))
-	}
-}
-
-func BenchmarkL2QuerySort(b *testing.B) {
+func BenchmarkL2Query(b *testing.B) {
 	l := NewL2SR(L2Config{N: 1 << 18, K: 256}, rand.New(rand.NewSource(1)))
 	for i := 0; i < 1<<18; i++ {
 		l.Update(i, 100)
 	}
+	// Settle the replica and warm the ψ caches once so the benchmark
+	// measures queries.
 	l.Query(0)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -11,10 +11,7 @@ import (
 // read the bias estimate and point queries in real time.
 func ExampleL2SR() {
 	const n = 100_000
-	l2 := core.NewL2SR(core.L2Config{
-		N: n, K: 1024,
-		UseBiasHeap: true, // streaming mode: O(log s) updates, O(1) bias
-	}, rand.New(rand.NewSource(7)))
+	l2 := core.NewL2SR(core.L2Config{N: n, K: 1024}, rand.New(rand.NewSource(7)))
 
 	// Every key carries ~500 units (the bias); key 42 is an outlier.
 	r := rand.New(rand.NewSource(8))

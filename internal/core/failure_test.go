@@ -101,7 +101,7 @@ func TestInfinityStyleOutliers(t *testing.T) {
 func TestTinyDimensions(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5} {
 		l1 := NewL1SR(L1Config{N: n, K: 1, SampleCount: 5}, rand.New(rand.NewSource(6)))
-		l2 := NewL2SR(L2Config{N: n, K: 1, UseBiasHeap: true}, rand.New(rand.NewSource(7)))
+		l2 := NewL2SR(L2Config{N: n, K: 1}, rand.New(rand.NewSource(7)))
 		for i := 0; i < n; i++ {
 			l1.Update(i, float64(10*i))
 			l2.Update(i, float64(10*i))
@@ -150,7 +150,7 @@ func TestStateRoundTrip(t *testing.T) {
 	})
 
 	t.Run("l2-heap", func(t *testing.T) {
-		cfg := L2Config{N: n, K: k, UseBiasHeap: true}
+		cfg := L2Config{N: n, K: k}
 		a := NewL2SR(cfg, rand.New(rand.NewSource(12)))
 		feed(a, x)
 		b := NewL2SR(cfg, rand.New(rand.NewSource(12)))

@@ -26,15 +26,6 @@ type L2Config struct {
 	// EstimatorSampledMedian is available for the ablation study.
 	Estimator EstimatorKind
 
-	// UseBiasHeap selects the streaming implementation of the
-	// median-bucket estimator (Algorithms 5–6, O(log s) maintenance
-	// per update, O(1) per bias query) instead of the sort-at-query
-	// recovery of Algorithm 4. A merge or a restore rebuilds the heap
-	// once in O(s) instead of updating it bucket by bucket. Both
-	// estimators find the same middle buckets; on exact sums they
-	// produce identical estimates (TestBiasHeapMatchesSort).
-	UseBiasHeap bool
-
 	// SampleCount is used only with EstimatorSampledMedian.
 	SampleCount int
 }
@@ -89,11 +80,14 @@ func (c L2Config) Validate() error {
 // then de-biases the CS rows by β̂·ψ and runs the Count-Sketch
 // reconstruction, adding β̂ back.
 //
-// With UseBiasHeap the bucket ordering is maintained incrementally by
-// the Bias-Heap (Algorithms 5–6), making every point query O(d) after
-// O(log s) per update — the paper's real-time streaming mode. MergeFrom
-// and UnmarshalState change every bucket at once, so they rebuild the
-// heap in O(s) instead.
+// The median-bucket estimator orders the buckets in a Bias-Heap on
+// the first read, in O(s). From then on the heap keeps the order per
+// update (Algorithms 5–6): O(log s) per update and O(1) per β̂ — the
+// paper's real-time streaming mode. Until that first read, and again
+// after MergeFrom or UnmarshalState, an update only adds into its
+// bucket, so a replica that is only written and merged never orders.
+// Either way the middle buckets are the same, and on exact sums so is
+// every answer.
 type L2SR struct {
 	b   *L2Basis
 	cs  *sketch.CountSketch

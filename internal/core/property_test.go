@@ -64,12 +64,16 @@ func TestLinearityProperty(t *testing.T) {
 		})
 
 		seedL2 := r.Int63()
-		heap := r.Intn(2) == 0
+		read := r.Intn(2) == 0 // settle each replica before its first update
 		okL2 := check(func() interface {
 			Update(int, float64)
 			Query(int) float64
 		} {
-			return NewL2SR(L2Config{N: n, K: k, UseBiasHeap: heap}, rand.New(rand.NewSource(seedL2)))
+			l := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(seedL2)))
+			if read {
+				l.Bias()
+			}
+			return l
 		}, func(a, b interface{}) error {
 			return a.(*L2SR).MergeFrom(b.(*L2SR))
 		})
@@ -121,7 +125,7 @@ func TestQueryIdempotenceProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 50 + r.Intn(500)
 		l1 := NewL1SR(L1Config{N: n, K: 2, SampleCount: 8}, rand.New(rand.NewSource(seed+1)))
-		l2 := NewL2SR(L2Config{N: n, K: 2, UseBiasHeap: true}, rand.New(rand.NewSource(seed+2)))
+		l2 := NewL2SR(L2Config{N: n, K: 2}, rand.New(rand.NewSource(seed+2)))
 		for u := 0; u < 300; u++ {
 			i, d := r.Intn(n), float64(r.Intn(9)-4)
 			l1.Update(i, d)

@@ -28,8 +28,11 @@ func queryBatchCases() []struct {
 		{"l1sr", func(seed int64) biasBatchQuerier {
 			return NewL1SR(L1Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
 		}},
+		// l2sr-heap is read before its first update, so its Bias-Heap
+		// keeps the order per update (Algorithm 5); l2sr-sort is first
+		// read by the test and orders its buckets then (Algorithm 4).
 		{"l2sr-heap", func(seed int64) biasBatchQuerier {
-			return NewL2SR(L2Config{N: n, K: 64, UseBiasHeap: true}, rand.New(rand.NewSource(seed)))
+			return settledL2SR(L2Config{N: n, K: 64}, seed)
 		}},
 		{"l2sr-sort", func(seed int64) biasBatchQuerier {
 			return NewL2SR(L2Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
@@ -78,7 +81,7 @@ func TestBiasAwareQueryBatchMatchesElementwise(t *testing.T) {
 // An invalid query batch panics before out is written, and querying —
 // batched or not — leaves the bias estimate untouched.
 func TestBiasAwareQueryBatchValidates(t *testing.T) {
-	l2 := NewL2SR(L2Config{N: 100, K: 4, UseBiasHeap: true}, rand.New(rand.NewSource(83)))
+	l2 := NewL2SR(L2Config{N: 100, K: 4}, rand.New(rand.NewSource(83)))
 	for i := 0; i < 100; i++ {
 		l2.Update(i, 5)
 	}
@@ -107,40 +110,81 @@ func TestBiasAwareQueryBatchValidates(t *testing.T) {
 }
 
 // Concurrent QueryBatch on a quiescent sketch must be safe even when
-// the lazy query caches (the basis's π/ψ, the sort-estimator bias
-// cache) are still cold: the first readers build them once and all
-// readers agree. Exercised under -race.
+// its lazy read state is still cold — the basis's π/ψ, and for ℓ2-S/R
+// the Bias-Heap's order, which a merge or a restore also discards: the
+// first readers build it once and all readers agree. Exercised under
+// -race.
 func TestConcurrentColdCacheQueryBatch(t *testing.T) {
 	const n = 10000
+	// feed writes the test's updates into sk and returns the keys to
+	// read.
+	feed := func(sk biasBatchQuerier) []int {
+		r := rand.New(rand.NewSource(92))
+		for u := 0; u < 10000; u++ {
+			sk.Update(r.Intn(n), float64(r.Intn(5)))
+		}
+		idx := make([]int, 200)
+		for j := range idx {
+			idx[j] = r.Intn(n)
+		}
+		return idx
+	}
 	for _, tc := range queryBatchCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			sk := tc.mk(91)
-			r := rand.New(rand.NewSource(92))
-			for u := 0; u < 10000; u++ {
-				sk.Update(r.Intn(n), float64(r.Intn(5)))
-			}
-			idx := make([]int, 200)
-			for j := range idx {
-				idx[j] = r.Intn(n)
-			}
-			done := make(chan []float64, 4)
-			for g := 0; g < 4; g++ {
-				go func() {
-					out := make([]float64, len(idx))
-					sk.QueryBatch(idx, out)
-					done <- out
-				}()
-			}
-			first := <-done
-			for g := 1; g < 4; g++ {
-				out := <-done
-				for j := range idx {
-					if out[j] != first[j] {
-						t.Fatalf("cold-cache readers diverged at %d: %v vs %v", idx[j], out[j], first[j])
-					}
-				}
-			}
+			readConcurrently(t, sk, feed(sk), nil)
 		})
+	}
+	// A replica that was read, then merged into or restored, is
+	// unsettled again: its readers settle it once and answer like the
+	// replica whose state it took.
+	for _, how := range []string{"l2sr-merged", "l2sr-restored"} {
+		t.Run(how, func(t *testing.T) {
+			b := NewL2Basis(L2Config{N: n, K: 64}, rand.New(rand.NewSource(91)))
+			src, dst := b.New(), b.New()
+			idx := feed(src)
+			dst.Bias()
+			var err error
+			if how == "l2sr-merged" {
+				err = dst.MergeFrom(src)
+			} else {
+				err = dst.UnmarshalState(src.MarshalState())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]float64, len(idx))
+			src.QueryBatch(idx, want)
+			readConcurrently(t, dst, idx, want)
+		})
+	}
+}
+
+// readConcurrently runs QueryBatch(idx) on sk from four goroutines at
+// once and fails unless they all agree bit for bit, with want too when
+// it is not nil.
+func readConcurrently(t *testing.T, sk biasBatchQuerier, idx []int, want []float64) {
+	t.Helper()
+	const readers = 4
+	done := make(chan []float64, readers)
+	for g := 0; g < readers; g++ {
+		go func() {
+			out := make([]float64, len(idx))
+			sk.QueryBatch(idx, out)
+			done <- out
+		}()
+	}
+	for g := 0; g < readers; g++ {
+		out := <-done
+		if want == nil {
+			want = out
+			continue
+		}
+		for j := range idx {
+			if math.Float64bits(out[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("cold-cache readers diverged at %d: %v vs %v", idx[j], out[j], want[j])
+			}
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 func TestHeapRebuildMatchesWhole(t *testing.T) {
 	const n, updates = 1 << 14, 30000
 	for _, k := range []int{16, 1024} { // s = 4k = 64 and 4096
-		b := NewL2Basis(L2Config{N: n, K: k, UseBiasHeap: true}, rand.New(rand.NewSource(51)))
+		b := NewL2Basis(L2Config{N: n, K: k}, rand.New(rand.NewSource(51)))
 		whole := b.New()
 		sites := []*L2SR{b.New(), b.New(), b.New()}
 		r := rand.New(rand.NewSource(52))

@@ -105,22 +105,31 @@ func TestTailEstimateUnsupportedEstimators(t *testing.T) {
 	}
 }
 
-// Heap and sort modes must report identical tail estimates (the
-// estimator state is identical; only bias maintenance differs).
+// A streamed replica, which keeps the Bias-Heap current per update,
+// and a never-read one, which orders its buckets at the first query,
+// report the tail estimate at the sort oracle's β̂: their bucket masses
+// are the same, and only when the order was found differs.
 func TestTailEstimateHeapMatchesSort(t *testing.T) {
 	const n, k = 5000, 16
 	x := biasedGaussian(n, 60, 8, 11)
-	a := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(12)))
-	b := NewL2SR(L2Config{N: n, K: k, UseBiasHeap: true}, rand.New(rand.NewSource(12)))
-	feed(a, x)
-	feed(b, x)
-	ea, oka := a.TailEstimate()
-	eb, okb := b.TailEstimate()
-	if !oka || !okb {
-		t.Fatal("unsupported")
+	streamed := settledL2SR(L2Config{N: n, K: k}, 12)
+	cold := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(12)))
+	feed(streamed, x)
+	feed(cold, x)
+	e := cold.est.(*medianBucketEstimator)
+	sigma2, ok := e.tailSigma2(sortBias(e.w, e.pi, e.k))
+	if !ok {
+		t.Fatal("oracle: no tail estimate")
 	}
-	if math.Abs(ea-eb) > 1e-9 {
-		t.Errorf("tail estimates differ: sort %f heap %f", ea, eb)
+	want := math.Sqrt(n * sigma2)
+	for name, l := range map[string]*L2SR{"streamed": streamed, "never read": cold} {
+		got, ok := l.TailEstimate()
+		if !ok {
+			t.Fatalf("%s: unsupported", name)
+		}
+		if math.Abs(got-want) > 1e-9 {
+			t.Errorf("%s: tail estimate %f, sort %f", name, got, want)
+		}
 	}
 }
 

@@ -95,7 +95,9 @@ func (h Pairwise) HashMany(xs []int, out []int) {
 
 // HashRange writes Hash(lo+j) into out[j] for every j — the kernel of
 // scans over a run of consecutive keys. From one key to the next,
-// (a·x + b) mod p steps by adding a instead of multiplying, so every
+// v = (a·x + b) mod p steps by adding a instead of multiplying, and
+// r = v mod Range steps with it: by a mod Range, or by (a − p) mod
+// Range when v wraps past p. So one division starts the run, and every
 // value is exactly Hash's.
 //
 //sketch:hotpath
@@ -105,9 +107,19 @@ func (h Pairwise) HashRange(lo uint64, out []int) {
 	}
 	a, rng := h.A, h.Range
 	v := addModP(mulModP(a, lo), h.B)
+	r := v % rng
+	step := a % rng
+	wrapStep := (step + rng - MersennePrime%rng) % rng
 	for j := range out {
-		out[j] = int(v % rng)
-		v = addModP(v, a)
+		out[j] = int(r)
+		d := step
+		if v += a; v >= MersennePrime {
+			v -= MersennePrime
+			d = wrapStep
+		}
+		if r += d; r >= rng {
+			r -= rng
+		}
 	}
 }
 

@@ -380,6 +380,32 @@ func TestHashRangeMatchesHash(t *testing.T) {
 			}
 		}
 	}
+	// The remainder steps by a mod Range, or by (a − p) mod Range on a
+	// wrap past p: the largest step (every key wraps), the smallest
+	// (a wrap right after the first key), and ranges that divide p + 1,
+	// share no factor with it, or exceed 32 bits.
+	const p = MersennePrime
+	for _, rng := range []uint64{1, 2, 4096, 1<<16 + 1, 1_000_003, 1<<32 + 5} {
+		for _, c := range []struct{ a, b, lo uint64 }{
+			{p - 1, 0, 0},
+			{p - 1, 12345, 7},
+			{1, p - 1, 0},
+			{1, p - 2, 1 << 20},
+			{r.Uint64() % p, r.Uint64() % p, uint64(r.Int63n(1 << 40))},
+		} {
+			if c.a == 0 {
+				c.a = 1
+			}
+			h := Pairwise{A: c.a, B: c.b, Range: rng}
+			out := make([]int, 3000)
+			h.HashRange(c.lo, out)
+			for j, v := range out {
+				if want := h.Hash(c.lo + uint64(j)); v != want {
+					t.Fatalf("a=%d b=%d range=%d lo=%d: HashRange[%d] = %d, Hash = %d", c.a, c.b, rng, c.lo, j, v, want)
+				}
+			}
+		}
+	}
 	// An empty run is a no-op, not a panic.
 	must(NewPairwise(r, 16)).HashRange(5, nil)
 }
@@ -414,5 +440,15 @@ func BenchmarkPairwiseHashMany(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.HashMany(xs, out)
+	}
+}
+
+func BenchmarkPairwiseHashRange(b *testing.B) {
+	h := must(NewPairwise(rand.New(rand.NewSource(1)), 4096))
+	out := make([]int, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.HashRange(uint64(i)<<10, out)
 	}
 }

@@ -21,7 +21,7 @@ func plant(n int, seed int64, outliers map[int]float64) []float64 {
 }
 
 func buildL2(x []float64, k int, seed int64) *core.L2SR {
-	l2 := core.NewL2SR(core.L2Config{N: len(x), K: k, UseBiasHeap: true},
+	l2 := core.NewL2SR(core.L2Config{N: len(x), K: k},
 		rand.New(rand.NewSource(seed)))
 	sketch.SketchVector(l2, x)
 	return l2

@@ -47,8 +47,13 @@ var propertySketches = []struct {
 	{"l1sr", func(n, k, d int, r *rand.Rand) updater {
 		return core.NewL1SR(core.L1Config{N: n, K: k, Depth: d}, r)
 	}},
+	// l2sr-heap is read before its first update, so its Bias-Heap keeps
+	// the order per update; l2sr-sort orders its buckets at the first
+	// scan.
 	{"l2sr-heap", func(n, k, d int, r *rand.Rand) updater {
-		return core.NewL2SR(core.L2Config{N: n, K: k, Depth: d, UseBiasHeap: true}, r)
+		l := core.NewL2SR(core.L2Config{N: n, K: k, Depth: d}, r)
+		l.Bias()
+		return l
 	}},
 	{"l2sr-sort", func(n, k, d int, r *rand.Rand) updater {
 		return core.NewL2SR(core.L2Config{N: n, K: k, Depth: d}, r)

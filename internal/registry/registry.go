@@ -288,7 +288,7 @@ func init() {
 		Name: L2SR, Legend: "l2-S/R", Aliases: []string{"l2-sr", "l2s/r"},
 		Linear: true, Bias: true,
 		New: func(sh Shape) (sketch.Sketch, error) {
-			cfg := core.L2Config{N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, UseBiasHeap: true}
+			cfg := core.L2Config{N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D}
 			return sharedBasis(L2SR, sh, cfg, core.NewL2Basis).New(), nil
 		},
 	})

@@ -410,7 +410,7 @@ func TestRotationRace(t *testing.T) {
 func TestL2SRWindowMatchesLiveRecount(t *testing.T) {
 	const n = 2000
 	mk := func() *core.L2SR {
-		return core.NewL2SR(core.L2Config{N: n, K: 64, UseBiasHeap: true},
+		return core.NewL2SR(core.L2Config{N: n, K: 64},
 			rand.New(rand.NewSource(5)))
 	}
 	merge := func(dst, src *core.L2SR) error { return dst.MergeFrom(src) }
