@@ -233,7 +233,7 @@ func BenchmarkAblationBiasEstimator(b *testing.B) {
 	} {
 		b.Run(est.name, func(b *testing.B) {
 			for it := 0; it < b.N; it++ {
-				l2 := core.NewL2SR(core.L2Config{
+				l2 := core.NewL2SR(core.Config{
 					N: n, K: k, Estimator: est.kind, SampleCount: 4 * k,
 				}, rand.New(rand.NewSource(int64(it+4))))
 				sketch.SketchVector(l2, x)
@@ -258,7 +258,7 @@ func BenchmarkAblationCs(b *testing.B) {
 		}
 		b.Run(map[int]string{4: "cs4", 8: "cs8", 16: "cs16"}[cs], func(b *testing.B) {
 			for it := 0; it < b.N; it++ {
-				l2 := core.NewL2SR(core.L2Config{N: n, K: k, Cs: cs, Depth: d},
+				l2 := core.NewL2SR(core.Config{N: n, K: k, Cs: cs, Depth: d},
 					rand.New(rand.NewSource(int64(it+6))))
 				sketch.SketchVector(l2, x)
 				b.ReportMetric(vecmath.AvgAbsErr(x, sketch.Recover(l2)), "avgerr")
@@ -287,7 +287,7 @@ func BenchmarkAblationSampleCount(b *testing.B) {
 	} {
 		b.Run(sc.name, func(b *testing.B) {
 			for it := 0; it < b.N; it++ {
-				l1 := core.NewL1SR(core.L1Config{N: n, K: k, SampleCount: sc.count},
+				l1 := core.NewL1SR(core.Config{N: n, K: k, SampleCount: sc.count},
 					rand.New(rand.NewSource(int64(it+9))))
 				sketch.SketchVector(l1, x)
 				b.ReportMetric(l1.Bias()-100, "bias-err")

@@ -425,14 +425,13 @@ func TestUnmarshalRejectsTrailingGarbage(t *testing.T) {
 	if _, err := repro.Unmarshal(data); err != nil {
 		t.Fatal(err)
 	}
-	// Streams are different: UnmarshalFrom leaves the next frame
-	// readable.
+	// Streams are different: Decode leaves the next frame readable.
 	double := append(append([]byte(nil), data...), data...)
 	r := bytes.NewReader(double)
-	if _, err := repro.UnmarshalFrom(r); err != nil {
+	if _, err := repro.Decode(r); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := repro.UnmarshalFrom(r); err != nil {
+	if _, err := repro.Decode(r); err != nil {
 		t.Fatalf("second frame unreadable: %v", err)
 	}
 }

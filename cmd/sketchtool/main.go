@@ -11,7 +11,7 @@
 // Algorithms are the repro.New registry names (l1sr, l2sr, l1mean,
 // l2mean, countmin, countmedian, countsketch, cmcu, cmlcu, dengrafiei)
 // or the paper's legend aliases (cm, cs, ...). -save writes the sketch
-// in the repro wire format; repro.UnmarshalFrom loads it back.
+// in the repro wire format (repro.Encode); repro.Decode loads it back.
 package main
 
 import (
@@ -86,7 +86,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		defer f.Close()
-		if err := repro.MarshalTo(f, sk); err != nil {
+		if err := repro.Encode(f, sk); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "saved sketch to %s\n", *save)

@@ -65,7 +65,7 @@ func TestRunSaveProducesLoadableSketch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	sk, err := repro.UnmarshalFrom(f)
+	sk, err := repro.Decode(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -293,6 +293,39 @@ func TestNewEnforcesWireFormatBounds(t *testing.T) {
 	}
 }
 
+// A sampled l1sr coordinate that absorbs +Inf and then −Inf holds NaN.
+// The live sketch must keep its sampled median in step with its values
+// when that coordinate changes again, so it answers the same β̂ as a
+// twin restored from its bytes, bit for bit.
+func TestL1SRBiasSurvivesInfPair(t *testing.T) {
+	sk := mustNew(t, "l1sr", repro.WithDim(64), repro.WithWords(256), repro.WithDepth(5))
+	// 256 samples over 64 keys: key 47 is sampled at this seed, and the
+	// updates below reach it again.
+	if err := repro.UpdateBatch(sk, []int{47, 47}, []float64{math.Inf(1), math.Inf(-1)}); err != nil {
+		t.Fatal(err)
+	}
+	fill(sk, 192, 9)
+	data, err := repro.Marshal(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := repro.Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := repro.Bias(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := repro.Bias(twin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(live) != math.Float64bits(restored) {
+		t.Errorf("live β̂ = %v, restored twin's = %v", live, restored)
+	}
+}
+
 func TestBiasHelpers(t *testing.T) {
 	l2 := mustNew(t, "l2sr", repro.WithDim(1000), repro.WithWords(256), repro.WithDepth(5))
 	for i := 0; i < 1000; i++ {

@@ -19,9 +19,9 @@ func TestCheckpointRestoreShards(t *testing.T) {
 	}
 
 	// Capture: clone each shard (the codec serializes instead).
-	var states []*core.L2SR
+	var states []*core.SR
 	var epochs []uint64
-	err := src.CheckpointShards(func(i int, epoch uint64, sk *core.L2SR) error {
+	err := src.CheckpointShards(func(i int, epoch uint64, sk *core.SR) error {
 		cp := mkL2(9)()
 		if err := cp.MergeFrom(sk); err != nil {
 			return err
@@ -43,7 +43,7 @@ func TestCheckpointRestoreShards(t *testing.T) {
 	}
 
 	dst := New(3, mkL2(9), mergeL2)
-	err = dst.RestoreShards(func(i int, sk *core.L2SR) (uint64, error) {
+	err = dst.RestoreShards(func(i int, sk *core.SR) (uint64, error) {
 		return epochs[i], sk.MergeFrom(states[i])
 	})
 	if err != nil {
@@ -52,7 +52,7 @@ func TestCheckpointRestoreShards(t *testing.T) {
 
 	// Epochs restored verbatim.
 	var gotEpochs []uint64
-	_ = dst.CheckpointShards(func(i int, epoch uint64, _ *core.L2SR) error {
+	_ = dst.CheckpointShards(func(i int, epoch uint64, _ *core.SR) error {
 		gotEpochs = append(gotEpochs, epoch)
 		return nil
 	})
@@ -101,7 +101,7 @@ func TestRestoreShardsResetsSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := mkL2(11)().MarshalState()
-	err := s.RestoreShards(func(i int, sk *core.L2SR) (uint64, error) {
+	err := s.RestoreShards(func(i int, sk *core.SR) (uint64, error) {
 		return 0, sk.UnmarshalState(empty) // empty state, never written
 	})
 	if err != nil {
@@ -122,7 +122,7 @@ func TestCheckpointRestoreErrorsPropagate(t *testing.T) {
 	s := New(2, mkL2(12), mergeL2)
 	s.Update(0, 1, 1)
 	boom := errors.New("boom")
-	if err := s.CheckpointShards(func(i int, _ uint64, _ *core.L2SR) error {
+	if err := s.CheckpointShards(func(i int, _ uint64, _ *core.SR) error {
 		if i == 1 {
 			return boom
 		}
@@ -130,7 +130,7 @@ func TestCheckpointRestoreErrorsPropagate(t *testing.T) {
 	}); !errors.Is(err, boom) {
 		t.Fatalf("checkpoint error = %v", err)
 	}
-	if err := s.RestoreShards(func(i int, _ *core.L2SR) (uint64, error) {
+	if err := s.RestoreShards(func(i int, _ *core.SR) (uint64, error) {
 		if i == 1 {
 			return 0, boom
 		}
@@ -167,7 +167,7 @@ func TestCheckpointUnderWriters(t *testing.T) {
 	}
 	for k := 0; k < 30; k++ {
 		prev := make([]uint64, 0, 4)
-		err := s.CheckpointShards(func(i int, epoch uint64, sk *core.L2SR) error {
+		err := s.CheckpointShards(func(i int, epoch uint64, sk *core.SR) error {
 			prev = append(prev, epoch)
 			_ = sk.Query(5)
 			return nil

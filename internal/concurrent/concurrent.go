@@ -33,9 +33,10 @@ import (
 	"sync/atomic"
 )
 
-// Mergeable is the sketch surface sharding needs: streaming updates,
-// point queries, and linear merge. core.L1SR and core.L2SR satisfy it
-// via small adapters (see MergeFunc), as do the linear baselines.
+// Mergeable is the sketch surface sharding needs: streaming updates
+// and point queries. core.SR and the linear baselines satisfy it. The
+// merge itself is the rule New takes, such as a replica's MergeFrom or
+// registry.Merge.
 type Mergeable interface {
 	Update(i int, delta float64)
 	Query(i int) float64
@@ -210,9 +211,14 @@ func (sn *Snapshot[S]) QueryBatch(idx []int, out []float64) {
 // Stale reports whether any shard has absorbed writes since this
 // snapshot was published — an atomic epoch comparison, no locks. A
 // false result is momentary under concurrent writers.
-func (sn *Snapshot[S]) Stale() bool {
-	for i := range sn.owner.shards {
-		if sn.owner.shards[i].epoch.Load() != sn.epochs[i] {
+func (sn *Snapshot[S]) Stale() bool { return sn.owner.Moved(sn.epochs) }
+
+// Moved reports whether any shard has absorbed writes since MergeInto
+// returned epochs — an atomic epoch comparison, no locks. A false
+// result is momentary under concurrent writers.
+func (s *Sharded[S]) Moved(epochs []uint64) bool {
+	for i := range s.shards {
+		if s.shards[i].epoch.Load() != epochs[i] {
 			return true
 		}
 	}
@@ -280,20 +286,32 @@ func (s *Sharded[S]) Merged() (S, error) {
 	return out, err
 }
 
-// sum merges every shard, in shard order, into one fresh replica and
-// returns it with the epoch each shard was merged at.
+// sum merges every shard into one fresh replica and returns it with
+// the epoch each shard was merged at.
 func (s *Sharded[S]) sum() (S, []uint64, error) {
 	out := s.mk()
+	epochs, err := s.MergeInto(out)
+	if err != nil {
+		var zero S
+		return zero, nil, err
+	}
+	return out, epochs, nil
+}
+
+// MergeInto merges every shard, in shard order, into the caller's
+// replica out and returns the epoch each shard was merged at, for
+// Moved. Each shard is locked briefly, one at a time, so a writer
+// stalls for at most one merge.
+func (s *Sharded[S]) MergeInto(out S) ([]uint64, error) {
 	epochs := make([]uint64, len(s.shards))
 	for i := range s.shards {
 		epoch, err := s.mergeShard(out, i)
 		if err != nil {
-			var zero S
-			return zero, nil, fmt.Errorf("concurrent: merging shard %d: %w", i, err)
+			return nil, fmt.Errorf("concurrent: merging shard %d: %w", i, err)
 		}
 		epochs[i] = epoch
 	}
-	return out, epochs, nil
+	return epochs, nil
 }
 
 // mergeShard folds shard idx into out and returns the epoch of the

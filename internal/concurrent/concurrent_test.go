@@ -12,14 +12,14 @@ import (
 	"repro/internal/sketch"
 )
 
-func mkL2(seed int64) func() *core.L2SR {
-	return func() *core.L2SR {
-		return core.NewL2SR(core.L2Config{N: 10000, K: 64},
+func mkL2(seed int64) func() *core.SR {
+	return func() *core.SR {
+		return core.NewL2SR(core.Config{N: 10000, K: 64},
 			rand.New(rand.NewSource(seed)))
 	}
 }
 
-func mergeL2(dst, src *core.L2SR) error { return dst.MergeFrom(src) }
+func mergeL2(dst, src *core.SR) error { return dst.MergeFrom(src) }
 
 func TestNewPanicsOnBadShards(t *testing.T) {
 	defer func() {
@@ -169,9 +169,9 @@ func TestShardedCountSketch(t *testing.T) {
 // silent corruption.
 func TestMergeErrorSurfaces(t *testing.T) {
 	seed := int64(0)
-	mk := func() *core.L2SR {
+	mk := func() *core.SR {
 		seed++
-		return core.NewL2SR(core.L2Config{N: 100, K: 4}, rand.New(rand.NewSource(seed)))
+		return core.NewL2SR(core.Config{N: 100, K: 4}, rand.New(rand.NewSource(seed)))
 	}
 	sh := New(2, mk, mergeL2)
 	sh.Update(0, 1, 1)

@@ -35,7 +35,7 @@ func allocCoreBatch(r *rand.Rand) (idx []int, deltas, out []float64) {
 func TestL1SRQueryBatchAllocFree(t *testing.T) {
 	for _, est := range []EstimatorKind{EstimatorSampledMedian, EstimatorMean} {
 		r := rand.New(rand.NewSource(11))
-		l := NewL1SR(L1Config{N: allocDim, K: 16, Estimator: est}, r)
+		l := NewL1SR(Config{N: allocDim, K: 16, Estimator: est}, r)
 		idx, deltas, out := allocCoreBatch(r)
 		l.UpdateBatch(idx, deltas)
 		l.QueryBatch(idx, out) // warm-up: primes the scratch pool
@@ -47,7 +47,7 @@ func TestL1SRQueryBatchAllocFree(t *testing.T) {
 
 func TestL2SRQueryBatchAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	l := NewL2SR(L2Config{N: allocDim, K: 16}, r)
+	l := NewL2SR(Config{N: allocDim, K: 16}, r)
 	idx, deltas, out := allocCoreBatch(r)
 	l.UpdateBatch(idx, deltas)
 	l.QueryBatch(idx, out)
@@ -60,7 +60,7 @@ func TestL2SRQueryBatchAllocFree(t *testing.T) {
 // (TestL2SRSettleAllocFree) re-seat buckets without allocating.
 func TestL2SRUpdateBatchAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	l := NewL2SR(L2Config{N: allocDim, K: 16}, r)
+	l := NewL2SR(Config{N: allocDim, K: 16}, r)
 	idx, deltas, _ := allocCoreBatch(r)
 	l.UpdateBatch(idx, deltas)
 	if n := testing.AllocsPerRun(50, func() { l.UpdateBatch(idx, deltas) }); n != 0 {
@@ -73,7 +73,7 @@ func TestL2SRUpdateBatchAllocFree(t *testing.T) {
 // which unsettles the replica, rebuilds the heap in place.
 func TestL2SRSettleAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	b := NewL2Basis(L2Config{N: allocDim, K: 16}, r)
+	b := NewL2Basis(Config{N: allocDim, K: 16}, r)
 	l, empty := b.New(), b.New()
 	idx, deltas, out := allocCoreBatch(r)
 	l.UpdateBatch(idx, deltas)
@@ -101,7 +101,7 @@ func TestL2SRSettleAllocFree(t *testing.T) {
 // full coverage of the estimator-free path, the mean estimator).
 func TestL1SRUpdateBatchAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	l := NewL1SR(L1Config{N: allocDim, K: 16}, r)
+	l := NewL1SR(Config{N: allocDim, K: 16}, r)
 	sampled := l.est.(*sampleMedianEstimator).bySource
 	idx := make([]int, 0, allocBatch)
 	deltas := make([]float64, 0, allocBatch)
@@ -119,7 +119,7 @@ func TestL1SRUpdateBatchAllocFree(t *testing.T) {
 	}
 
 	rm := rand.New(rand.NewSource(11))
-	lm := NewL1SR(L1Config{N: allocDim, K: 16, Estimator: EstimatorMean}, rm)
+	lm := NewL1SR(Config{N: allocDim, K: 16, Estimator: EstimatorMean}, rm)
 	midx, mdeltas, _ := allocCoreBatch(rm)
 	lm.UpdateBatch(midx, mdeltas)
 	if n := testing.AllocsPerRun(50, func() { lm.UpdateBatch(midx, mdeltas) }); n != 0 {
@@ -132,8 +132,8 @@ func TestL1SRUpdateBatchAllocFree(t *testing.T) {
 // that answers the whole range.
 func TestScanRangeAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
-	l1 := NewL1SR(L1Config{N: allocDim, K: 16}, r)
-	l2 := NewL2SR(L2Config{N: allocDim, K: 16}, r)
+	l1 := NewL1SR(Config{N: allocDim, K: 16}, r)
+	l2 := NewL2SR(Config{N: allocDim, K: 16}, r)
 	idx, deltas, _ := allocCoreBatch(r)
 	idx[0], deltas[0] = 3, 1e5
 	l1.UpdateBatch(idx, deltas)

@@ -10,7 +10,7 @@ import (
 // CM-matrix each have exactly one 1), and replicas of one basis share
 // one π, counted once.
 func TestColumnCountsSumToN(t *testing.T) {
-	b := NewL1Basis(L1Config{N: 5000, K: 16, Depth: 4}, rand.New(rand.NewSource(1)))
+	b := NewL1Basis(Config{N: 5000, K: 16, Depth: 4}, rand.New(rand.NewSource(1)))
 	for tr, pi := range b.columnSums() {
 		if len(pi) != 64 {
 			t.Fatalf("row %d: len(pi) = %d, want 64", tr, len(pi))
@@ -34,7 +34,7 @@ func TestColumnCountsSumToN(t *testing.T) {
 // π must agree with the basis's row hashes: coordinate i lands in
 // bucket h_t(i), and that bucket's π counts it.
 func TestColumnCountsMatchBucketIndex(t *testing.T) {
-	b := NewL1Basis(L1Config{N: 300, K: 4, Depth: 3}, rand.New(rand.NewSource(2)))
+	b := NewL1Basis(Config{N: 300, K: 4, Depth: 3}, rand.New(rand.NewSource(2)))
 	for tr, pi := range b.columnSums() {
 		counts := make([]float64, len(pi))
 		for i := 0; i < 300; i++ {
@@ -52,13 +52,13 @@ func TestColumnCountsMatchBucketIndex(t *testing.T) {
 // of a replica: Π(h)·1 = π by definition.
 func TestColumnCountsViaAllOnes(t *testing.T) {
 	const n = 1000
-	l := NewL1SR(L1Config{N: n, K: 8, Depth: 5}, rand.New(rand.NewSource(3)))
+	l := NewL1SR(Config{N: n, K: 8, Depth: 5}, rand.New(rand.NewSource(3)))
 	for i := 0; i < n; i++ {
 		l.Update(i, 1)
 	}
 	for tr, pi := range l.b.columnSums() {
 		for bk, want := range pi {
-			if got := l.cm.Row(tr)[bk]; got != want {
+			if got := l.rows[tr][bk]; got != want {
 				t.Fatalf("row %d bucket %d: Π·1 = %f != π = %f", tr, bk, got, want)
 			}
 		}
@@ -69,7 +69,7 @@ func TestColumnCountsViaAllOnes(t *testing.T) {
 // replicas of one basis share one ψ.
 func TestSignedColumnSumsViaAllOnes(t *testing.T) {
 	const n = 1000
-	b := NewL2Basis(L2Config{N: n, K: 8, Depth: 5}, rand.New(rand.NewSource(4)))
+	b := NewL2Basis(Config{N: n, K: 8, Depth: 5}, rand.New(rand.NewSource(4)))
 	l := b.New()
 	for i := 0; i < n; i++ {
 		l.Update(i, 1)
@@ -79,7 +79,7 @@ func TestSignedColumnSumsViaAllOnes(t *testing.T) {
 			t.Fatalf("row %d: len(psi) = %d, want 32", tr, len(psi))
 		}
 		for bk, want := range psi {
-			if got := l.cs.Row(tr)[bk]; math.Abs(got-want) > 1e-12 {
+			if got := l.rows[tr][bk]; math.Abs(got-want) > 1e-12 {
 				t.Fatalf("row %d bucket %d: Ψ·1 = %f != ψ = %f", tr, bk, got, want)
 			}
 		}
@@ -93,7 +93,7 @@ func TestSignedColumnSumsViaAllOnes(t *testing.T) {
 
 // ψ must be consistent with the basis's signs and row hashes.
 func TestSignedColumnSumsMatchSigns(t *testing.T) {
-	b := NewL2Basis(L2Config{N: 500, K: 4, Depth: 3}, rand.New(rand.NewSource(5)))
+	b := NewL2Basis(Config{N: 500, K: 4, Depth: 3}, rand.New(rand.NewSource(5)))
 	for tr, psi := range b.columnSums() {
 		sums := make([]float64, len(psi))
 		for i := 0; i < 500; i++ {

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// biasBatcher is the surface shared by L1SR and L2SR that the batch
+// biasBatcher is the surface shared by ℓ1-S/R and ℓ2-S/R that the batch
 // equivalence tests exercise.
 type biasBatcher interface {
 	Update(i int, delta float64)
@@ -24,23 +24,23 @@ func TestBiasAwareUpdateBatchMatchesElementwise(t *testing.T) {
 		mk   func(seed int64) biasBatcher
 	}{
 		{"l1sr", func(seed int64) biasBatcher {
-			return NewL1SR(L1Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
+			return NewL1SR(Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
 		}},
 		// l2sr-heap is read before its first update, so its Bias-Heap
 		// keeps the order per update (Algorithm 5); l2sr-sort is first
 		// read by the test and orders its buckets then (Algorithm 4).
 		{"l2sr-heap", func(seed int64) biasBatcher {
-			return settledL2SR(L2Config{N: n, K: 64}, seed)
+			return settledL2SR(Config{N: n, K: 64}, seed)
 		}},
 		{"l2sr-sort", func(seed int64) biasBatcher {
-			return NewL2SR(L2Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
+			return NewL2SR(Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
 		}},
 		{"l1mean", func(seed int64) biasBatcher {
-			return NewL1SR(L1Config{N: n, K: 64, SampleCount: 1, Estimator: EstimatorMean},
+			return NewL1SR(Config{N: n, K: 64, SampleCount: 1, Estimator: EstimatorMean},
 				rand.New(rand.NewSource(seed)))
 		}},
 		{"l2mean", func(seed int64) biasBatcher {
-			return NewL2SR(L2Config{N: n, K: 64, Estimator: EstimatorMean},
+			return NewL2SR(Config{N: n, K: 64, Estimator: EstimatorMean},
 				rand.New(rand.NewSource(seed)))
 		}},
 	}
@@ -76,7 +76,7 @@ func TestBiasAwareUpdateBatchMatchesElementwise(t *testing.T) {
 // A batch with an invalid index panics before the CM/CS rows or the
 // estimator see anything — the sketch and estimator cannot diverge.
 func TestBiasAwareUpdateBatchAllOrNothing(t *testing.T) {
-	l2 := NewL2SR(L2Config{N: 100, K: 4}, rand.New(rand.NewSource(63)))
+	l2 := NewL2SR(Config{N: 100, K: 4}, rand.New(rand.NewSource(63)))
 	func() {
 		defer func() {
 			if recover() == nil {

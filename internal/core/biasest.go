@@ -8,6 +8,10 @@
 // vector and (b) a bias estimator that watches the same update stream;
 // recovery de-biases the sketch by the estimate β̂ before the usual
 // Count-Median/Count-Sketch reconstruction and adds β̂ back at the end.
+// One type, SR, implements both: the constructor picks the scheme
+// (NewL1SR or NewL2SR, NewL1Basis or NewL2Basis), which fixes whether
+// the rows are CM rows or CS rows with their signs, and the
+// estimator's defaults.
 //
 // The ℓ2-S/R estimator orders its buckets only once a replica is read:
 // the first β̂ settles it with one O(s) Bias-Heap rebuild (Algorithm 4),

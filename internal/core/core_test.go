@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,7 +34,7 @@ func feed(s sketch.Sketch, x []float64) {
 }
 
 func TestL1ConfigDefaults(t *testing.T) {
-	l := NewL1SR(L1Config{N: 1000, K: 8}, rand.New(rand.NewSource(1)))
+	l := NewL1SR(Config{N: 1000, K: 8}, rand.New(rand.NewSource(1)))
 	cfg := l.Config()
 	if cfg.Cs != 4 || cfg.Depth != 9 {
 		t.Errorf("defaults: Cs=%d Depth=%d, want 4 and 9", cfg.Cs, cfg.Depth)
@@ -46,7 +48,7 @@ func TestL1ConfigDefaults(t *testing.T) {
 }
 
 func TestL2ConfigDefaults(t *testing.T) {
-	l := NewL2SR(L2Config{N: 1000, K: 8}, rand.New(rand.NewSource(1)))
+	l := NewL2SR(Config{N: 1000, K: 8}, rand.New(rand.NewSource(1)))
 	cfg := l.Config()
 	if cfg.Cs != 4 || cfg.Depth != 9 || cfg.Estimator != EstimatorMedianBucket {
 		t.Errorf("unexpected defaults %+v", cfg)
@@ -54,7 +56,7 @@ func TestL2ConfigDefaults(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []L1Config{
+	bad := []Config{
 		{N: 0, K: 1},
 		{N: 10, K: 0},
 		{N: 10, K: 1, Cs: 2},
@@ -63,7 +65,7 @@ func TestConfigValidation(t *testing.T) {
 		{N: 10, K: 1, Estimator: EstimatorMedianBucket}, // not valid for ℓ1
 	}
 	for _, c := range bad {
-		cc := c.withDefaults()
+		cc := c.withDefaults(false)
 		// Put back the explicitly-invalid zero fields the defaults fixed.
 		if c.N == 0 {
 			cc.N = 0
@@ -80,17 +82,17 @@ func TestConfigValidation(t *testing.T) {
 		if c.SampleCount == -5 {
 			cc.SampleCount = -5
 		}
-		if cc.Validate() == nil {
+		if cc.validate(false) == nil {
 			t.Errorf("Validate(%+v) should fail", cc)
 		}
 	}
-	badL2 := []L2Config{
+	badL2 := []Config{
 		{N: 0, K: 1},
 		{N: 10, K: 0},
 		{N: 10, K: 1, Cs: 3},
 	}
 	for _, c := range badL2 {
-		cc := c.withDefaults()
+		cc := c.withDefaults(true)
 		if c.N == 0 {
 			cc.N = 0
 		}
@@ -100,7 +102,7 @@ func TestConfigValidation(t *testing.T) {
 		if c.Cs == 3 {
 			cc.Cs = 3
 		}
-		if cc.Validate() == nil {
+		if cc.validate(true) == nil {
 			t.Errorf("Validate(%+v) should fail", cc)
 		}
 	}
@@ -124,12 +126,12 @@ func TestEstimatorKindString(t *testing.T) {
 // On the paper's own example the bias estimates should land near 100.
 func TestBiasEstimateOnPaperExample(t *testing.T) {
 	x, k := paperExample()
-	l1 := NewL1SR(L1Config{N: len(x), K: k, SampleCount: 101}, rand.New(rand.NewSource(2)))
+	l1 := NewL1SR(Config{N: len(x), K: k, SampleCount: 101}, rand.New(rand.NewSource(2)))
 	feed(l1, x)
 	if b := l1.Bias(); math.Abs(b-100) > 4 {
 		t.Errorf("ℓ1 bias = %f, want ≈100", b)
 	}
-	l2 := NewL2SR(L2Config{N: len(x), K: k}, rand.New(rand.NewSource(3)))
+	l2 := NewL2SR(Config{N: len(x), K: k}, rand.New(rand.NewSource(3)))
 	feed(l2, x)
 	if b := l2.Bias(); math.Abs(b-100) > 60 {
 		// n=10 is tiny; the middle buckets may still include an outlier.
@@ -145,8 +147,8 @@ func TestBiasAwareBeatsClassicalOnBiasedGaussian(t *testing.T) {
 	x := biasedGaussian(n, 100, 15, 4)
 	seedA, seedB := int64(5), int64(6)
 
-	l1 := NewL1SR(L1Config{N: n, K: k, SampleCount: 4 * k}, rand.New(rand.NewSource(seedA)))
-	l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(seedB)))
+	l1 := NewL1SR(Config{N: n, K: k, SampleCount: 4 * k}, rand.New(rand.NewSource(seedA)))
+	l2 := NewL2SR(Config{N: n, K: k}, rand.New(rand.NewSource(seedB)))
 	cm := must(sketch.NewCountMedian(sketch.Config{N: n, Rows: 4 * k, Depth: 10}, rand.New(rand.NewSource(seedA))))
 	cs := must(sketch.NewCountSketch(sketch.Config{N: n, Rows: 4 * k, Depth: 10}, rand.New(rand.NewSource(seedB))))
 	for _, s := range []sketch.Sketch{l1, l2, cm, cs} {
@@ -179,7 +181,7 @@ func TestL1TheoremBound(t *testing.T) {
 	for i := 0; i < k; i++ {
 		x[r.Intn(n)] += 50000 // outliers
 	}
-	l1 := NewL1SR(L1Config{N: n, K: k, Depth: 11, SampleCount: 8 * k}, r)
+	l1 := NewL1SR(Config{N: n, K: k, Depth: 11, SampleCount: 8 * k}, r)
 	feed(l1, x)
 	xhat := sketch.Recover(l1)
 	_, opt := vecmath.MinBetaErrK(x, k, 1)
@@ -201,7 +203,7 @@ func TestL2TheoremBound(t *testing.T) {
 	for i := 0; i < k; i++ {
 		x[r.Intn(n)] += 50000
 	}
-	l2 := NewL2SR(L2Config{N: n, K: k, Depth: 11}, r)
+	l2 := NewL2SR(Config{N: n, K: k, Depth: 11}, r)
 	feed(l2, x)
 	xhat := sketch.Recover(l2)
 	_, opt := vecmath.MinBetaErrK(x, k, 2)
@@ -225,8 +227,8 @@ func TestMeanEstimatorContaminated(t *testing.T) {
 	}
 	x[0], x[1] = 1e12, 1e12
 
-	mean := NewL1SR(L1Config{N: n, K: 2, Estimator: EstimatorMean}, rand.New(rand.NewSource(11)))
-	med := NewL1SR(L1Config{N: n, K: 2, SampleCount: 401}, rand.New(rand.NewSource(12)))
+	mean := NewL1SR(Config{N: n, K: 2, Estimator: EstimatorMean}, rand.New(rand.NewSource(11)))
+	med := NewL1SR(Config{N: n, K: 2, SampleCount: 401}, rand.New(rand.NewSource(12)))
 	feed(mean, x)
 	feed(med, x)
 	if b := med.Bias(); math.Abs(b-50) > 1e-9 {
@@ -244,8 +246,8 @@ func TestMeanEstimatorContaminated(t *testing.T) {
 func TestBiasHeapMatchesSort(t *testing.T) {
 	const n, k = 5000, 16
 	x := biasedGaussian(n, 77, 9, 13)
-	streamed := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(14)))
-	cold := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(14)))
+	streamed := NewL2SR(Config{N: n, K: k}, rand.New(rand.NewSource(14)))
+	cold := NewL2SR(Config{N: n, K: k}, rand.New(rand.NewSource(14)))
 	streamed.Bias() // settle before the first update
 	for i, v := range x {
 		streamed.Update(i, v)
@@ -261,7 +263,7 @@ func TestBiasHeapMatchesSort(t *testing.T) {
 		t.Fatal("reading one replica settled the other")
 	}
 	want := sortBiasOf(cold)
-	for name, l := range map[string]*L2SR{"streamed": streamed, "never read": cold} {
+	for name, l := range map[string]*SR{"streamed": streamed, "never read": cold} {
 		if got := l.Bias(); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("%s: bias %f, sort %f", name, got, want)
 		}
@@ -294,7 +296,7 @@ func TestMergeEqualsWhole(t *testing.T) {
 
 	t.Run("l1", func(t *testing.T) {
 		for _, est := range []EstimatorKind{EstimatorSampledMedian, EstimatorMean} {
-			cfg := L1Config{N: n, K: k, Estimator: est, SampleCount: 64}
+			cfg := Config{N: n, K: k, Estimator: est, SampleCount: 64}
 			whole := NewL1SR(cfg, rand.New(rand.NewSource(16)))
 			feed(whole, global)
 			merged := NewL1SR(cfg, rand.New(rand.NewSource(16)))
@@ -315,7 +317,7 @@ func TestMergeEqualsWhole(t *testing.T) {
 	})
 
 	t.Run("l2", func(t *testing.T) {
-		cfg := L2Config{N: n, K: k}
+		cfg := Config{N: n, K: k}
 		whole := NewL2SR(cfg, rand.New(rand.NewSource(17)))
 		feed(whole, global)
 		merged := NewL2SR(cfg, rand.New(rand.NewSource(17)))
@@ -336,19 +338,47 @@ func TestMergeEqualsWhole(t *testing.T) {
 }
 
 func TestMergeIncompatible(t *testing.T) {
-	a := NewL1SR(L1Config{N: 100, K: 4}, rand.New(rand.NewSource(18)))
-	b := NewL1SR(L1Config{N: 100, K: 8}, rand.New(rand.NewSource(18)))
+	a := NewL1SR(Config{N: 100, K: 4}, rand.New(rand.NewSource(18)))
+	b := NewL1SR(Config{N: 100, K: 8}, rand.New(rand.NewSource(18)))
 	if err := a.MergeFrom(b); err == nil {
 		t.Error("merging different K should fail")
 	}
-	c := NewL1SR(L1Config{N: 100, K: 4}, rand.New(rand.NewSource(19)))
+	c := NewL1SR(Config{N: 100, K: 4}, rand.New(rand.NewSource(19)))
 	if err := a.MergeFrom(c); err == nil {
 		t.Error("merging different seeds should fail")
 	}
-	d := NewL2SR(L2Config{N: 100, K: 4}, rand.New(rand.NewSource(20)))
-	e := NewL2SR(L2Config{N: 100, K: 8}, rand.New(rand.NewSource(20)))
+	d := NewL2SR(Config{N: 100, K: 4}, rand.New(rand.NewSource(20)))
+	e := NewL2SR(Config{N: 100, K: 8}, rand.New(rand.NewSource(20)))
 	if err := d.MergeFrom(e); err == nil {
 		t.Error("ℓ2 merging different K should fail")
+	}
+}
+
+// An ℓ1 and an ℓ2 replica never merge, even when one Config builds
+// both: with the mean estimator their defaulted configurations are
+// equal. The refusal leaves the destination as it was.
+func TestMergeRefusesOtherScheme(t *testing.T) {
+	cfg := Config{N: 100, K: 4, Estimator: EstimatorMean}
+	l1 := NewL1SR(cfg, rand.New(rand.NewSource(21)))
+	l2 := NewL2SR(cfg, rand.New(rand.NewSource(21)))
+	if l1.Config() != l2.Config() {
+		t.Fatalf("configs differ: %+v and %+v", l1.Config(), l2.Config())
+	}
+	for i := 0; i < 100; i++ {
+		l1.Update(i, float64(i%7))
+		l2.Update(i, float64(i%5))
+	}
+	for _, c := range []struct {
+		name     string
+		dst, src *SR
+	}{{"ℓ1 ← ℓ2", l1, l2}, {"ℓ2 ← ℓ1", l2, l1}} {
+		before, bias := c.dst.MarshalState(), c.dst.Bias()
+		if err := c.dst.MergeFrom(c.src); !errors.Is(err, sketch.ErrIncompatible) {
+			t.Errorf("%s: MergeFrom = %v, want sketch.ErrIncompatible", c.name, err)
+		}
+		if !bytes.Equal(c.dst.MarshalState(), before) || math.Float64bits(c.dst.Bias()) != math.Float64bits(bias) {
+			t.Errorf("%s: a refused merge changed the destination", c.name)
+		}
 	}
 }
 
@@ -357,8 +387,8 @@ func TestMergeIncompatible(t *testing.T) {
 func TestTurnstileCancellation(t *testing.T) {
 	const n, k = 2000, 8
 	x := biasedGaussian(n, 60, 5, 21)
-	l1 := NewL1SR(L1Config{N: n, K: k}, rand.New(rand.NewSource(22)))
-	l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(23)))
+	l1 := NewL1SR(Config{N: n, K: k}, rand.New(rand.NewSource(22)))
+	l2 := NewL2SR(Config{N: n, K: k}, rand.New(rand.NewSource(23)))
 	for i, v := range x {
 		l1.Update(i, v)
 		l2.Update(i, v)
@@ -382,7 +412,7 @@ func TestTurnstileCancellation(t *testing.T) {
 func TestStreamingMidStreamQueries(t *testing.T) {
 	const n, k = 3000, 8
 	r := rand.New(rand.NewSource(24))
-	l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(25)))
+	l2 := NewL2SR(Config{N: n, K: k}, rand.New(rand.NewSource(25)))
 	prefix := make([]float64, n)
 	for step := 0; step < 60000; step++ {
 		i := r.Intn(n)
@@ -410,12 +440,12 @@ func TestStreamingMidStreamQueries(t *testing.T) {
 }
 
 func TestWordsAccounting(t *testing.T) {
-	l1 := NewL1SR(L1Config{N: 1000, K: 10, SampleCount: 50}, rand.New(rand.NewSource(26)))
+	l1 := NewL1SR(Config{N: 1000, K: 10, SampleCount: 50}, rand.New(rand.NewSource(26)))
 	// d*s + samples = 9*40 + 50.
 	if got := l1.Words(); got != 410 {
 		t.Errorf("ℓ1 Words = %d, want 410", got)
 	}
-	l2 := NewL2SR(L2Config{N: 1000, K: 10}, rand.New(rand.NewSource(27)))
+	l2 := NewL2SR(Config{N: 1000, K: 10}, rand.New(rand.NewSource(27)))
 	// d*s + s = 9*40 + 40.
 	if got := l2.Words(); got != 400 {
 		t.Errorf("ℓ2 Words = %d, want 400", got)
@@ -430,7 +460,7 @@ func TestWordsAccounting(t *testing.T) {
 func TestL2WithSampledMedianEstimator(t *testing.T) {
 	const n, k = 10000, 64
 	x := biasedGaussian(n, 90, 10, 28)
-	l2 := NewL2SR(L2Config{N: n, K: k, Estimator: EstimatorSampledMedian, SampleCount: 256},
+	l2 := NewL2SR(Config{N: n, K: k, Estimator: EstimatorSampledMedian, SampleCount: 256},
 		rand.New(rand.NewSource(29)))
 	feed(l2, x)
 	if b := l2.Bias(); math.Abs(b-90) > 5 {
@@ -449,8 +479,8 @@ func TestErrorIndependentOfBias(t *testing.T) {
 	const n, k = 20000, 32
 	errAt := func(bias float64, seed int64) (float64, float64) {
 		x := biasedGaussian(n, bias, 15, seed)
-		l1 := NewL1SR(L1Config{N: n, K: k, SampleCount: 4 * k}, rand.New(rand.NewSource(seed+100)))
-		l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(seed+200)))
+		l1 := NewL1SR(Config{N: n, K: k, SampleCount: 4 * k}, rand.New(rand.NewSource(seed+100)))
+		l2 := NewL2SR(Config{N: n, K: k}, rand.New(rand.NewSource(seed+200)))
 		feed(l1, x)
 		feed(l2, x)
 		return vecmath.AvgAbsErr(x, sketch.Recover(l1)), vecmath.AvgAbsErr(x, sketch.Recover(l2))
@@ -466,7 +496,7 @@ func TestErrorIndependentOfBias(t *testing.T) {
 }
 
 func BenchmarkL1Update(b *testing.B) {
-	l := NewL1SR(L1Config{N: 1 << 20, K: 256}, rand.New(rand.NewSource(1)))
+	l := NewL1SR(Config{N: 1 << 20, K: 256}, rand.New(rand.NewSource(1)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -484,7 +514,7 @@ func BenchmarkL2Update(b *testing.B) {
 			name = "settled"
 		}
 		b.Run(name, func(b *testing.B) {
-			l := NewL2SR(L2Config{N: 1 << 20, K: 256}, rand.New(rand.NewSource(1)))
+			l := NewL2SR(Config{N: 1 << 20, K: 256}, rand.New(rand.NewSource(1)))
 			if read {
 				l.Bias()
 			}
@@ -498,7 +528,7 @@ func BenchmarkL2Update(b *testing.B) {
 }
 
 func BenchmarkL2Query(b *testing.B) {
-	l := NewL2SR(L2Config{N: 1 << 18, K: 256}, rand.New(rand.NewSource(1)))
+	l := NewL2SR(Config{N: 1 << 18, K: 256}, rand.New(rand.NewSource(1)))
 	for i := 0; i < 1<<18; i++ {
 		l.Update(i, 100)
 	}

@@ -16,8 +16,8 @@ func TestExactRecoveryAllEqual(t *testing.T) {
 	for i := range x {
 		x[i] = 42
 	}
-	l1 := NewL1SR(L1Config{N: n, K: k, SampleCount: 64}, rand.New(rand.NewSource(1)))
-	l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(2)))
+	l1 := NewL1SR(Config{N: n, K: k, SampleCount: 64}, rand.New(rand.NewSource(1)))
+	l2 := NewL2SR(Config{N: n, K: k}, rand.New(rand.NewSource(2)))
 	feed(l1, x)
 	feed(l2, x)
 	for i := 0; i < n; i += 111 {
@@ -44,7 +44,7 @@ func TestExactRecoveryBiasedSparse(t *testing.T) {
 	for i, v := range outliers {
 		x[i] = v
 	}
-	l2 := NewL2SR(L2Config{N: n, K: k, Depth: 11}, rand.New(rand.NewSource(3)))
+	l2 := NewL2SR(Config{N: n, K: k, Depth: 11}, rand.New(rand.NewSource(3)))
 	feed(l2, x)
 	for i := 0; i < n; i += 97 {
 		if _, isOut := outliers[i]; isOut {
@@ -71,8 +71,8 @@ func TestInfinityStyleOutliers(t *testing.T) {
 		x[i] = 50
 	}
 	x[0], x[1] = 1e15, 1e15
-	l1 := NewL1SR(L1Config{N: n, K: k, SampleCount: 201, Depth: 11}, rand.New(rand.NewSource(4)))
-	l2 := NewL2SR(L2Config{N: n, K: k, Depth: 11}, rand.New(rand.NewSource(5)))
+	l1 := NewL1SR(Config{N: n, K: k, SampleCount: 201, Depth: 11}, rand.New(rand.NewSource(4)))
+	l2 := NewL2SR(Config{N: n, K: k, Depth: 11}, rand.New(rand.NewSource(5)))
 	feed(l1, x)
 	feed(l2, x)
 	if b := l1.Bias(); math.Abs(b-50) > 1e-9 {
@@ -100,8 +100,8 @@ func TestInfinityStyleOutliers(t *testing.T) {
 // Tiny dimensions must not panic or divide by zero.
 func TestTinyDimensions(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5} {
-		l1 := NewL1SR(L1Config{N: n, K: 1, SampleCount: 5}, rand.New(rand.NewSource(6)))
-		l2 := NewL2SR(L2Config{N: n, K: 1}, rand.New(rand.NewSource(7)))
+		l1 := NewL1SR(Config{N: n, K: 1, SampleCount: 5}, rand.New(rand.NewSource(6)))
+		l2 := NewL2SR(Config{N: n, K: 1}, rand.New(rand.NewSource(7)))
 		for i := 0; i < n; i++ {
 			l1.Update(i, float64(10*i))
 			l2.Update(i, float64(10*i))
@@ -117,8 +117,8 @@ func TestTinyDimensions(t *testing.T) {
 
 // Zero updates: queries on an empty sketch return 0.
 func TestEmptySketchQueries(t *testing.T) {
-	l1 := NewL1SR(L1Config{N: 100, K: 2}, rand.New(rand.NewSource(8)))
-	l2 := NewL2SR(L2Config{N: 100, K: 2}, rand.New(rand.NewSource(9)))
+	l1 := NewL1SR(Config{N: 100, K: 2}, rand.New(rand.NewSource(8)))
+	l2 := NewL2SR(Config{N: 100, K: 2}, rand.New(rand.NewSource(9)))
 	for i := 0; i < 100; i += 7 {
 		if l1.Query(i) != 0 || l2.Query(i) != 0 {
 			t.Fatalf("empty sketch returned non-zero at %d", i)
@@ -132,7 +132,7 @@ func TestStateRoundTrip(t *testing.T) {
 	x := biasedGaussian(n, 70, 9, 10)
 
 	t.Run("l1-sampled", func(t *testing.T) {
-		cfg := L1Config{N: n, K: k, SampleCount: 64}
+		cfg := Config{N: n, K: k, SampleCount: 64}
 		a := NewL1SR(cfg, rand.New(rand.NewSource(11)))
 		feed(a, x)
 		b := NewL1SR(cfg, rand.New(rand.NewSource(11)))
@@ -150,7 +150,7 @@ func TestStateRoundTrip(t *testing.T) {
 	})
 
 	t.Run("l2-heap", func(t *testing.T) {
-		cfg := L2Config{N: n, K: k}
+		cfg := Config{N: n, K: k}
 		a := NewL2SR(cfg, rand.New(rand.NewSource(12)))
 		feed(a, x)
 		b := NewL2SR(cfg, rand.New(rand.NewSource(12)))
@@ -174,7 +174,7 @@ func TestStateRoundTrip(t *testing.T) {
 	})
 
 	t.Run("l2-mean", func(t *testing.T) {
-		cfg := L2Config{N: n, K: k, Estimator: EstimatorMean}
+		cfg := Config{N: n, K: k, Estimator: EstimatorMean}
 		a := NewL2SR(cfg, rand.New(rand.NewSource(13)))
 		feed(a, x)
 		b := NewL2SR(cfg, rand.New(rand.NewSource(13)))
@@ -188,7 +188,7 @@ func TestStateRoundTrip(t *testing.T) {
 }
 
 func TestStateErrors(t *testing.T) {
-	l2 := NewL2SR(L2Config{N: 100, K: 2}, rand.New(rand.NewSource(14)))
+	l2 := NewL2SR(Config{N: 100, K: 2}, rand.New(rand.NewSource(14)))
 	if err := l2.UnmarshalState([]byte{1, 2}); err == nil {
 		t.Error("short state should fail")
 	}
@@ -197,7 +197,7 @@ func TestStateErrors(t *testing.T) {
 		t.Error("truncated state should fail")
 	}
 	// State from a different shape must be rejected.
-	other := NewL2SR(L2Config{N: 100, K: 4}, rand.New(rand.NewSource(15)))
+	other := NewL2SR(Config{N: 100, K: 4}, rand.New(rand.NewSource(15)))
 	if err := l2.UnmarshalState(other.MarshalState()); err == nil {
 		t.Error("mismatched shape state should fail")
 	}
@@ -208,7 +208,7 @@ func TestStateErrors(t *testing.T) {
 func TestRecoverMatchesQueries(t *testing.T) {
 	const n, k = 2000, 8
 	x := biasedGaussian(n, 30, 4, 16)
-	l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(17)))
+	l2 := NewL2SR(Config{N: n, K: k}, rand.New(rand.NewSource(17)))
 	feed(l2, x)
 	xhat := sketch.Recover(l2)
 	for i := 0; i < n; i += 19 {

@@ -58,9 +58,9 @@ func TestLinearityProperty(t *testing.T) {
 			Update(int, float64)
 			Query(int) float64
 		} {
-			return NewL1SR(L1Config{N: n, K: k, SampleCount: 16}, rand.New(rand.NewSource(seedL1)))
+			return NewL1SR(Config{N: n, K: k, SampleCount: 16}, rand.New(rand.NewSource(seedL1)))
 		}, func(a, b interface{}) error {
-			return a.(*L1SR).MergeFrom(b.(*L1SR))
+			return a.(*SR).MergeFrom(b.(*SR))
 		})
 
 		seedL2 := r.Int63()
@@ -69,13 +69,13 @@ func TestLinearityProperty(t *testing.T) {
 			Update(int, float64)
 			Query(int) float64
 		} {
-			l := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(seedL2)))
+			l := NewL2SR(Config{N: n, K: k}, rand.New(rand.NewSource(seedL2)))
 			if read {
 				l.Bias()
 			}
 			return l
 		}, func(a, b interface{}) error {
-			return a.(*L2SR).MergeFrom(b.(*L2SR))
+			return a.(*SR).MergeFrom(b.(*SR))
 		})
 
 		return okL1 && okL2
@@ -99,8 +99,8 @@ func TestScaleEquivarianceProperty(t *testing.T) {
 			x[i] = math.Round(r.NormFloat64() * 20)
 		}
 		skSeed := r.Int63()
-		a := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(skSeed)))
-		b := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(skSeed)))
+		a := NewL2SR(Config{N: n, K: k}, rand.New(rand.NewSource(skSeed)))
+		b := NewL2SR(Config{N: n, K: k}, rand.New(rand.NewSource(skSeed)))
 		for i, v := range x {
 			a.Update(i, v)
 			b.Update(i, c*v)
@@ -124,8 +124,8 @@ func TestQueryIdempotenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 50 + r.Intn(500)
-		l1 := NewL1SR(L1Config{N: n, K: 2, SampleCount: 8}, rand.New(rand.NewSource(seed+1)))
-		l2 := NewL2SR(L2Config{N: n, K: 2}, rand.New(rand.NewSource(seed+2)))
+		l1 := NewL1SR(Config{N: n, K: 2, SampleCount: 8}, rand.New(rand.NewSource(seed+1)))
+		l2 := NewL2SR(Config{N: n, K: 2}, rand.New(rand.NewSource(seed+2)))
 		for u := 0; u < 300; u++ {
 			i, d := r.Intn(n), float64(r.Intn(9)-4)
 			l1.Update(i, d)

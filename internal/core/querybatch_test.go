@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// biasBatchQuerier is the read surface shared by L1SR and L2SR that
+// biasBatchQuerier is the read surface shared by ℓ1-S/R and ℓ2-S/R that
 // the batched-query equivalence tests exercise.
 type biasBatchQuerier interface {
 	Update(i int, delta float64)
@@ -26,23 +26,23 @@ func queryBatchCases() []struct {
 		mk   func(seed int64) biasBatchQuerier
 	}{
 		{"l1sr", func(seed int64) biasBatchQuerier {
-			return NewL1SR(L1Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
+			return NewL1SR(Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
 		}},
 		// l2sr-heap is read before its first update, so its Bias-Heap
 		// keeps the order per update (Algorithm 5); l2sr-sort is first
 		// read by the test and orders its buckets then (Algorithm 4).
 		{"l2sr-heap", func(seed int64) biasBatchQuerier {
-			return settledL2SR(L2Config{N: n, K: 64}, seed)
+			return settledL2SR(Config{N: n, K: 64}, seed)
 		}},
 		{"l2sr-sort", func(seed int64) biasBatchQuerier {
-			return NewL2SR(L2Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
+			return NewL2SR(Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
 		}},
 		{"l1mean", func(seed int64) biasBatchQuerier {
-			return NewL1SR(L1Config{N: n, K: 64, SampleCount: 1, Estimator: EstimatorMean},
+			return NewL1SR(Config{N: n, K: 64, SampleCount: 1, Estimator: EstimatorMean},
 				rand.New(rand.NewSource(seed)))
 		}},
 		{"l2mean", func(seed int64) biasBatchQuerier {
-			return NewL2SR(L2Config{N: n, K: 64, Estimator: EstimatorMean},
+			return NewL2SR(Config{N: n, K: 64, Estimator: EstimatorMean},
 				rand.New(rand.NewSource(seed)))
 		}},
 	}
@@ -81,7 +81,7 @@ func TestBiasAwareQueryBatchMatchesElementwise(t *testing.T) {
 // An invalid query batch panics before out is written, and querying —
 // batched or not — leaves the bias estimate untouched.
 func TestBiasAwareQueryBatchValidates(t *testing.T) {
-	l2 := NewL2SR(L2Config{N: 100, K: 4}, rand.New(rand.NewSource(83)))
+	l2 := NewL2SR(Config{N: 100, K: 4}, rand.New(rand.NewSource(83)))
 	for i := 0; i < 100; i++ {
 		l2.Update(i, 5)
 	}
@@ -140,7 +140,7 @@ func TestConcurrentColdCacheQueryBatch(t *testing.T) {
 	// replica whose state it took.
 	for _, how := range []string{"l2sr-merged", "l2sr-restored"} {
 		t.Run(how, func(t *testing.T) {
-			b := NewL2Basis(L2Config{N: n, K: 64}, rand.New(rand.NewSource(91)))
+			b := NewL2Basis(Config{N: n, K: 64}, rand.New(rand.NewSource(91)))
 			src, dst := b.New(), b.New()
 			idx := feed(src)
 			dst.Bias()

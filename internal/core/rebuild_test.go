@@ -14,9 +14,9 @@ import (
 func TestHeapRebuildMatchesWhole(t *testing.T) {
 	const n, updates = 1 << 14, 30000
 	for _, k := range []int{16, 1024} { // s = 4k = 64 and 4096
-		b := NewL2Basis(L2Config{N: n, K: k}, rand.New(rand.NewSource(51)))
+		b := NewL2Basis(Config{N: n, K: k}, rand.New(rand.NewSource(51)))
 		whole := b.New()
-		sites := []*L2SR{b.New(), b.New(), b.New()}
+		sites := []*SR{b.New(), b.New(), b.New()}
 		r := rand.New(rand.NewSource(52))
 		for u := 0; u < updates; u++ {
 			i, delta := r.Intn(n), float64(r.Intn(41)-10)
@@ -43,7 +43,7 @@ func TestHeapRebuildMatchesWhole(t *testing.T) {
 		}
 		want := make([]float64, n)
 		whole.QueryBatch(idx, want)
-		for name, l := range map[string]*L2SR{"merged": merged, "restored": restored} {
+		for name, l := range map[string]*SR{"merged": merged, "restored": restored} {
 			if g, w := l.Bias(), whole.Bias(); math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("s=%d %s: Bias %v, want %v", 4*k, name, g, w)
 			}

@@ -55,16 +55,16 @@ func sortBias(w, pi []float64, k int) float64 {
 
 // sortBiasOf is the oracle's β̂ for l's bucket masses. It reads the
 // masses only, so it leaves l as settled or unsettled as it was.
-func sortBiasOf(l *L2SR) float64 {
+func sortBiasOf(l *SR) float64 {
 	e := l.est.(*medianBucketEstimator)
 	return sortBias(e.w, e.pi, e.k)
 }
 
-func isSettled(l *L2SR) bool { return l.est.(*medianBucketEstimator).settled.Load() }
+func isSettled(l *SR) bool { return l.est.(*medianBucketEstimator).settled.Load() }
 
 // settledL2SR returns a replica read before its first update, so the
 // Bias-Heap keeps its order per update from the start.
-func settledL2SR(cfg L2Config, seed int64) *L2SR {
+func settledL2SR(cfg Config, seed int64) *SR {
 	l := NewL2SR(cfg, rand.New(rand.NewSource(seed)))
 	l.Bias()
 	return l
@@ -77,7 +77,7 @@ func settledL2SR(cfg L2Config, seed int64) *L2SR {
 // that was never read. A merge or a restore unsettles it again.
 func TestSettleOnFirstRead(t *testing.T) {
 	const n = 4096
-	b := NewL2Basis(L2Config{N: n, K: 16}, rand.New(rand.NewSource(71)))
+	b := NewL2Basis(Config{N: n, K: 16}, rand.New(rand.NewSource(71)))
 	r := rand.New(rand.NewSource(72))
 	batch := func() ([]int, []float64) {
 		idx := make([]int, 1+r.Intn(400))
@@ -89,7 +89,7 @@ func TestSettleOnFirstRead(t *testing.T) {
 		return idx, deltas
 	}
 	idx, deltas := batch()
-	fed := func() *L2SR {
+	fed := func() *SR {
 		l := b.New()
 		l.UpdateBatch(idx, deltas)
 		return l
@@ -98,11 +98,11 @@ func TestSettleOnFirstRead(t *testing.T) {
 	keys := make([]int, n)
 	out := make([]float64, n)
 
-	writes := map[string]func(l *L2SR) error{
-		"Update":         func(l *L2SR) error { l.Update(7, 3); return nil },
-		"UpdateBatch":    func(l *L2SR) error { l.UpdateBatch(idx, deltas); return nil },
-		"MergeFrom":      func(l *L2SR) error { return l.MergeFrom(src) },
-		"UnmarshalState": func(l *L2SR) error { return l.UnmarshalState(src.MarshalState()) },
+	writes := map[string]func(l *SR) error{
+		"Update":         func(l *SR) error { l.Update(7, 3); return nil },
+		"UpdateBatch":    func(l *SR) error { l.UpdateBatch(idx, deltas); return nil },
+		"MergeFrom":      func(l *SR) error { return l.MergeFrom(src) },
+		"UnmarshalState": func(l *SR) error { return l.UnmarshalState(src.MarshalState()) },
 	}
 	if isSettled(b.New()) {
 		t.Fatal("New returned a settled replica")
@@ -119,12 +119,12 @@ func TestSettleOnFirstRead(t *testing.T) {
 		}
 	}
 
-	reads := map[string]func(l *L2SR){
-		"Bias":         func(l *L2SR) { l.Bias() },
-		"Query":        func(l *L2SR) { l.Query(3) },
-		"QueryBatch":   func(l *L2SR) { l.QueryBatch(idx, out[:len(idx)]) },
-		"ScanRange":    func(l *L2SR) { l.ScanRange(0, n, 1, keys, out) },
-		"TailEstimate": func(l *L2SR) { l.TailEstimate() },
+	reads := map[string]func(l *SR){
+		"Bias":         func(l *SR) { l.Bias() },
+		"Query":        func(l *SR) { l.Query(3) },
+		"QueryBatch":   func(l *SR) { l.QueryBatch(idx, out[:len(idx)]) },
+		"ScanRange":    func(l *SR) { l.ScanRange(0, n, 1, keys, out) },
+		"TailEstimate": func(l *SR) { l.TailEstimate() },
 	}
 	for name, read := range reads {
 		l := fed()

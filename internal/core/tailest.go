@@ -2,8 +2,8 @@ package core
 
 import "math"
 
-// This file adds an extension beyond the paper's API: the ℓ2 sketch
-// can estimate its *own* error scale. Theorem 4 bounds the point-query
+// This file adds an extension beyond the paper's API: an ℓ2-S/R sketch
+// with the median-bucket estimator can estimate its *own* error scale. Theorem 4 bounds the point-query
 // error by O(1/√k)·Err_2^k(x−β); the bias row w = Π(g)x already
 // carries enough information to estimate that tail, because for a
 // crowd bucket the de-biased residual w_i − β̂·π_i is a sum of π_i
@@ -26,12 +26,12 @@ type tailEstimator interface {
 // TailEstimate returns an estimate of Err_2^k(x − β̂) — the quantity
 // the Theorem 4 guarantee is expressed in — computed from the sketch
 // itself, and reports ok=false when the configured bias estimator
-// cannot provide one (only the median-bucket estimator can; the mean
-// and sampled-median estimators do not see bucket occupancies).
+// cannot provide one (only ℓ2-S/R's median-bucket estimator can; the
+// mean and sampled-median estimators do not see bucket occupancies).
 //
 // Combined with Theorem 4, ±C·TailEstimate()/√k is a practical
 // confidence band for point queries.
-func (l *L2SR) TailEstimate() (est float64, ok bool) {
+func (l *SR) TailEstimate() (est float64, ok bool) {
 	te, can := l.est.(tailEstimator)
 	if !can {
 		return 0, false

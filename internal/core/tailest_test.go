@@ -11,7 +11,7 @@ import (
 func TestTailEstimateGaussian(t *testing.T) {
 	const n, k = 50000, 64
 	x := biasedGaussian(n, 100, 15, 1)
-	l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(2)))
+	l2 := NewL2SR(Config{N: n, K: k}, rand.New(rand.NewSource(2)))
 	feed(l2, x)
 	est, ok := l2.TailEstimate()
 	if !ok {
@@ -29,7 +29,7 @@ func TestTailEstimateBiasIndependent(t *testing.T) {
 	const n, k = 30000, 32
 	estAt := func(b float64) float64 {
 		x := biasedGaussian(n, b, 15, 3)
-		l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(4)))
+		l2 := NewL2SR(Config{N: n, K: k}, rand.New(rand.NewSource(4)))
 		feed(l2, x)
 		e, ok := l2.TailEstimate()
 		if !ok {
@@ -54,7 +54,7 @@ func TestTailEstimateRobustToOutliers(t *testing.T) {
 		dirty[r.Intn(n)] += 1e7
 	}
 	estOf := func(x []float64) float64 {
-		l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(7)))
+		l2 := NewL2SR(Config{N: n, K: k}, rand.New(rand.NewSource(7)))
 		feed(l2, x)
 		e, ok := l2.TailEstimate()
 		if !ok {
@@ -73,7 +73,7 @@ func TestTailEstimateRobustToOutliers(t *testing.T) {
 func TestTailEstimateCalibratesError(t *testing.T) {
 	const n, k = 30000, 64
 	x := biasedGaussian(n, 200, 10, 8)
-	l2 := NewL2SR(L2Config{N: n, K: k, Depth: 11}, rand.New(rand.NewSource(9)))
+	l2 := NewL2SR(Config{N: n, K: k, Depth: 11}, rand.New(rand.NewSource(9)))
 	feed(l2, x)
 	est, ok := l2.TailEstimate()
 	if !ok {
@@ -97,7 +97,7 @@ func TestTailEstimateCalibratesError(t *testing.T) {
 func TestTailEstimateUnsupportedEstimators(t *testing.T) {
 	const n, k = 1000, 8
 	for _, kind := range []EstimatorKind{EstimatorMean, EstimatorSampledMedian} {
-		l2 := NewL2SR(L2Config{N: n, K: k, Estimator: kind, SampleCount: 32},
+		l2 := NewL2SR(Config{N: n, K: k, Estimator: kind, SampleCount: 32},
 			rand.New(rand.NewSource(10)))
 		if _, ok := l2.TailEstimate(); ok {
 			t.Errorf("estimator %v should not support TailEstimate", kind)
@@ -112,8 +112,8 @@ func TestTailEstimateUnsupportedEstimators(t *testing.T) {
 func TestTailEstimateHeapMatchesSort(t *testing.T) {
 	const n, k = 5000, 16
 	x := biasedGaussian(n, 60, 8, 11)
-	streamed := settledL2SR(L2Config{N: n, K: k}, 12)
-	cold := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(12)))
+	streamed := settledL2SR(Config{N: n, K: k}, 12)
+	cold := NewL2SR(Config{N: n, K: k}, rand.New(rand.NewSource(12)))
 	feed(streamed, x)
 	feed(cold, x)
 	e := cold.est.(*medianBucketEstimator)
@@ -122,7 +122,7 @@ func TestTailEstimateHeapMatchesSort(t *testing.T) {
 		t.Fatal("oracle: no tail estimate")
 	}
 	want := math.Sqrt(n * sigma2)
-	for name, l := range map[string]*L2SR{"streamed": streamed, "never read": cold} {
+	for name, l := range map[string]*SR{"streamed": streamed, "never read": cold} {
 		got, ok := l.TailEstimate()
 		if !ok {
 			t.Fatalf("%s: unsupported", name)

@@ -14,7 +14,7 @@ import (
 // surfaces.
 func Example() {
 	const n = 100_000
-	l2 := core.NewL2SR(core.L2Config{N: n, K: 2048},
+	l2 := core.NewL2SR(core.Config{N: n, K: 2048},
 		rand.New(rand.NewSource(1)))
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < n; i++ {

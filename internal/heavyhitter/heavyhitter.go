@@ -20,8 +20,8 @@ import (
 	"sort"
 )
 
-// BiasedSketch is the query surface detection needs; both core.L1SR
-// and core.L2SR satisfy it.
+// BiasedSketch is the query surface detection needs; core.SR satisfies
+// it in both schemes.
 type BiasedSketch interface {
 	Query(i int) float64
 	Bias() float64
@@ -45,12 +45,12 @@ type batchQuerier interface {
 }
 
 // rangeScanner matches sketches with a bounded range scan — the
-// ScanRange of core.L1SR and core.L2SR, restated structurally like
-// batchQuerier. ScanRange writes into idx and out, in increasing key
-// order, the keys of [lo, hi) whose deviation may exceed tau, with
-// their QueryBatch estimates, and returns how many; every key it
-// leaves out deviates by at most tau, and a tau that is not positive
-// and finite leaves none out.
+// ScanRange of core.SR, restated structurally like batchQuerier.
+// ScanRange writes into idx and out, in increasing key order, the keys
+// of [lo, hi) whose deviation may exceed tau, with their QueryBatch
+// estimates, and returns how many; every key it leaves out deviates by
+// at most tau, and a tau that is not positive and finite leaves none
+// out.
 type rangeScanner interface {
 	ScanRange(lo, hi int, tau float64, idx []int, out []float64) int
 }

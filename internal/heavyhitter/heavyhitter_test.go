@@ -20,8 +20,8 @@ func plant(n int, seed int64, outliers map[int]float64) []float64 {
 	return x
 }
 
-func buildL2(x []float64, k int, seed int64) *core.L2SR {
-	l2 := core.NewL2SR(core.L2Config{N: len(x), K: k},
+func buildL2(x []float64, k int, seed int64) *core.SR {
+	l2 := core.NewL2SR(core.Config{N: len(x), K: k},
 		rand.New(rand.NewSource(seed)))
 	sketch.SketchVector(l2, x)
 	return l2

@@ -45,24 +45,24 @@ var propertySketches = []struct {
 	mk   func(n, k, d int, r *rand.Rand) updater
 }{
 	{"l1sr", func(n, k, d int, r *rand.Rand) updater {
-		return core.NewL1SR(core.L1Config{N: n, K: k, Depth: d}, r)
+		return core.NewL1SR(core.Config{N: n, K: k, Depth: d}, r)
 	}},
 	// l2sr-heap is read before its first update, so its Bias-Heap keeps
 	// the order per update; l2sr-sort orders its buckets at the first
 	// scan.
 	{"l2sr-heap", func(n, k, d int, r *rand.Rand) updater {
-		l := core.NewL2SR(core.L2Config{N: n, K: k, Depth: d}, r)
+		l := core.NewL2SR(core.Config{N: n, K: k, Depth: d}, r)
 		l.Bias()
 		return l
 	}},
 	{"l2sr-sort", func(n, k, d int, r *rand.Rand) updater {
-		return core.NewL2SR(core.L2Config{N: n, K: k, Depth: d}, r)
+		return core.NewL2SR(core.Config{N: n, K: k, Depth: d}, r)
 	}},
 	{"l1mean", func(n, k, d int, r *rand.Rand) updater {
-		return core.NewL1SR(core.L1Config{N: n, K: k, Depth: d, SampleCount: 1, Estimator: core.EstimatorMean}, r)
+		return core.NewL1SR(core.Config{N: n, K: k, Depth: d, SampleCount: 1, Estimator: core.EstimatorMean}, r)
 	}},
 	{"l2mean", func(n, k, d int, r *rand.Rand) updater {
-		return core.NewL2SR(core.L2Config{N: n, K: k, Depth: d, Estimator: core.EstimatorMean}, r)
+		return core.NewL2SR(core.Config{N: n, K: k, Depth: d, Estimator: core.EstimatorMean}, r)
 	}},
 }
 

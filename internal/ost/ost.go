@@ -4,9 +4,21 @@
 // sketch sorted during streaming, so the median (the running bias
 // estimate β̂) is available in O(log log n)-ish time per update; the
 // treap provides expected O(log m) insert, delete, and k-th selection.
+//
+// Keys are ordered by one total order: the numeric order, with every
+// NaN equal to every other NaN and above +Inf. A sampled value turns
+// NaN when it absorbs +Inf and then −Inf, and it must still be found
+// and removed when it next changes.
 package ost
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
+
+// less reports whether a sorts before b: the numeric order, with a
+// NaN above every number and equal to another NaN.
+func less(a, b float64) bool { return a < b || math.IsNaN(b) && !math.IsNaN(a) }
 
 type node struct {
 	key         float64
@@ -52,20 +64,20 @@ func (t *Tree) insert(n *node, key float64) *node {
 		return &node{key: key, prio: t.rng.Uint64(), count: 1, size: 1}
 	}
 	switch {
-	case key == n.key:
-		n.count++
-		n.size++
-		return n
-	case key < n.key:
+	case less(key, n.key):
 		n.left = t.insert(n.left, key)
 		if n.left.prio > n.prio {
 			n = rotateRight(n)
 		}
-	default:
+	case less(n.key, key):
 		n.right = t.insert(n.right, key)
 		if n.right.prio > n.prio {
 			n = rotateLeft(n)
 		}
+	default:
+		n.count++
+		n.size++
+		return n
 	}
 	n.fix()
 	return n
@@ -85,9 +97,9 @@ func (t *Tree) delete(n *node, key float64) (*node, bool) {
 	}
 	var ok bool
 	switch {
-	case key < n.key:
+	case less(key, n.key):
 		n.left, ok = t.delete(n.left, key)
-	case key > n.key:
+	case less(n.key, key):
 		n.right, ok = t.delete(n.right, key)
 	default:
 		if n.count > 1 {
@@ -154,9 +166,9 @@ func (t *Tree) Rank(key float64) int {
 	n := t.root
 	for n != nil {
 		switch {
-		case key < n.key:
+		case less(key, n.key):
 			n = n.left
-		case key > n.key:
+		case less(n.key, key):
 			r += n.left.subSize() + n.count
 			n = n.right
 		default:

@@ -1,6 +1,7 @@
 package ost
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -106,6 +107,58 @@ func TestRank(t *testing.T) {
 		if got := tr.Rank(c.key); got != c.want {
 			t.Errorf("Rank(%f) = %d, want %d", c.key, got, c.want)
 		}
+	}
+}
+
+// NaN keys sort above +Inf, equal to each other: Delete(NaN) removes a
+// NaN, not whatever node the search reaches first, and Len, Kth and
+// Rank keep matching the multiset.
+func TestNaNKeys(t *testing.T) {
+	tr := New(13)
+	nan := math.NaN()
+	for _, v := range []float64{1, 2, 3, 4, 5, nan} {
+		tr.Insert(v)
+	}
+	if !tr.Delete(nan) {
+		t.Fatal("Delete(NaN) found no NaN")
+	}
+	if tr.Len() != 5 {
+		t.Fatalf("Len = %d after Delete(NaN), want 5", tr.Len())
+	}
+	for k := 0; k < 5; k++ {
+		if got := tr.Kth(k); got != float64(k+1) {
+			t.Errorf("Kth(%d) = %v, want %d", k, got, k+1)
+		}
+	}
+	if tr.Delete(nan) {
+		t.Error("Delete(NaN) reported a NaN in a tree without one")
+	}
+
+	for _, v := range []float64{nan, math.Inf(1), nan, math.Inf(-1)} {
+		tr.Insert(v)
+	}
+	want := []float64{math.Inf(-1), 1, 2, 3, 4, 5, math.Inf(1), nan, nan}
+	if tr.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", tr.Len(), len(want))
+	}
+	for k, w := range want {
+		if got := tr.Kth(k); got != w && !(math.IsNaN(got) && math.IsNaN(w)) {
+			t.Errorf("Kth(%d) = %v, want %v", k, got, w)
+		}
+	}
+	if got := tr.Rank(nan); got != 7 {
+		t.Errorf("Rank(NaN) = %d, want 7", got)
+	}
+	if got := tr.Rank(math.Inf(1)); got != 6 {
+		t.Errorf("Rank(+Inf) = %d, want 6", got)
+	}
+	for i := 0; i < 2; i++ {
+		if !tr.Delete(nan) {
+			t.Fatalf("Delete(NaN) #%d found no NaN", i+1)
+		}
+	}
+	if tr.Len() != 7 || !math.IsInf(tr.Kth(6), 1) {
+		t.Errorf("after deleting both NaNs: Len = %d, top = %v", tr.Len(), tr.Kth(tr.Len()-1))
 	}
 }
 

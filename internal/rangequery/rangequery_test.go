@@ -36,7 +36,7 @@ func l2Factory(k int) Factory {
 		if kk < 1 {
 			kk = 1
 		}
-		return core.NewL2SR(core.L2Config{N: size, K: kk}, r)
+		return core.NewL2SR(core.Config{N: size, K: kk}, r)
 	}
 }
 

@@ -7,9 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"weak"
 
-	"repro/internal/core"
 	"repro/internal/sketch"
 )
 
@@ -21,15 +19,11 @@ func basisOf(t *testing.T, name string, sh Shape) (sketch.Sketch, any) {
 	sk := e.MustNew(sh)
 	bases.mu.Lock()
 	defer bases.mu.Unlock()
-	switch wp := bases.m[basisKey{e.Name, sh}].(type) {
-	case weak.Pointer[core.L1Basis]:
-		return sk, wp.Value()
-	case weak.Pointer[core.L2Basis]:
-		return sk, wp.Value()
-	default:
+	wp, ok := bases.m[basisKey{e.Name, sh}]
+	if !ok {
 		t.Fatalf("%s: no cached basis after a construction", name)
-		return nil, nil
 	}
+	return sk, wp.Value()
 }
 
 // Constructions by name share one basis per (entry, shape): a second

@@ -9,8 +9,9 @@
 // bias estimation, the baselines use depth d+1, so every algorithm
 // consumes (d+1)·s words at the same (s, d) setting.
 //
-// The bias-aware entries build every sketch of one (entry, shape) on
-// one shared core.L1Basis or core.L2Basis.
+// The four bias-aware entries build one core.SR each: l1sr and l1mean
+// on the ℓ1 scheme, l2sr and l2mean on the ℓ2 scheme. Every sketch of
+// one (entry, shape) is built on one shared core.Basis.
 package registry
 
 import (
@@ -188,14 +189,8 @@ func State(sk sketch.Sketch) (Stateful, error) {
 // and types with no merge surface at all return ErrNotLinear.
 func Merge(dst, src sketch.Sketch) error {
 	switch d := dst.(type) {
-	case *core.L1SR:
-		s, ok := src.(*core.L1SR)
-		if !ok {
-			return sketch.ErrIncompatible
-		}
-		return d.MergeFrom(s)
-	case *core.L2SR:
-		s, ok := src.(*core.L2SR)
+	case *core.SR:
+		s, ok := src.(*core.SR)
 		if !ok {
 			return sketch.ErrIncompatible
 		}
@@ -241,26 +236,23 @@ type basisKey struct {
 	sh    Shape
 }
 
-// bases maps each key to a weak.Pointer to its live core.L1Basis or
-// core.L2Basis. A basis lives exactly as long as some sketch built on
-// it, and a cleanup then drops its entry, so seeds that come and go
-// cannot grow the cache.
+// bases maps each key to a weak pointer to its live basis. A basis
+// lives exactly as long as some sketch built on it, and a cleanup then
+// drops its entry, so seeds that come and go cannot grow the cache.
 var bases = struct {
 	mu sync.Mutex
-	m  map[basisKey]any
-}{m: map[basisKey]any{}}
+	m  map[basisKey]weak.Pointer[core.Basis]
+}{m: map[basisKey]weak.Pointer[core.Basis]{}}
 
 // sharedBasis returns the live basis for (entry, sh), drawing one with
 // build from sh's seed when none is alive. Concurrent first
 // constructions wait for the one build.
-func sharedBasis[C, B any](entry string, sh Shape, cfg C, build func(C, *rand.Rand) *B) *B {
+func sharedBasis(entry string, sh Shape, cfg core.Config, build func(core.Config, *rand.Rand) *core.Basis) *core.Basis {
 	key := basisKey{entry, sh}
 	bases.mu.Lock()
 	defer bases.mu.Unlock()
-	if wp, ok := bases.m[key].(weak.Pointer[B]); ok {
-		if b := wp.Value(); b != nil {
-			return b
-		}
+	if b := bases.m[key].Value(); b != nil {
+		return b
 	}
 	b := build(cfg, rand.New(rand.NewSource(sh.Seed)))
 	wp := weak.Make(b)
@@ -268,7 +260,7 @@ func sharedBasis[C, B any](entry string, sh Shape, cfg C, build func(C, *rand.Ra
 	runtime.AddCleanup(b, func(key basisKey) {
 		bases.mu.Lock()
 		defer bases.mu.Unlock()
-		if bases.m[key] == any(wp) { // a newer basis may hold the key by now
+		if bases.m[key] == wp { // a newer basis may hold the key by now
 			delete(bases.m, key)
 		}
 	}, key)
@@ -280,7 +272,7 @@ func init() {
 		Name: L1SR, Legend: "l1-S/R", Aliases: []string{"l1-sr", "l1s/r"},
 		Linear: true, Bias: true,
 		New: func(sh Shape) (sketch.Sketch, error) {
-			cfg := core.L1Config{N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, SampleCount: sh.S}
+			cfg := core.Config{N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, SampleCount: sh.S}
 			return sharedBasis(L1SR, sh, cfg, core.NewL1Basis).New(), nil
 		},
 	})
@@ -288,7 +280,7 @@ func init() {
 		Name: L2SR, Legend: "l2-S/R", Aliases: []string{"l2-sr", "l2s/r"},
 		Linear: true, Bias: true,
 		New: func(sh Shape) (sketch.Sketch, error) {
-			cfg := core.L2Config{N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D}
+			cfg := core.Config{N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D}
 			return sharedBasis(L2SR, sh, cfg, core.NewL2Basis).New(), nil
 		},
 	})
@@ -296,7 +288,7 @@ func init() {
 		Name: L1Mean, Legend: "l1-mean",
 		Linear: true, Bias: true,
 		New: func(sh Shape) (sketch.Sketch, error) {
-			cfg := core.L1Config{N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, SampleCount: 1, Estimator: core.EstimatorMean}
+			cfg := core.Config{N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, SampleCount: 1, Estimator: core.EstimatorMean}
 			return sharedBasis(L1Mean, sh, cfg, core.NewL1Basis).New(), nil
 		},
 	})
@@ -304,7 +296,7 @@ func init() {
 		Name: L2Mean, Legend: "l2-mean",
 		Linear: true, Bias: true,
 		New: func(sh Shape) (sketch.Sketch, error) {
-			cfg := core.L2Config{N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, Estimator: core.EstimatorMean}
+			cfg := core.Config{N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, Estimator: core.EstimatorMean}
 			return sharedBasis(L2Mean, sh, cfg, core.NewL2Basis).New(), nil
 		},
 	})

@@ -85,7 +85,7 @@ func TestColumnAccessorsAgree(t *testing.T) {
 	}
 	for tr := 0; tr < cfg.Depth; tr++ {
 		var sum float64
-		for _, v := range cmOn.Row(tr) {
+		for _, v := range cmOn.Rows()[tr] {
 			sum += v
 		}
 		if sum != mass {

@@ -120,8 +120,9 @@ func (c *CountMedian) Marshal() []byte { return c.tb.marshalCells() }
 // Unmarshal restores counter state written by Marshal.
 func (c *CountMedian) Unmarshal(b []byte) error { return c.tb.unmarshalCells(b) }
 
-// Row returns row t's counters. Callers must not modify the slice.
-func (c *CountMedian) Row(t int) []float64 { return c.tb.cells[t] }
+// Rows returns the counter rows, which stay in place for the sketch's
+// life. Callers must not modify them.
+func (c *CountMedian) Rows() [][]float64 { return c.tb.cells }
 
 // CheckIndex panics unless 0 <= i < Dim(), with Query's message, for
 // the recovery algorithms layered on top of this sketch.

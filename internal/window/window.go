@@ -9,11 +9,11 @@
 //
 // The open pane is a concurrent.Sharded, so multi-goroutine ingestion
 // is contention-free exactly as it is for unbounded streams. The read
-// side reuses the epoch/snapshot machinery: queries are served from a
-// cached merged replica (closed-pane sum + open-pane snapshot)
-// published through an atomic pointer, rebuilt only when a pane rotates
-// or the open pane's shard epochs advance — readers of a fresh view
-// take zero locks.
+// side reuses its epochs: queries are served from a cached merged
+// replica (the closed-pane sum, then every open-pane shard, merged into
+// one fresh replica) published through an atomic pointer, rebuilt only
+// when a pane rotates or the open pane's shard epochs advance — readers
+// of a fresh view take zero locks.
 //
 // Rotation is either explicit (Advance) or clock-driven: with a pane
 // width configured, every Update/Query first folds in any panes the
@@ -206,8 +206,8 @@ func (w *Window[S]) advanceLocked(k int) error {
 	// Rebuild the cached closed-pane sum — incrementally (old sum,
 	// which is immutable, plus the newly frozen pane: two merges) when
 	// nothing expired, from scratch otherwise. Paid per rotation so
-	// every refresh between rotations is two merges regardless of
-	// Panes.
+	// every refresh between rotations merges one closed sum regardless
+	// of Panes.
 	var sum S
 	hasClosed := len(keep) > 0
 	switch {
@@ -302,10 +302,11 @@ func (w *Window[S]) UpdateBatch(slot int, idx []int, deltas []float64) error {
 // exactly the concurrent.Snapshot contract, extended with the pane
 // generation so a rotation also marks it stale.
 type View[S concurrent.Mergeable] struct {
-	owner *Window[S]
-	sk    S
-	gen   uint64
-	snap  *concurrent.Snapshot[S] // open-pane snapshot folded into sk
+	owner  *Window[S]
+	sk     S
+	gen    uint64
+	cur    *concurrent.Sharded[S] // open pane folded into sk
+	epochs []uint64               // cur's shard epochs folded into sk
 }
 
 // Sketch returns the merged live-pane replica. It is shared and
@@ -315,7 +316,7 @@ func (v *View[S]) Sketch() S { return v.sk }
 // Stale reports whether a rotation happened or the open pane absorbed
 // writes since this view was published — atomics only, no locks.
 func (v *View[S]) Stale() bool {
-	return v.gen != v.owner.gen.Load() || v.snap.Stale()
+	return v.gen != v.owner.gen.Load() || v.cur.Moved(v.epochs)
 }
 
 // Query answers a point query against the view, lock-free, through the
@@ -376,32 +377,30 @@ func (w *Window[S]) rotationState() (gen uint64, cur *concurrent.Sharded[S], clo
 	return w.gen.Load(), w.cur, w.closedSum, w.hasClosed
 }
 
-// refresh rebuilds and publishes the merged view: closed-pane sum plus
-// a fresh open-pane snapshot — two merges, independent of Panes.
+// refresh rebuilds and publishes the merged view: one fresh replica,
+// into which the closed-pane sum and then every open-pane shard are
+// merged — one construction and P+1 merges, independent of Panes.
 func (w *Window[S]) refresh() (*View[S], error) {
 	w.refreshMu.Lock()
 	defer w.refreshMu.Unlock()
 	if v := w.view.Load(); v != nil && !v.Stale() {
 		return v, nil // an earlier waiter already rebuilt it
 	}
-	// Capture a consistent rotation state; the open pane's snapshot is
-	// taken outside the lock (Refresh locks one shard at a time).
+	// Capture a consistent rotation state; the open pane's shards are
+	// merged outside the lock (MergeInto locks one shard at a time).
 	gen, cur, closedSum, hasClosed := w.rotationState()
 
-	snap, err := cur.Refresh()
-	if err != nil {
-		return nil, fmt.Errorf("window: snapshotting open pane: %w", err)
-	}
 	merged := w.mk()
 	if hasClosed {
 		if err := w.merge(merged, closedSum); err != nil {
 			return nil, fmt.Errorf("window: merging closed panes: %w", err)
 		}
 	}
-	if err := w.merge(merged, snap.Sketch()); err != nil {
+	epochs, err := cur.MergeInto(merged)
+	if err != nil {
 		return nil, fmt.Errorf("window: merging open pane: %w", err)
 	}
-	v := &View[S]{owner: w, sk: merged, gen: gen, snap: snap}
+	v := &View[S]{owner: w, sk: merged, gen: gen, cur: cur, epochs: epochs}
 	w.view.Store(v)
 	return v, nil
 }

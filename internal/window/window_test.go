@@ -276,6 +276,48 @@ func TestViewCaching(t *testing.T) {
 	}
 }
 
+// A stale view costs one construction: the closed-pane sum and every
+// open-pane shard merge straight into the view's replica.
+func TestStaleViewBuildsOneReplica(t *testing.T) {
+	built := 0
+	mk := func() *stream.Exact { built++; return mkExact() }
+	w, err := New(Config{Panes: 4, Shards: 2}, mk, mergeExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pane := 0; pane < 3; pane++ {
+		if pane > 0 {
+			if err := w.Advance(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for slot := 0; slot < 2; slot++ {
+			if err := w.Update(slot, 10*pane+slot, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for round := 1; round <= 3; round++ {
+		if err := w.Update(round%2, 7, 1); err != nil {
+			t.Fatal(err)
+		}
+		before := built
+		v, err := w.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := built - before; got != 1 {
+			t.Errorf("round %d: a stale View built %d replicas, want 1", round, got)
+		}
+		if got := v.Query(7); got != float64(round) {
+			t.Errorf("round %d: x[7] = %v, want %d", round, got, round)
+		}
+		if got := v.Query(20) + v.Query(0); got != 2 {
+			t.Errorf("round %d: x[20]+x[0] = %v, want 2", round, got)
+		}
+	}
+}
+
 // Clock-driven rotation: a fake clock crossing pane boundaries must
 // expire old traffic on the next touch — including multi-pane jumps
 // and query-only touches on a write-idle window.
@@ -405,15 +447,15 @@ func TestRotationRace(t *testing.T) {
 }
 
 // Bias-aware panes: the window must serve the full read surface of a
-// merged L2SR (queries and bias) and agree with a single sketch fed
-// only the live panes' updates.
+// merged ℓ2-S/R sketch (queries and bias) and agree with a single
+// sketch fed only the live panes' updates.
 func TestL2SRWindowMatchesLiveRecount(t *testing.T) {
 	const n = 2000
-	mk := func() *core.L2SR {
-		return core.NewL2SR(core.L2Config{N: n, K: 64},
+	mk := func() *core.SR {
+		return core.NewL2SR(core.Config{N: n, K: 64},
 			rand.New(rand.NewSource(5)))
 	}
-	merge := func(dst, src *core.L2SR) error { return dst.MergeFrom(src) }
+	merge := func(dst, src *core.SR) error { return dst.MergeFrom(src) }
 	w, err := New(Config{Panes: 2, Shards: 2}, mk, merge)
 	if err != nil {
 		t.Fatal(err)

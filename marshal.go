@@ -84,9 +84,3 @@ func Unmarshal(data []byte) (Sketch, error) {
 	}
 	return sk, nil
 }
-
-// MarshalTo is Encode under its historical name.
-func MarshalTo(w io.Writer, s Sketch) error { return Encode(w, s) }
-
-// UnmarshalFrom is Decode under its historical name.
-func UnmarshalFrom(r io.Reader) (Sketch, error) { return Decode(r) }

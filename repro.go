@@ -139,7 +139,7 @@ var (
 	ErrHashUnsupported = codec.ErrHashUnsupported
 	// ErrTrailingData is returned by Unmarshal when a buffer holds
 	// bytes beyond the one payload it should contain. Streams carrying
-	// multiple frames decode through UnmarshalFrom/Decode instead.
+	// multiple frames decode through Decode instead.
 	ErrTrailingData = errors.New("repro: trailing data after payload")
 	// ErrBadBatch is returned by the batched entry points when the
 	// index slice and its paired delta/output slice differ in length;
