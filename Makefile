@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race cover lint bench-json bench-check serve-smoke
+.PHONY: build test race cover lint fuzz-short bench-json bench-check serve-smoke
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,35 @@ cover:
 		if ! awk -v p="$$pct" -v f="$$floor" 'BEGIN { exit !(p >= f) }'; then \
 			echo "::error::$$pkg coverage $${pct}% fell below the $${floor}% floor"; exit 1; \
 		fi; \
+	done
+
+# FUZZ_TARGETS are package:target pairs naming every Fuzz target of the
+# root module: the wire-format loaders and round trips, the composite
+# checkpoint decoder, the hostile-construction targets, the delta-frame
+# decoder behind the monitoring fabric, the pruned deviation scans, the
+# codec's single-sketch loader, the Bias-Heap against its reference, and
+# the vector math behind the accuracy bounds. fuzz-short fuzzes each for
+# FUZZTIME (CI's short pass; long runs belong in a scheduled job), after
+# checking that the list names every Fuzz function in the module's
+# tests, so a new target cannot be left out.
+FUZZ_TARGETS := .:FuzzUnmarshal .:FuzzMarshalRoundTrip .:FuzzDecode .:FuzzNewRange \
+	.:FuzzNewWindowed .:FuzzDecodeDelta .:FuzzTopKMatchesRecover \
+	internal/codec:FuzzDecodeSketch internal/codec:FuzzSketchRoundTrip \
+	internal/biasheap:FuzzHeapAgainstReference internal/vecmath:FuzzMinBetaErrK \
+	internal/vecmath:FuzzErrKInvariants internal/vecmath:FuzzMultiBias
+FUZZTIME ?= 10s
+
+fuzz-short:
+	@want=$$(grep -rhoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . | sed 's/^func //' | sort); \
+	have=$$(for pt in $(FUZZ_TARGETS); do echo "$${pt##*:}"; done | sort); \
+	if [ "$$want" != "$$have" ]; then \
+		echo "::error::FUZZ_TARGETS does not name exactly the module's Fuzz targets"; \
+		echo "in the tests:" $$want; echo "listed:" $$have; exit 1; \
+	fi
+	@for pt in $(FUZZ_TARGETS); do \
+		pkg=./$${pt%%:*}; target=$${pt##*:}; \
+		echo "fuzz $$pkg $$target for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$${target}\$$" -fuzztime $(FUZZTIME) "$$pkg" || exit 1; \
 	done
 
 # serve-smoke is the end-to-end sketchd drill: build the real binary,

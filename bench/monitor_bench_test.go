@@ -1,12 +1,15 @@
 // Distributed-monitoring fabric benchmarks: one op is a complete
-// continuous-monitoring run over a fixed skewed workload, and the
-// number that matters is the custom comm-B/round metric — encoded
-// frame bytes per synchronization round across every tree edge —
-// reported for delta shipping against the full-state baseline the
-// paper's sites × sketch-size budget describes.
+// continuous-monitoring run, and the numbers that matter are the custom
+// ms/round metric — wall time per synchronization round — and
+// comm-B/round — encoded frame bytes per round across every tree edge.
+// The skewed l2sr cases compare delta shipping against the full-state
+// baseline the paper's sites × sketch-size budget describes; the
+// uniform l1sr case runs the repository benchmark's monitor shape,
+// where every shard of every site changes every round.
 package bench_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro"
@@ -31,28 +34,50 @@ func monitorWorkload(sites, dim int) [][]repro.SiteUpdate {
 	return streams
 }
 
-func BenchmarkMonitorRound(b *testing.B) {
-	const (
-		sites = 64
-		dim   = 50_000
-	)
-	streams := monitorWorkload(sites, dim)
-	opts := []repro.Option{
-		repro.WithDim(dim), repro.WithWords(512), repro.WithDepth(3), repro.WithSeed(7),
+// uniformMonitorWorkload gives every site perSite updates on keys drawn
+// uniformly from [0, dim), each delta an integer in 1..5.
+func uniformMonitorWorkload(sites, perSite, dim int) [][]repro.SiteUpdate {
+	r := rand.New(rand.NewSource(11))
+	streams := make([][]repro.SiteUpdate, sites)
+	for p := range streams {
+		streams[p] = make([]repro.SiteUpdate, perSite)
+		for u := range streams[p] {
+			streams[p][u] = repro.SiteUpdate{I: r.Intn(dim), Delta: float64(1 + r.Intn(5))}
+		}
 	}
-	for _, mode := range []struct {
-		name string
-		full bool
-	}{{"delta", false}, {"full", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := repro.MonitorConfig{
-				SyncEvery: 512, FanIn: 4, Shards: 4, FullState: mode.full,
-			}
+	return streams
+}
+
+func BenchmarkMonitorRound(b *testing.B) {
+	skewed := monitorWorkload(64, 50_000)
+	skewedOpts := []repro.Option{
+		repro.WithDim(50_000), repro.WithWords(512), repro.WithDepth(3), repro.WithSeed(7),
+	}
+	// The repository benchmark's monitor shape: 32 sites, n=2^20,
+	// s=1024, d=5, fan-in 4, 4 shards, 256 updates per site per round,
+	// 36 rounds.
+	const uniformDim = 1 << 20
+	uniform := uniformMonitorWorkload(32, 36*256, uniformDim)
+	uniformOpts := []repro.Option{
+		repro.WithDim(uniformDim), repro.WithWords(1024), repro.WithDepth(5), repro.WithSeed(7),
+	}
+	for _, c := range []struct {
+		name    string
+		algo    string
+		streams [][]repro.SiteUpdate
+		opts    []repro.Option
+		cfg     repro.MonitorConfig
+	}{
+		{"delta", "l2sr", skewed, skewedOpts, repro.MonitorConfig{SyncEvery: 512, FanIn: 4, Shards: 4}},
+		{"full", "l2sr", skewed, skewedOpts, repro.MonitorConfig{SyncEvery: 512, FanIn: 4, Shards: 4, FullState: true}},
+		{"l1sr-uniform", "l1sr", uniform, uniformOpts, repro.MonitorConfig{SyncEvery: 256, FanIn: 4, Shards: 4}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			var rep repro.MonitorReport
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, rep, err = repro.Monitor("l2sr", cfg, streams, nil, opts...)
+				_, rep, err = repro.Monitor(c.algo, c.cfg, c.streams, nil, c.opts...)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -61,6 +86,7 @@ func BenchmarkMonitorRound(b *testing.B) {
 			if rep.Rounds == 0 {
 				b.Fatal("no synchronization rounds ran")
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*rep.Rounds), "ms/round")
 			b.ReportMetric(float64(rep.CommBytes)/float64(rep.Rounds), "comm-B/round")
 			b.ReportMetric(float64(rep.CommWords)/float64(rep.Rounds), "comm-words/round")
 		})

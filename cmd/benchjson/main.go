@@ -9,7 +9,8 @@
 // distributed-monitoring fabric (BenchmarkMonitorRound): one complete
 // continuous-monitoring run per op, with the custom comm-B/round and
 // comm-words/round metrics comparing delta shipping against the
-// full-state baseline.
+// full-state baseline on a skewed workload, and a uniform l1sr case at
+// the repository benchmark's monitor shape.
 //
 // The update/query benchmarks count one vector element per op, so
 // ns/op is already normalized per element and directly comparable
@@ -121,8 +122,8 @@ func main() {
 			"allocs/op on batched and snapshot paths is pinned to 0 by the //sketch:hotpath contract. " +
 			"BenchmarkIngestEndpoint is one 512-element wire-v2 batch per op through the sketchd HTTP stack " +
 			"(divide ns/op by 512 for the per-element serving cost). " +
-			"BenchmarkMonitorRound is one complete distributed-monitoring run per op on a skewed 64-site workload; " +
-			"comm_bytes_per_round compares delta shipping against the full-state baseline. " +
+			"BenchmarkMonitorRound is one complete distributed-monitoring run per op: delta and full on a skewed 64-site l2sr workload, " +
+			"where comm_bytes_per_round compares delta shipping against the full-state baseline, and l1sr-uniform at the repository benchmark's 32-site monitor shape. " +
 			"Regenerate with: go run ./cmd/benchjson",
 		Shape:     Shape{N: 1_000_000, Words: 4096, Depth: 9},
 		Benchtime: *benchtime,

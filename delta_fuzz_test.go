@@ -41,6 +41,27 @@ func deltaFuzzSeed(f *testing.F, full bool) []byte {
 	return buf.Bytes()
 }
 
+// deltaFuzzSparseSeed builds a valid delta frame whose one entry saw
+// three updates, so its state travels as sparse (index, word) pairs.
+func deltaFuzzSparseSeed(f *testing.F) []byte {
+	f.Helper()
+	d := codec.Desc{Algo: "l1sr", N: 1024, S: 32, D: 3, Seed: 5}
+	sk, err := registry.SafeNew(d.Algo, d.Shape())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for u := 0; u < 3; u++ {
+		sk.Update(u*97, float64(1+u))
+	}
+	var buf bytes.Buffer
+	if err := codec.EncodeDelta(&buf, codec.DeltaFrame{Desc: d, Shards: 2, Entries: []codec.DeltaEntry{
+		{Shard: 1, Epoch: 4, Sk: sk},
+	}}); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func FuzzDecodeDelta(f *testing.F) {
 	deltaSeed := deltaFuzzSeed(f, false)
 	fullSeed := deltaFuzzSeed(f, true)
@@ -53,6 +74,7 @@ func FuzzDecodeDelta(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("BAS2junk"))
+	f.Add(deltaFuzzSparseSeed(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := codec.DecodeDelta(bytes.NewReader(data))

@@ -172,15 +172,18 @@
 //
 // Monitor runs §1's distributed model continuously: sites ingest
 // local streams and synchronize through a fan-in-k aggregation tree,
-// each hop shipping a wire-v2 delta frame that carries only the
-// replica shards whose epoch advanced since the last acknowledged
-// sync — quiet sites cost nothing in steady state, and MonitorReport
-// ledgers the realized communication against the paper's theoretical
-// sites × sketch-size per-round budget (§5.5). Interior nodes cache
-// per-child shard states and aggregate by linearity, so the
-// coordinator's answers are bit-identical to a single sketch fed
-// every update, even when sites crash mid-run and rejoin from their
-// last checkpoint with one full-state resynchronization frame.
+// each hop shipping a wire-v2 delta frame that carries, for every
+// replica shard whose epoch advanced since the last acknowledged sync,
+// only that shard's change since then — quiet sites cost nothing in
+// steady state, and MonitorReport ledgers the realized communication
+// against the paper's theoretical sites × sketch-size per-round budget
+// (§5.5). By linearity every hop adds each change in place exactly
+// once: interior nodes into their per-child sums, the root into one
+// live coordinator, and the epoch rule is what stops a change from
+// being added twice. So the coordinator's answers are bit-identical to
+// a single sketch fed every update, even when sites crash mid-run and
+// rejoin from their last checkpoint with one full-state
+// resynchronization frame.
 //
 // # Accuracy guarantees under test
 //

@@ -1,8 +1,8 @@
 // Continuous distributed monitoring on the delta-shipping aggregation
 // tree: sixty-four collectors each ingest their local slice of a
 // biased event stream and sync through a fan-in-4 tree every 10k local
-// updates. Delta frames carry only the replica shards that changed
-// since the last acknowledged hop, so quiet sites cost (almost)
+// updates. Delta frames carry only each changed replica shard's
+// change since the last acknowledged hop, so quiet sites cost (almost)
 // nothing; two collectors crash mid-run and rejoin from their last
 // checkpoint with one full-state frame. The run is repeated with
 // full-state shipping — the paper's sites × sketch-size communication

@@ -76,6 +76,7 @@ const (
 	secPad        = 8  // alignment padding (zero bytes) in older aligned checkpoint files; skipped on decode
 	secBatch      = 9  // u32 element count + count × (u64 index, f64 delta)
 	secDeltaMeta  = 10 // delta frame: flags + shard count + entry count + (shard, epoch) pairs
+	secSparse     = 11 // delta entry state: dense length + count × (u32 word index, u64 word) of its nonzero words
 )
 
 // maxPad bounds a pad section: the padding only ever 8-aligned the
@@ -185,6 +186,10 @@ func (d Desc) cells(e *registry.Entry) uint64 {
 func stateBound(d Desc, e *registry.Entry) uint64 {
 	return 8*d.cells(e) + 4096
 }
+
+// maxStateBound caps stateBound over every shape Desc.Validate admits:
+// no replica of a valid shape holds maxCheckpointCells counters.
+const maxStateBound = 8*maxCheckpointCells + 4096
 
 // section is one framed unit of a v2 container.
 type section struct {

@@ -2,30 +2,39 @@ package codec
 
 // Delta frames: the wire unit of the delta-shipping distributed
 // fabric (internal/distributed). A site's replica set is a
-// concurrent.Sharded whose per-shard epochs advance on every write;
-// a delta frame carries only the shards whose epoch advanced since
-// the last acknowledged hop — the sections of a sharded checkpoint,
-// filtered by staleness — so a site whose stream went quiet ships
-// nothing at all. Interior aggregation-tree nodes merge child frames
-// (linearity: per-shard states sum) and forward one frame upward, so
-// the per-edge cost is bounded by the sketch size, not the subtree's
-// site count.
+// concurrent.Sharded whose per-shard epochs advance on every write. A
+// delta frame carries, for each shard whose epoch advanced since the
+// last acknowledged hop, only that shard's change since then: Φ(Δx),
+// the sketch of the updates the shard absorbed in between. A receiver
+// adds each change to what it holds exactly once, and the epoch rule
+// below is what stops a change from being added twice. Interior
+// aggregation-tree nodes add up their children's changes (linearity:
+// per-shard changes sum) and forward one frame upward, so the per-edge
+// cost is bounded by the sketch size, not the subtree's site count. A
+// site whose stream went quiet ships nothing at all.
 //
 // Two frame flavors share the layout, distinguished by a flag bit:
 //
-//   - delta: Entries holds the changed shards only, each with the
-//     sender's per-shard epoch, which must advance monotonically on
-//     one edge (insert-only per epoch: an epoch is shipped at most
-//     once and never regresses inside delta frames).
-//   - full: Entries holds every shard — the resynchronization frame a
-//     site ships when it rejoins after a restart from checkpoint, and
-//     the only frame kind allowed to regress epochs (the receiver
-//     resets its tracking wholesale).
+//   - delta: Entries holds the changed shards only, each with its
+//     change and the sender's per-shard epoch, which must advance
+//     strictly on one edge (an epoch is shipped at most once and never
+//     regresses inside delta frames), so a repeated or replayed entry
+//     is refused instead of being added again.
+//   - full: Entries holds every shard's whole state — the
+//     resynchronization frame a site ships when it rejoins after a
+//     restart from checkpoint, and the only frame kind allowed to
+//     regress epochs (the receiver replaces what it held for the
+//     sender and resets its tracking wholesale).
 //
 // Layout (v2 container, KindDelta): a desc section, a delta-meta
 // section (flags byte, shard count, entry count, then one
 // (shard, epoch) pair per entry), then one state section per entry in
-// entry order. Decode validates every count, index, and epoch rule
+// entry order. A full frame's states travel dense (secState, the
+// registry payload checkpoints carry). A change leaves most counters at
+// +0, so each delta entry's state travels dense or sparse (secSparse:
+// the dense length, then the (u32 word index, u64 word) pairs of the
+// payload's nonzero 8-byte words in increasing index order), whichever
+// is smaller. Decode validates every count, index, and epoch rule
 // before any structure-proportional allocation; garbage errors, it
 // never panics.
 
@@ -33,6 +42,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/registry"
 	"repro/internal/sketch"
@@ -45,13 +55,15 @@ const deltaFlagFull = 1
 // byte + u64 shard count + u64 entry count.
 const deltaMetaFixed = 17
 
-// DeltaEntry is one shard section of a delta frame: the shard's
-// replica state as of the given epoch.
+// DeltaEntry is one shard section of a delta frame: in a delta frame,
+// the shard's change since the edge's last acknowledged epoch, up to
+// the given epoch; in a full frame, the shard's whole state as of it.
 type DeltaEntry struct {
 	Shard int
 	Epoch uint64
-	// Sk is the shard replica. EncodeDelta serializes its state;
-	// DecodeDelta reconstructs it through the registry.
+	// Sk is the change or the state as a replica of the frame's shape.
+	// EncodeDelta serializes its state; DecodeDelta reconstructs it
+	// through the registry.
 	Sk sketch.Sketch
 }
 
@@ -105,7 +117,8 @@ func deltaLookup(d Desc) (*registry.Entry, error) {
 
 // EncodeDelta writes f as a v2 delta-frame container. Entries must be
 // sorted by strictly increasing shard index; full frames must cover
-// every shard, delta frames must carry nonzero epochs.
+// every shard, delta frames must carry nonzero epochs. Each entry of a
+// delta frame is written sparse when that is smaller than dense.
 func EncodeDelta(w io.Writer, f DeltaFrame) error {
 	if _, err := deltaLookup(f.Desc); err != nil {
 		return err
@@ -142,6 +155,11 @@ func EncodeDelta(w io.Writer, f DeltaFrame) error {
 		}
 		if tag == secExact {
 			return fmt.Errorf("codec: exact state in a delta frame")
+		}
+		if !f.Full {
+			if sparse, ok := sparseState(payload); ok {
+				tag, payload = secSparse, sparse
+			}
 		}
 		states = append(states, section{tag, payload})
 	}
@@ -226,24 +244,146 @@ func DecodeDelta(r io.Reader) (DeltaFrame, error) {
 		f.Entries = append(f.Entries, DeltaEntry{Shard: int(shard), Epoch: epoch})
 	}
 	// Read every entry's state bytes, then build replicas: the input
-	// pays for the allocations it is about to cause.
+	// pays for the allocations it is about to cause. Sparse states
+	// expand one at a time into one dense buffer the frame reuses.
 	states := make([]section, count)
 	for i := range states {
-		tag, payload, err := readStateSection(r, desc, e)
+		tag, payload, err := readDeltaState(r, desc, e)
 		if err != nil {
 			return DeltaFrame{}, fmt.Errorf("codec: delta entry %d: %w", i, err)
 		}
 		states[i] = section{tag, payload}
 	}
-	for i := range f.Entries {
+	var dense []byte
+	for i, st := range states {
 		sk, err := registry.SafeNew(desc.Algo, desc.Shape())
 		if err != nil {
 			return DeltaFrame{}, err
 		}
-		if err := restoreState(sk, states[i].tag, states[i].payload); err != nil {
+		payload := st.payload
+		if st.tag == secSparse {
+			if dense, err = decodeSparse(dense, payload, stateBound(desc, e)); err != nil {
+				return DeltaFrame{}, fmt.Errorf("codec: delta entry %d: %w", i, err)
+			}
+			payload = dense
+		}
+		err = restoreState(sk, secState, payload)
+		if st.tag == secSparse {
+			clearSparse(dense, st.payload)
+		}
+		if err != nil {
 			return DeltaFrame{}, fmt.Errorf("codec: delta entry %d: %w", i, err)
 		}
 		f.Entries[i].Sk = sk
 	}
 	return f, nil
+}
+
+// readDeltaState consumes one delta entry's state section, dense or
+// sparse, under the shape's dense state bound.
+func readDeltaState(r io.Reader, d Desc, e *registry.Entry) (byte, []byte, error) {
+	var h [9]byte
+	if _, err := io.ReadFull(r, h[:]); err != nil {
+		return 0, nil, fmt.Errorf("codec: reading state section header: %w", err)
+	}
+	tag, n := h[0], binary.LittleEndian.Uint64(h[1:])
+	if tag != secState && tag != secSparse {
+		return 0, nil, fmt.Errorf("codec: state section tag %d does not match algorithm %s", tag, e.Name)
+	}
+	payload, err := readPayload(r, n, stateBound(d, e))
+	return tag, payload, err
+}
+
+// Sparse state layout: u64 dense length in bytes, u64 pair count, then
+// that many (u32 word index, u64 word) pairs.
+const (
+	sparseFixed = 16
+	sparsePair  = 12
+)
+
+// sparseState returns the sparse form of a dense state payload: the
+// dense length, then the index and bits of every nonzero 8-byte word in
+// increasing index order. It reports false when that is no smaller
+// than the dense payload.
+func sparseState(dense []byte) ([]byte, bool) {
+	if len(dense)%8 != 0 || len(dense)/8 > math.MaxUint32 {
+		return nil, false
+	}
+	count := 0
+	for w := dense; len(w) >= 8; w = w[8:] {
+		v := binary.LittleEndian.Uint64(w)
+		count += int((v | -v) >> 63) // 1 when v is nonzero, without a branch
+	}
+	size := sparseFixed + sparsePair*count
+	if size >= len(dense) {
+		return nil, false
+	}
+	out := make([]byte, 0, size)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(dense)))
+	out = binary.LittleEndian.AppendUint64(out, uint64(count))
+	for i, w := uint32(0), dense; len(w) >= 8; i, w = i+1, w[8:] {
+		if v := binary.LittleEndian.Uint64(w); v != 0 {
+			out = binary.LittleEndian.AppendUint32(out, i)
+			out = binary.LittleEndian.AppendUint64(out, v)
+		}
+	}
+	return out, true
+}
+
+// decodeSparse expands a sparse state payload into the dense payload it
+// stands for, written into dst, which must hold only zero bytes, and
+// grown when it is too short. The dense length must be whole words
+// under bound, the pair count at most that many words and exactly what
+// the payload holds, and the word indices strictly increasing inside
+// the dense length: all checked before anything is written or
+// allocated.
+func decodeSparse(dst, p []byte, bound uint64) ([]byte, error) {
+	if bound > maxStateBound {
+		return nil, fmt.Errorf("codec: state bound %d over the %d ceiling", bound, uint64(maxStateBound))
+	}
+	if len(p) < sparseFixed {
+		return nil, fmt.Errorf("codec: sparse state truncated (%d bytes)", len(p))
+	}
+	size := binary.LittleEndian.Uint64(p)
+	if size > bound {
+		return nil, fmt.Errorf("codec: sparse state expands to %d bytes, over the shape bound %d", size, bound)
+	}
+	if size%8 != 0 {
+		return nil, fmt.Errorf("codec: sparse state length %d is not a multiple of 8", size)
+	}
+	words := size / 8
+	count := binary.LittleEndian.Uint64(p[8:])
+	if count > words {
+		return nil, fmt.Errorf("codec: sparse state names %d words of a %d-word state", count, words)
+	}
+	if uint64(len(p)) != sparseFixed+sparsePair*count {
+		return nil, fmt.Errorf("codec: sparse state is %d bytes for %d words", len(p), count)
+	}
+	pairs := p[sparseFixed:]
+	for k := uint64(0); k < count; k++ {
+		i := uint64(binary.LittleEndian.Uint32(pairs[sparsePair*k:]))
+		if i >= words {
+			return nil, fmt.Errorf("codec: sparse word index %d past the %d-word state", i, words)
+		}
+		if k > 0 && i <= uint64(binary.LittleEndian.Uint32(pairs[sparsePair*(k-1):])) {
+			return nil, fmt.Errorf("codec: sparse word indices must be strictly increasing (%d at pair %d)", i, k)
+		}
+	}
+	if uint64(cap(dst)) < size {
+		dst = make([]byte, size)
+	}
+	dst = dst[:size]
+	for pr := pairs; len(pr) > 0; pr = pr[sparsePair:] {
+		copy(dst[8*binary.LittleEndian.Uint32(pr):], pr[4:sparsePair])
+	}
+	return dst, nil
+}
+
+// clearSparse zeroes the words of dense that the sparse payload p set,
+// so the buffer can take the frame's next entry.
+func clearSparse(dense, p []byte) {
+	for pr := p[sparseFixed:]; len(pr) > 0; pr = pr[sparsePair:] {
+		i := 8 * binary.LittleEndian.Uint32(pr)
+		clear(dense[i : i+8])
+	}
 }

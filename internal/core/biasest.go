@@ -168,9 +168,7 @@ func newSampleSeed(n, t int, r *rand.Rand) *sampleSeed {
 
 func (sd *sampleSeed) fresh() Estimator {
 	e := &sampleMedianEstimator{sampleSeed: sd, vals: make([]float64, len(sd.slots)), tree: ost.New(sd.treeSeed)}
-	for range sd.slots {
-		e.tree.Insert(0)
-	}
+	e.tree.InsertN(0, len(sd.slots))
 	return e
 }
 
@@ -205,14 +203,25 @@ func (e *sampleMedianEstimator) Merge(other Estimator) error {
 			return ErrIncompatibleEstimator
 		}
 	}
-	// Sampled values are coordinates of x, hence linear: add and
-	// rebuild the order statistics.
-	for s := range e.vals {
-		e.tree.Delete(e.vals[s])
-		e.vals[s] += o.vals[s]
-		e.tree.Insert(e.vals[s])
+	// Sampled values are coordinates of x, hence linear: add, and move
+	// in the order statistics only the slots whose value changed.
+	for s, v := range o.vals {
+		e.set(s, e.vals[s]+v)
 	}
 	return nil
+}
+
+// set stores v in slot s. A slot whose value keeps its bits stays where
+// it is in the tree, so a merge or restore that misses most slots, such
+// as adding one round's change, does tree work only for the slots it
+// moves.
+func (e *sampleMedianEstimator) set(s int, v float64) {
+	if math.Float64bits(v) == math.Float64bits(e.vals[s]) {
+		return
+	}
+	e.tree.Delete(e.vals[s])
+	e.vals[s] = v
+	e.tree.Insert(v)
 }
 
 func (e *sampleMedianEstimator) State() []float64 {
@@ -223,10 +232,8 @@ func (e *sampleMedianEstimator) SetState(v []float64) error {
 	if len(v) != len(e.vals) {
 		return fmt.Errorf("core: sample state length %d, want %d", len(v), len(e.vals))
 	}
-	for s := range e.vals {
-		e.tree.Delete(e.vals[s])
-		e.vals[s] = v[s]
-		e.tree.Insert(e.vals[s])
+	for s, x := range v {
+		e.set(s, x)
 	}
 	return nil
 }

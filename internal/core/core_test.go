@@ -337,6 +337,59 @@ func TestMergeEqualsWhole(t *testing.T) {
 	})
 }
 
+// Merging a replica whose samples are all +0 moves no sampled value:
+// after an empty replica, β̂ and every answer keep their bits, and after
+// one whose updates all miss the sampled keys β̂ keeps its bits and the
+// answers equal one sketch fed both streams.
+func TestMergeZeroSamplesKeepsAnswers(t *testing.T) {
+	const n = 4000
+	b := NewL1Basis(Config{N: n, K: 8, SampleCount: 64}, rand.New(rand.NewSource(31)))
+	x := biasedGaussian(n, 50, 5, 32)
+	dst, whole := b.New(), b.New()
+	feed(dst, x)
+	feed(whole, x)
+	bits := func(l *SR) []uint64 {
+		out := []uint64{math.Float64bits(l.Bias())}
+		for i := 0; i < n; i += 7 {
+			out = append(out, math.Float64bits(l.Query(i)))
+		}
+		return out
+	}
+	before := bits(dst)
+	if err := dst.MergeFrom(b.New()); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range bits(dst) {
+		if v != before[k] {
+			t.Fatalf("value %d moved after merging an empty replica: %x, was %x", k, v, before[k])
+		}
+	}
+
+	sampled := map[int]bool{}
+	for _, i := range b.est.(*sampleSeed).slots {
+		sampled[i] = true
+	}
+	miss := b.New()
+	for i := 0; i < n; i += 3 {
+		if !sampled[i] {
+			miss.Update(i, 2)
+			whole.Update(i, 2)
+		}
+	}
+	if err := dst.MergeFrom(miss); err != nil {
+		t.Fatal(err)
+	}
+	got, want := bits(dst), bits(whole)
+	if got[0] != before[0] {
+		t.Fatalf("β̂ moved after a merge that missed every sample: %x, was %x", got[0], before[0])
+	}
+	for k := range got {
+		if got[k] != want[k] {
+			t.Fatalf("value %d: merged %x, one sketch %x", k, got[k], want[k])
+		}
+	}
+}
+
 func TestMergeIncompatible(t *testing.T) {
 	a := NewL1SR(Config{N: 100, K: 4}, rand.New(rand.NewSource(18)))
 	b := NewL1SR(Config{N: 100, K: 8}, rand.New(rand.NewSource(18)))

@@ -97,7 +97,7 @@ type table interface {
 	Rows() [][]float64
 	CheckIndex(i int)
 	CheckIndexBatch(idx []int, out []float64)
-	Marshal() []byte
+	AppendCells(dst []byte) []byte
 	Unmarshal(b []byte) error
 }
 

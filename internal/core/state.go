@@ -14,16 +14,15 @@ import (
 // paper's distributed protocol, §5.5 footnote 4).
 
 // MarshalState serializes the row cells and bias-estimator state as
-// len(cells) | cells | estimator floats.
+// len(cells) | cells | estimator floats, in one buffer.
 func (l *SR) MarshalState() []byte {
-	cells, est := l.tab.Marshal(), l.est.State()
-	out := make([]byte, 8+len(cells)+8*len(est))
-	binary.LittleEndian.PutUint64(out, uint64(len(cells)))
-	copy(out[8:], cells)
-	off := 8 + len(cells)
+	est := l.est.State()
+	cells := 8 * l.tab.Words()
+	out := make([]byte, 0, 8+cells+8*len(est))
+	out = binary.LittleEndian.AppendUint64(out, uint64(cells))
+	out = l.tab.AppendCells(out)
 	for _, v := range est {
-		binary.LittleEndian.PutUint64(out[off:], math.Float64bits(v))
-		off += 8
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 	}
 	return out
 }

@@ -13,10 +13,11 @@ import (
 
 // A site is one leaf of the aggregation tree: a concurrent.Sharded
 // replica set absorbing the site's local update stream, plus the
-// bookkeeping that makes delta shipping possible — the per-shard
-// epoch vector the parent last acknowledged, the wire-v2 checkpoint
-// the churn simulator restarts it from, and the rejoin flag that
-// forces a full-state frame after a restart.
+// bookkeeping that makes delta shipping possible — one pending replica
+// per shard holding the shard's change since the parent's last
+// acknowledged epoch, the wire-v2 checkpoint the churn simulator
+// restarts it from, and the rejoin flag that forces a full-state frame
+// after a restart.
 //
 // Updates route to shard (key mod shards), so a skewed key
 // distribution concentrates writes on few shards and a sync ships few
@@ -28,9 +29,11 @@ type site struct {
 	stream []stream.Update
 	pos    int
 
-	// acked[i] is shard i's epoch as of the last frame the parent
-	// accepted; a shard ships only when its live epoch differs.
-	acked []uint64
+	// pending[i] is Φ(Δx) of shard i, a replica fed exactly the updates
+	// shard i absorbed since its last shipped frame (nil: none). Only a
+	// delta-mode site keeps them; a delta frame ships them and drops
+	// them, and a full frame drops them unshipped.
+	pending []sketch.Sketch
 	// rejoin forces the next frame to carry full state: the site
 	// restarted from checkpoint, so the parent's view of it is stale
 	// from the future and must be reset wholesale.
@@ -44,22 +47,30 @@ type site struct {
 	ckptPos   int
 
 	epochScratch []uint64
+	idx          [][]int     // per-shard batch of this round's keys
+	deltas       [][]float64 // and their deltas
 }
 
-// newSite builds site id over its stream with a fresh replica set.
-func newSite(id int, desc codec.Desc, e *registry.Entry, shards int, updates []stream.Update) (*site, error) {
+// newSite builds site id over its stream with a fresh replica set; a
+// site of a delta-shipping fabric also keeps pending replicas.
+func newSite(id int, desc codec.Desc, e *registry.Entry, shards int, updates []stream.Update, mode ShipMode) (*site, error) {
 	rep, err := newReplicaSet(desc, e, shards)
 	if err != nil {
 		return nil, err
 	}
-	return &site{
+	s := &site{
 		id:           id,
 		shards:       shards,
 		rep:          rep,
 		stream:       updates,
-		acked:        make([]uint64, shards),
 		epochScratch: make([]uint64, 0, shards),
-	}, nil
+		idx:          make([][]int, shards),
+		deltas:       make([][]float64, shards),
+	}
+	if mode == ShipDelta {
+		s.pending = make([]sketch.Sketch, shards)
+	}
+	return s, nil
 }
 
 // newReplicaSet builds a Sharded replica set of the fabric's shape,
@@ -73,23 +84,37 @@ func newReplicaSet(desc codec.Desc, e *registry.Entry, shards int) (*concurrent.
 }
 
 // ingest applies up to budget stream updates and reports how many ran.
-// Updates route to the shard owning the key, so per-shard epochs track
-// which key ranges moved.
-func (s *site) ingest(budget int) int {
-	end := s.pos + budget
-	if end > len(s.stream) {
-		end = len(s.stream)
+// Updates route to the shard owning the key, and each shard takes its
+// share of the round as one batch, which leaves exactly the state of
+// the element-wise loop; a delta-mode site writes the same batch into
+// the shard's pending replica.
+func (s *site) ingest(budget int, desc codec.Desc, e *registry.Entry) int {
+	end := min(s.pos+budget, len(s.stream))
+	for sh := range s.idx {
+		s.idx[sh], s.deltas[sh] = s.idx[sh][:0], s.deltas[sh][:0]
+	}
+	for _, u := range s.stream[s.pos:end] {
+		sh := uint(u.I) % uint(s.shards)
+		s.idx[sh] = append(s.idx[sh], u.I)
+		s.deltas[sh] = append(s.deltas[sh], u.Delta)
 	}
 	applied := end - s.pos
-	for ; s.pos < end; s.pos++ {
-		u := s.stream[s.pos]
-		s.rep.Update(u.I, u.I, u.Delta)
+	s.pos = end
+	for sh, idx := range s.idx {
+		if len(idx) == 0 {
+			continue
+		}
+		s.rep.UpdateBatch(sh, idx, s.deltas[sh])
+		if s.pending == nil {
+			continue
+		}
+		if s.pending[sh] == nil {
+			s.pending[sh] = e.MustNew(desc.Shape())
+		}
+		sketch.UpdateBatch(s.pending[sh], idx, s.deltas[sh])
 	}
 	return applied
 }
-
-// drained reports whether the site's stream is exhausted.
-func (s *site) drained() bool { return s.pos >= len(s.stream) }
 
 // checkpoint captures the site's durable state: the replica set as a
 // wire-v2 sharded container plus the stream position it covers. A
@@ -128,48 +153,49 @@ func (s *site) restart(desc codec.Desc, e *registry.Entry) error {
 		s.rep = rep
 		s.pos = s.ckptPos
 	}
-	s.acked = make([]uint64, s.shards)
+	clear(s.pending)
 	s.rejoin = true
 	return nil
 }
 
 // emit builds the site's frame for this round: nil when nothing
-// changed and no resynchronization is due, a delta frame carrying only
-// the shards whose epoch advanced past the acknowledged vector, or a
-// full-state frame when the site just rejoined (or the fabric runs in
-// full-state mode). The returned epochs are recorded as acknowledged —
-// the simulation's hop is synchronous, so shipping is acking.
+// changed and no resynchronization is due, a delta frame carrying each
+// changed shard's pending replica at the shard's live epoch, or a
+// full-state frame of private copies of every shard when the site just
+// rejoined (or the fabric runs in full-state mode). Either way the
+// pending replicas are dropped: the simulation's hop is synchronous, so
+// shipping is acking, and the next change starts from zero.
 func (s *site) emit(desc codec.Desc, e *registry.Entry, mode ShipMode) (*codec.DeltaFrame, error) {
 	full := s.rejoin || mode == ShipFull
-	s.epochScratch = s.rep.Epochs(s.epochScratch[:0])
-	var want []int
-	for i, ep := range s.epochScratch {
-		if full || ep != s.acked[i] {
-			want = append(want, i)
+	frame := &codec.DeltaFrame{Desc: desc, Full: full, Shards: s.shards}
+	if full {
+		for i := 0; i < s.shards; i++ {
+			// Capture a private copy under the shard lock: the frame must
+			// stay stable while it is encoded, merged, and forwarded.
+			copyErr := s.rep.CheckpointShard(i, func(epoch uint64, sk sketch.Sketch) error {
+				cp := e.MustNew(desc.Shape())
+				if err := registry.Merge(cp, sk); err != nil {
+					return err
+				}
+				frame.Entries = append(frame.Entries, codec.DeltaEntry{Shard: i, Epoch: epoch, Sk: cp})
+				return nil
+			})
+			if copyErr != nil {
+				return nil, fmt.Errorf("distributed: site %d shard %d capture: %w", s.id, i, copyErr)
+			}
+		}
+	} else {
+		s.epochScratch = s.rep.Epochs(s.epochScratch[:0])
+		for i, d := range s.pending {
+			if d != nil {
+				frame.Entries = append(frame.Entries, codec.DeltaEntry{Shard: i, Epoch: s.epochScratch[i], Sk: d})
+			}
 		}
 	}
-	if len(want) == 0 {
+	clear(s.pending)
+	s.rejoin = false
+	if len(frame.Entries) == 0 {
 		return nil, nil
 	}
-	frame := &codec.DeltaFrame{Desc: desc, Full: full, Shards: s.shards}
-	for _, i := range want {
-		// Capture a private copy under the shard lock: the frame must
-		// stay stable while it is encoded, merged, and forwarded.
-		copyErr := s.rep.CheckpointShard(i, func(epoch uint64, sk sketch.Sketch) error {
-			cp := e.MustNew(desc.Shape())
-			if err := registry.Merge(cp, sk); err != nil {
-				return err
-			}
-			frame.Entries = append(frame.Entries, codec.DeltaEntry{Shard: i, Epoch: epoch, Sk: cp})
-			return nil
-		})
-		if copyErr != nil {
-			return nil, fmt.Errorf("distributed: site %d shard %d capture: %w", s.id, i, copyErr)
-		}
-	}
-	for _, en := range frame.Entries {
-		s.acked[en.Shard] = en.Epoch
-	}
-	s.rejoin = false
 	return frame, nil
 }

@@ -14,27 +14,35 @@ import (
 // (§1 combined with §5.5) as a delta-shipping aggregation tree: sites
 // ingest their local update streams in real time and synchronize with
 // the coordinator through a fan-in-k tree whose edges carry delta
-// frames — only the shards whose epoch advanced since the last
-// acknowledged hop — instead of full site state every round. Interior
-// nodes cache each child's last-shipped per-shard state, merge the
-// deltas into per-shard aggregates (linearity again: the aggregate of
-// a shard is the sum of the children's shard replicas), and forward
-// their own delta upward. A site restarting mid-run (the churn
-// simulator) rejoins with one full-state frame, which cascades to the
-// root so every cached copy of the lost site is replaced wholesale.
+// frames instead of full site state every round. A delta entry carries
+// one shard's change since the edge's last acknowledged epoch, Φ(Δx):
+// a site writes each round's updates into one pending replica per shard
+// besides its live shards, and ships the changed shards' pending
+// replicas. Every hop adds each change in place exactly once
+// (linearity: the sketch of a sum is the sum of the sketches). An
+// interior node adds it to its running sum for that child and shard,
+// and forwards the round's changes to each shard summed into one; the
+// root adds them to one live coordinator. Nothing ever subtracts, so
+// counterbraids, whose merge carries between layers, ships too. A site
+// restarting mid-run (the churn simulator) rejoins with one full-state
+// frame, which cascades to the root: every node on the path replaces
+// its sums for the lost site wholesale, and the root rebuilds the
+// coordinator from its children's sums.
 //
 // The protocol invariant the codec and the tree enforce together:
 // delta frames are insert-only per epoch. On any edge, a delta entry's
 // epoch must strictly exceed the last epoch acknowledged for that
-// shard; only full frames — a rejoin after churn — may reset an edge's
-// epoch tracking.
+// shard, which is what keeps a change from being added twice; only
+// full frames — a rejoin after churn — may reset an edge's epoch
+// tracking.
 
 // ShipMode selects what a synchronization ships on every tree edge.
 type ShipMode int
 
 const (
-	// ShipDelta ships only the shards whose epoch advanced since the
-	// last acknowledged hop — the fabric this file exists for.
+	// ShipDelta ships, for each shard whose epoch advanced since the
+	// last acknowledged hop, only its change since then — the fabric
+	// this file exists for.
 	ShipDelta ShipMode = iota
 	// ShipFull ships every site's complete replica state every round —
 	// the baseline the delta saving is measured against.
@@ -123,17 +131,19 @@ type RoundStats struct {
 	ActiveSites  int // sites that ingested at least one update this round
 }
 
-// node is one interior vertex of the aggregation tree. It caches, per
-// child and per shard, the last state that child shipped (replacement
-// semantics: a delta entry carries the shard's full current replica,
-// superseding the cached copy), and the epoch it acknowledged for that
-// edge. Its own per-shard aggregate is the child-order sum of the
-// cached copies, and the epoch it advertises upward is the sum of the
-// child epochs — monotone as long as every child edge is.
+// node is one interior vertex of the aggregation tree. For every child
+// and shard it keeps the running sum of what that child shipped: a full
+// entry replaces the sum, a delta entry is added to it. Those sums are
+// what a full frame upward carries and what the root rebuilds the
+// coordinator from after one. Beside them it keeps, per shard, this
+// round's changes summed into the first one it decoded, which a delta
+// frame upward forwards. It also keeps the epoch it acknowledged on
+// each edge; the epoch it advertises upward is the sum of the child
+// epochs — monotone as long as every child edge is.
 type node struct {
-	childAgg [][]sketch.Sketch // childAgg[c][s]: child c's last-shipped shard s (nil: never shipped)
+	childAgg [][]sketch.Sketch // childAgg[c][s]: child c's shard s as shipped so far (nil: nothing yet)
 	seen     [][]uint64        // seen[c][s]: last epoch acknowledged on edge c for shard s
-	pending  []bool            // shard changed since this node last emitted upward
+	pending  []sketch.Sketch   // pending[s]: this round's change to shard s (nil: none)
 	full     bool              // a child rejoined: cascade a full frame upward
 }
 
@@ -141,7 +151,7 @@ func newNode(children, shards int) *node {
 	n := &node{
 		childAgg: make([][]sketch.Sketch, children),
 		seen:     make([][]uint64, children),
-		pending:  make([]bool, shards),
+		pending:  make([]sketch.Sketch, shards),
 	}
 	for c := range n.childAgg {
 		n.childAgg[c] = make([]sketch.Sketch, shards)
@@ -152,10 +162,13 @@ func newNode(children, shards int) *node {
 
 // absorb applies one child frame, enforcing the wire contract: the
 // frame must match the fabric's descriptor and shard count
-// (ErrFrameMismatch otherwise), and a delta entry must strictly advance
-// the edge's acknowledged epoch (ErrStaleFrame otherwise). A full frame
-// resets the edge — every cached copy and epoch for the child is
-// replaced — and marks the node to cascade a full frame upward.
+// (ErrFrameMismatch otherwise), and every delta entry must strictly
+// advance the edge's acknowledged epoch (ErrStaleFrame otherwise), or
+// nothing of the frame is applied. A full frame resets the edge — every
+// sum and epoch for the child is replaced — and marks the node to
+// cascade a full frame upward. A delta entry is added to the child's
+// sum and to the round's change, and the node keeps the decoded
+// replica as that change when it is the shard's first this round.
 func (n *node) absorb(c int, f *codec.DeltaFrame, desc codec.Desc, shards int) error {
 	if f.Desc != desc {
 		return fmt.Errorf("%w: frame descriptor %+v, fabric %+v", ErrFrameMismatch, f.Desc, desc)
@@ -167,7 +180,6 @@ func (n *node) absorb(c int, f *codec.DeltaFrame, desc codec.Desc, shards int) e
 		for s := range n.seen[c] {
 			n.seen[c][s] = 0
 			n.childAgg[c][s] = nil
-			n.pending[s] = true
 		}
 		for _, en := range f.Entries {
 			n.seen[c][en.Shard] = en.Epoch
@@ -181,76 +193,100 @@ func (n *node) absorb(c int, f *codec.DeltaFrame, desc codec.Desc, shards int) e
 			return fmt.Errorf("%w: child %d shard %d epoch %d, acknowledged %d",
 				ErrStaleFrame, c, en.Shard, en.Epoch, n.seen[c][en.Shard])
 		}
-		n.seen[c][en.Shard] = en.Epoch
-		n.childAgg[c][en.Shard] = en.Sk
-		n.pending[en.Shard] = true
+	}
+	for _, en := range f.Entries {
+		sh := en.Shard
+		n.seen[c][sh] = en.Epoch
+		if n.childAgg[c][sh] == nil {
+			sum, err := registry.SafeNew(desc.Algo, desc.Shape())
+			if err != nil {
+				return err
+			}
+			n.childAgg[c][sh] = sum
+		}
+		if err := registry.Merge(n.childAgg[c][sh], en.Sk); err != nil {
+			return err
+		}
+		if n.pending[sh] == nil {
+			n.pending[sh] = en.Sk
+		} else if err := registry.Merge(n.pending[sh], en.Sk); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// aggregate sums shard s across the node's children in child order into
-// a fresh replica.
-func (n *node) aggregate(sh int, desc codec.Desc, e *registry.Entry) (sketch.Sketch, uint64, error) {
+// aggregate sums shard sh across the node's children in child order
+// into a fresh replica.
+func (n *node) aggregate(sh int, desc codec.Desc, e *registry.Entry) (sketch.Sketch, error) {
 	sum := e.MustNew(desc.Shape())
-	var epoch uint64
 	for c := range n.childAgg {
-		epoch += n.seen[c][sh]
 		if n.childAgg[c][sh] == nil {
 			continue
 		}
 		if err := registry.Merge(sum, n.childAgg[c][sh]); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
-	return sum, epoch, nil
+	return sum, nil
 }
 
-// emit builds the node's upward frame: a full frame when a child
-// rejoined this round (the reset must cascade) or the fabric runs in
-// full-state mode, a delta frame of the shards some child advanced, or
-// nil when nothing changed. Emitting clears the pending and cascade
-// state.
+// epoch is the node's upward epoch for shard sh: the sum of what its
+// edges acknowledged.
+func (n *node) epoch(sh int) uint64 {
+	var epoch uint64
+	for c := range n.seen {
+		epoch += n.seen[c][sh]
+	}
+	return epoch
+}
+
+// emit builds the node's upward frame: a full frame of every shard's
+// sum when a child rejoined this round (the reset must cascade) or the
+// fabric runs in full-state mode, a delta frame of the round's changes,
+// or nil when nothing changed. Emitting clears the round's changes and
+// the cascade flag.
 func (n *node) emit(desc codec.Desc, e *registry.Entry, shards int, mode ShipMode) (*codec.DeltaFrame, error) {
 	full := n.full || mode == ShipFull
-	var changed bool
-	for _, p := range n.pending {
-		changed = changed || p
-	}
-	if !full && !changed {
-		return nil, nil
-	}
 	frame := &codec.DeltaFrame{Desc: desc, Full: full, Shards: shards}
 	for sh := 0; sh < shards; sh++ {
-		if !full && !n.pending[sh] {
-			continue
+		sk := n.pending[sh]
+		if full {
+			var err error
+			if sk, err = n.aggregate(sh, desc, e); err != nil {
+				return nil, fmt.Errorf("distributed: aggregating shard %d: %w", sh, err)
+			}
 		}
-		sum, epoch, err := n.aggregate(sh, desc, e)
-		if err != nil {
-			return nil, fmt.Errorf("distributed: aggregating shard %d: %w", sh, err)
+		if sk != nil {
+			frame.Entries = append(frame.Entries, codec.DeltaEntry{Shard: sh, Epoch: n.epoch(sh), Sk: sk})
 		}
-		frame.Entries = append(frame.Entries, codec.DeltaEntry{Shard: sh, Epoch: epoch, Sk: sum})
 	}
-	for sh := range n.pending {
-		n.pending[sh] = false
-	}
+	clear(n.pending)
 	n.full = false
+	if len(frame.Entries) == 0 {
+		return nil, nil
+	}
 	return frame, nil
 }
 
-// global merges the node's per-shard aggregates, in shard order, into a
-// fresh sketch — the coordinator's answer when the node is the root.
-func (n *node) global(shards int, desc codec.Desc, e *registry.Entry) (sketch.Sketch, error) {
-	out := e.MustNew(desc.Shape())
-	for sh := 0; sh < shards; sh++ {
-		sum, _, err := n.aggregate(sh, desc, e)
-		if err != nil {
-			return nil, err
-		}
-		if err := registry.Merge(out, sum); err != nil {
+// advance brings the live coordinator up to date with the root's round: a
+// delta frame's changes are added to it in place, and after a full
+// frame it is rebuilt as the shard-order sum of the root's per-shard
+// sums.
+func advance(coordinator sketch.Sketch, root *node, desc codec.Desc, e *registry.Entry, shards int, mode ShipMode) (sketch.Sketch, error) {
+	frame, err := root.emit(desc, e, shards, mode)
+	if err != nil || frame == nil {
+		return coordinator, err
+	}
+	if frame.Full {
+		coordinator = e.MustNew(desc.Shape())
+	}
+	for _, en := range frame.Entries {
+		if err := registry.Merge(coordinator, en.Sk); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return coordinator, nil
 }
 
 // buildLevels shapes the tree: level 0 groups the sites under
@@ -282,15 +318,18 @@ func buildLevels(sites, fanIn, shards int) [][]*node {
 // aggregation-tree fabric. streams[p] is site p's update sequence,
 // consumed in SyncEvery-sized batches per round; after ingestion every
 // tree edge ships its frame (encoded wire bytes, exactly as over a
-// network), interior nodes merge child deltas, and the root's merged
-// aggregate is the coordinator's up-to-date global sketch. Churn
-// events in cfg.Restarts crash-and-restore sites between rounds.
-// onSync, if non-nil, observes the coordinator after every round.
+// network), interior nodes add the children's changes to their sums,
+// and the root adds the round's changes to the live coordinator, the
+// up-to-date global sketch. Churn events in cfg.Restarts
+// crash-and-restore sites between rounds. onSync, if non-nil, observes
+// the coordinator after every round: it is the live coordinator, valid
+// until the callback returns, and the next round writes into it.
 //
-// Because every shipped delta carries the shard's full replacement
-// state and the workload sums are exact in float64 (integer deltas),
-// the coordinator's answers are bit-identical to a full-state run and
-// to a single-stream ingest of the interleaved updates.
+// Every change is added exactly once, so the coordinator holds the sum
+// of every update applied so far. When those sums are exact in float64
+// (integer deltas), its answers are bit-identical to a full-state run
+// and to a single-stream ingest of the interleaved updates, since the
+// order of the additions cannot move a bit.
 func MonitorTree(
 	cfg TreeConfig,
 	desc codec.Desc,
@@ -313,7 +352,7 @@ func MonitorTree(
 
 	leaves := make([]*site, cfg.Sites)
 	for p := range leaves {
-		st, err := newSite(p, desc, e, cfg.Shards, streams[p])
+		st, err := newSite(p, desc, e, cfg.Shards, streams[p], cfg.Mode)
 		if err != nil {
 			return nil, MonitorStats{}, err
 		}
@@ -336,7 +375,7 @@ func MonitorTree(
 		SketchWords:         probe.Words(),
 		BudgetWordsPerRound: cfg.Sites * probe.Words(),
 	}
-	var coordinator sketch.Sketch
+	coordinator := e.MustNew(desc.Shape())
 	for round := 1; ; round++ {
 		restarted := false
 		for _, p := range restartsAt[round] {
@@ -349,7 +388,7 @@ func MonitorTree(
 		rs := RoundStats{Round: round}
 		applied := 0
 		for _, l := range leaves {
-			a := l.ingest(cfg.SyncEvery)
+			a := l.ingest(cfg.SyncEvery, desc, e)
 			applied += a
 			if a > 0 {
 				rs.ActiveSites++
@@ -398,17 +437,13 @@ func MonitorTree(
 		st.CommBytes += rs.CommBytes
 		st.CommWords += rs.CommWords
 		st.PerRound = append(st.PerRound, rs)
-		g, err := root.global(cfg.Shards, desc, e)
-		if err != nil {
+		var err error
+		if coordinator, err = advance(coordinator, root, desc, e, cfg.Shards, cfg.Mode); err != nil {
 			return nil, st, fmt.Errorf("distributed: round %d: %w", round, err)
 		}
-		coordinator = g
 		if onSync != nil {
 			onSync(round, coordinator)
 		}
-	}
-	if coordinator == nil {
-		coordinator = e.MustNew(desc.Shape())
 	}
 	return coordinator, st, nil
 }

@@ -369,6 +369,65 @@ func TestTreeBitIdenticalAcrossShippingModes(t *testing.T) {
 	}
 }
 
+// uniformStreams gives every site perSite updates of delta 1–4 on keys
+// spread uniformly over [0, n).
+func uniformStreams(sites, perSite, n int, seed int64) [][]stream.Update {
+	r := rand.New(rand.NewSource(seed))
+	streams := make([][]stream.Update, sites)
+	for p := range streams {
+		streams[p] = make([]stream.Update, perSite)
+		for u := range streams[p] {
+			streams[p][u] = stream.Update{I: r.Intn(n), Delta: float64(1 + r.Intn(4))}
+		}
+	}
+	return streams
+}
+
+// Delta frames carry each shard's change, not its state: on a uniform
+// workload where every shard of every site changes every round, delta
+// shipping costs at most a third of the bytes of full-state shipping
+// in every round, and every round's coordinator answers bit for bit
+// alike in the two modes.
+func TestTreeDeltaShipsChangesOnUniformWorkload(t *testing.T) {
+	const n, sites, syncEvery, rounds = 1 << 14, 16, 64, 6
+	streams := uniformStreams(sites, syncEvery*rounds, n, 61)
+	for _, algo := range []string{"l1sr", "l2sr"} {
+		t.Run(algo, func(t *testing.T) {
+			desc := codec.Desc{Algo: algo, N: n, S: 256, D: 3, Seed: 12}
+			perRound := map[ShipMode][][]uint64{}
+			stats := map[ShipMode]MonitorStats{}
+			for _, mode := range []ShipMode{ShipDelta, ShipFull} {
+				cfg := TreeConfig{Sites: sites, SyncEvery: syncEvery, FanIn: 4, Shards: 4, Mode: mode, CheckpointEvery: 2}
+				_, st, err := MonitorTree(cfg, desc, streams, func(round int, c sketch.Sketch) {
+					perRound[mode] = append(perRound[mode], sampleBits(c, n))
+				})
+				if err != nil {
+					t.Fatalf("mode %d: %v", mode, err)
+				}
+				stats[mode] = st
+			}
+			d, f := stats[ShipDelta], stats[ShipFull]
+			if d.Rounds != rounds || f.Rounds != rounds {
+				t.Fatalf("rounds: delta %d, full %d, want %d", d.Rounds, f.Rounds, rounds)
+			}
+			for r := 0; r < rounds; r++ {
+				dr, fr := d.PerRound[r], f.PerRound[r]
+				if dr.DeltaEntries != fr.FullFrames*4 {
+					t.Errorf("round %d: %d delta entries, want every shard of %d edges", r+1, dr.DeltaEntries, fr.FullFrames)
+				}
+				if 3*dr.CommBytes > fr.CommBytes {
+					t.Errorf("round %d: delta shipping %d bytes, full %d: over a third", r+1, dr.CommBytes, fr.CommBytes)
+				}
+				for k, b := range perRound[ShipDelta][r] {
+					if b != perRound[ShipFull][r][k] {
+						t.Fatalf("round %d sample %d: delta %x, full %x", r+1, k, b, perRound[ShipFull][r][k])
+					}
+				}
+			}
+		})
+	}
+}
+
 // skewedChurnStreams builds the acceptance workload: a few long-lived
 // sites whose keys concentrate on one replica shard each, and a large
 // cold majority that drains in the first round — the regime where delta

@@ -11,10 +11,7 @@
 // and removed when it next changes.
 package ost
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // less reports whether a sorts before b: the numeric order, with a
 // NaN above every number and equal to another NaN.
@@ -43,40 +40,59 @@ func (n *node) fix() {
 // is not usable; construct with New.
 type Tree struct {
 	root *node
-	rng  *rand.Rand
+	rng  uint64 // splitmix64 state behind the rotation priorities
 }
 
-// New creates an empty tree drawing rotation priorities from seed.
+// New creates an empty tree drawing rotation priorities from seed. The
+// priorities shape the tree, never its answers: every read depends only
+// on the stored multiset.
 func New(seed int64) *Tree {
-	return &Tree{rng: rand.New(rand.NewSource(seed))}
+	return &Tree{rng: uint64(seed)}
+}
+
+// prio draws the next rotation priority: one splitmix64 step, so a tree
+// costs no generator allocation or seeding.
+func (t *Tree) prio() uint64 {
+	t.rng += 0x9e3779b97f4a7c15
+	z := t.rng
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // Len returns the number of stored keys (counting multiplicity).
 func (t *Tree) Len() int { return t.root.subSize() }
 
 // Insert adds one occurrence of key.
-func (t *Tree) Insert(key float64) {
-	t.root = t.insert(t.root, key)
+func (t *Tree) Insert(key float64) { t.InsertN(key, 1) }
+
+// InsertN adds m occurrences of key at the cost of one Insert; m must be
+// positive.
+func (t *Tree) InsertN(key float64, m int) {
+	if m <= 0 {
+		panic("ost: InsertN count must be positive")
+	}
+	t.root = t.insert(t.root, key, m)
 }
 
-func (t *Tree) insert(n *node, key float64) *node {
+func (t *Tree) insert(n *node, key float64, m int) *node {
 	if n == nil {
-		return &node{key: key, prio: t.rng.Uint64(), count: 1, size: 1}
+		return &node{key: key, prio: t.prio(), count: m, size: m}
 	}
 	switch {
 	case less(key, n.key):
-		n.left = t.insert(n.left, key)
+		n.left = t.insert(n.left, key, m)
 		if n.left.prio > n.prio {
 			n = rotateRight(n)
 		}
 	case less(n.key, key):
-		n.right = t.insert(n.right, key)
+		n.right = t.insert(n.right, key, m)
 		if n.right.prio > n.prio {
 			n = rotateLeft(n)
 		}
 	default:
-		n.count++
-		n.size++
+		n.count += m
+		n.size += m
 		return n
 	}
 	n.fix()

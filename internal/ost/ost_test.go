@@ -271,3 +271,42 @@ func BenchmarkMedian(b *testing.B) {
 		tr.Median()
 	}
 }
+
+// InsertN(key, m) leaves the tree answering as m Inserts of key would,
+// and the copies delete one at a time.
+func TestInsertNMatchesInserts(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	a, b := New(1), New(2)
+	for step := 0; step < 200; step++ {
+		key, m := float64(r.Intn(30)), 1+r.Intn(5)
+		a.InsertN(key, m)
+		for i := 0; i < m; i++ {
+			b.Insert(key)
+		}
+	}
+	for step := 0; step < 150; step++ {
+		key := float64(r.Intn(30))
+		if a.Delete(key) != b.Delete(key) {
+			t.Fatalf("step %d: Delete(%v) disagrees", step, key)
+		}
+	}
+	if a.Len() != b.Len() || a.Median() != b.Median() {
+		t.Fatalf("Len %d/%d, Median %v/%v", a.Len(), b.Len(), a.Median(), b.Median())
+	}
+	for k := 0; k < a.Len(); k++ {
+		if a.Kth(k) != b.Kth(k) {
+			t.Fatalf("Kth(%d) = %v, want %v", k, a.Kth(k), b.Kth(k))
+		}
+	}
+	for key := -1.0; key < 31; key++ {
+		if a.Rank(key) != b.Rank(key) {
+			t.Fatalf("Rank(%v) = %d, want %d", key, a.Rank(key), b.Rank(key))
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("InsertN with a zero count did not panic")
+		}
+	}()
+	a.InsertN(1, 0)
+}

@@ -204,16 +204,23 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, tenant str
 // counts only: a counterbraids sketch panics on any other delta.
 const insertOnlyAlgo = "counterbraids"
 
-// checkDeltas rejects a batch the named algorithm cannot absorb with
-// ErrInsertOnly, so a client's bad delta is a 400 and no counter
-// moves, whatever kind serves the sketch.
+// checkDeltas rejects a batch the named algorithm cannot absorb, so a
+// client's bad delta is a 400 and no counter moves, whatever kind
+// serves the sketch. A counterbraids sketch takes non-negative integer
+// counts only (ErrInsertOnly), and no sketch takes an infinite delta:
+// a +Inf and a −Inf on one key leave NaN in every bucket the key
+// hashes to, for good, since merges carry it.
 func checkDeltas(algo string, deltas []float64) error {
-	if algo != insertOnlyAlgo {
-		return nil
+	if algo == insertOnlyAlgo {
+		for j, d := range deltas {
+			if d < 0 || d >= 1<<64 || d != math.Trunc(d) {
+				return fmt.Errorf("%w: delta %v at batch element %d", repro.ErrInsertOnly, d, j)
+			}
+		}
 	}
 	for j, d := range deltas {
-		if d < 0 || d >= 1<<64 || d != math.Trunc(d) {
-			return fmt.Errorf("%w: delta %v at batch element %d", repro.ErrInsertOnly, d, j)
+		if !(math.Abs(d) <= math.MaxFloat64) {
+			return fmt.Errorf("server: delta %v at batch element %d is not finite", d, j)
 		}
 	}
 	return nil
@@ -222,8 +229,8 @@ func checkDeltas(algo string, deltas []float64) error {
 // handleIngest applies one wire-v2 batch frame. Decode validates the
 // whole frame — framing, element count, every index against the
 // sketch's dimension, NaN — and checkDeltas the deltas the algorithm
-// accepts, all before a single update is applied, so a hostile payload
-// is a 400, never a partial write.
+// accepts and rejects ±Inf, all before a single update is applied, so
+// a hostile payload is a 400, never a partial write.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, tenant string) {
 	e, err := s.reg.get(tenant, r.PathValue("name"))
 	if err != nil {

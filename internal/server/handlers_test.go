@@ -264,6 +264,43 @@ func TestCompressedPlainInsertOnly(t *testing.T) {
 	}
 }
 
+// An infinite delta is a 400 for every algorithm, and the rejected
+// batch moves nothing: a +Inf and a −Inf on one key would leave NaN in
+// its buckets for good. Plain and sharded l2sr and countmin sketches
+// answer exactly as before the rejected posts.
+func TestIngestRejectsInfiniteDeltas(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, sk := range []struct{ name, spec string }{
+		{"l2sr", `{"name":"l2sr","kind":"plain","algo":"l2sr","dim":1000,"words":64,"depth":3}`},
+		{"countmin", `{"name":"countmin","kind":"plain","algo":"countmin","dim":1000,"words":64,"depth":3}`},
+		{"sharded", `{"name":"sharded","kind":"sharded","algo":"l2sr","dim":1000,"words":64,"depth":3}`},
+	} {
+		mustCreate(t, ts.URL, "acme", sk.spec)
+		url := ts.URL + "/v1/acme/sketches/" + sk.name
+		if resp, body := ingest(t, url+"/ingest", frame(t, []int{1, 7, 9}, []float64{4, 2, -3})); resp.StatusCode != 200 {
+			t.Fatalf("%s: valid ingest: got %d (%s)", sk.name, resp.StatusCode, body)
+		}
+		query := url + "/query?i=1&i=7&i=9&i=100"
+		_, before := do(t, "GET", query, "")
+		for _, bad := range []struct {
+			name   string
+			deltas []float64
+		}{
+			{"+Inf", []float64{1, math.Inf(1)}},
+			{"-Inf", []float64{math.Inf(-1), 1}},
+			{"±Inf pair", []float64{math.Inf(1), math.Inf(-1)}},
+		} {
+			resp, body := ingest(t, url+"/ingest", frame(t, []int{7, 7}, bad.deltas))
+			if resp.StatusCode != 400 || !strings.Contains(body, "not finite") {
+				t.Fatalf("%s: %s delta: got %d (%s), want 400 naming the infinite delta", sk.name, bad.name, resp.StatusCode, body)
+			}
+		}
+		if resp, after := do(t, "GET", query, ""); resp.StatusCode != 200 || after != before {
+			t.Errorf("%s: answers moved after rejected batches: %s, was %s", sk.name, after, before)
+		}
+	}
+}
+
 // panicHandle stands in for a poisoned sketch: every query panics.
 type panicHandle struct{}
 

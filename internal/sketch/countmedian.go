@@ -117,6 +117,9 @@ func (c *CountMedian) MergeFrom(other Linear) error {
 // coordinator, §5.5 footnote 4).
 func (c *CountMedian) Marshal() []byte { return c.tb.marshalCells() }
 
+// AppendCells appends the counters to dst in Marshal's layout.
+func (c *CountMedian) AppendCells(dst []byte) []byte { return c.tb.appendCells(dst) }
+
 // Unmarshal restores counter state written by Marshal.
 func (c *CountMedian) Unmarshal(b []byte) error { return c.tb.unmarshalCells(b) }
 

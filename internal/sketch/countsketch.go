@@ -155,6 +155,9 @@ func (c *CountSketch) MergeFrom(other Linear) error {
 // Marshal serializes the counter state.
 func (c *CountSketch) Marshal() []byte { return c.tb.marshalCells() }
 
+// AppendCells appends the counters to dst in Marshal's layout.
+func (c *CountSketch) AppendCells(dst []byte) []byte { return c.tb.appendCells(dst) }
+
 // Unmarshal restores counter state written by Marshal.
 func (c *CountSketch) Unmarshal(b []byte) error { return c.tb.unmarshalCells(b) }
 

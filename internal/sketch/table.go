@@ -158,15 +158,19 @@ func (tb *table) mergeFrom(o *table) {
 // marshalCells serializes the counter matrix in the wire cell layout:
 // 8 bytes per cell, little endian, row-major.
 func (tb *table) marshalCells() []byte {
-	buf := make([]byte, 8*tb.words())
-	off := 0
+	return tb.appendCells(make([]byte, 0, 8*tb.words()))
+}
+
+// appendCells appends the counter matrix to dst in the wire cell
+// layout, so a caller framing the cells inside a larger payload writes
+// them in place.
+func (tb *table) appendCells(dst []byte) []byte {
 	for _, row := range tb.cells {
 		for _, v := range row {
-			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-			off += 8
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 		}
 	}
-	return buf
+	return dst
 }
 
 // unmarshalCells overwrites the counter matrix from marshalCells

@@ -12,13 +12,14 @@ import (
 )
 
 // This file is the facade over the continuous distributed-monitoring
-// fabric (internal/distributed): t sites ingest local update streams,
-// ship their sketches up a fan-in-k aggregation tree as delta frames —
-// only the replica shards that changed since the last acknowledged
-// hop — and the root serves the global sketch, bit-identical to a
-// single sketch that saw every update. Sites can crash and rejoin from
-// checkpoints mid-run; a rejoin resynchronizes its path to the root
-// with one full-state frame.
+// fabric (internal/distributed): t sites ingest local update streams
+// and ship up a fan-in-k aggregation tree delta frames carrying each
+// changed replica shard's change since the last acknowledged hop;
+// every hop adds each change in place exactly once, and the root
+// serves the global sketch, bit-identical to a single sketch that saw
+// every update. Sites can crash and rejoin from checkpoints mid-run; a
+// rejoin resynchronizes its path to the root with one full-state
+// frame.
 
 // Monitoring defaults applied by Monitor when the corresponding
 // MonitorConfig field is zero.
@@ -105,7 +106,14 @@ type MonitorReport struct {
 // serializability contract as Merge and Marshal — and dense-only, like
 // NewSharded, since site replicas live behind the wire format).
 // onSync, if non-nil, observes the coordinator's global sketch after
-// every synchronization round.
+// every synchronization round. That sketch is the live coordinator,
+// valid until the callback returns: the next round adds its changes
+// into it, so a callback keeps answers, not the sketch.
+//
+// Each delta frame carries a shard's change since the edge's last
+// acknowledged epoch, and every hop adds it exactly once; the epoch
+// rule, which refuses an entry that does not advance its edge's epoch,
+// is what stops a change from being added twice.
 //
 // The returned sketch is the coordinator's final state; its answers
 // are bit-identical to a single sketch of the same configuration fed
