@@ -18,14 +18,15 @@ test:
 # basis cache every construction by name shares, and its tests build
 # and first-query one basis from many goroutines at once. An l2sr
 # replica in internal/core orders its Bias-Heap on its first read,
-# under a lock that concurrent first readers of one snapshot share; the
-# cold-read tests run ten times more to give an interleaving that
-# breaks it more chances to show.
+# under a lock that concurrent first readers of one snapshot share, and
+# a basis builds its ψ and the key listings behind TopK once for all of
+# them; the cold-read tests run ten times more to give an interleaving
+# that breaks it more chances to show.
 RACE_PKGS := concurrent window codec counterbraids server distributed registry core
 
 race:
 	$(GO) test -race $(patsubst %,./internal/%/...,$(RACE_PKGS))
-	$(GO) test -race -count=10 -run '^(TestConcurrentColdCacheQueryBatch|TestConcurrentFirstQueryBatch)$$' ./internal/core/ ./internal/registry/
+	$(GO) test -race -count=10 -run '^(TestConcurrentColdCacheQueryBatch|TestConcurrentFirstQueryBatch|TestConcurrentColdCandidates)$$' ./internal/core/ ./internal/registry/
 	$(GO) test -race -short $$($(GO) list ./... | grep -v $(patsubst %,-e internal/%,$(RACE_PKGS)))
 
 # COVER_FLOORS are package:percent coverage floors on the packages
@@ -59,16 +60,18 @@ cover:
 # root module: the wire-format loaders and round trips, the composite
 # checkpoint decoder, the hostile-construction targets, the delta-frame
 # decoder behind the monitoring fabric, the pruned deviation scans, the
-# codec's single-sketch loader, the Bias-Heap against its reference, and
-# the vector math behind the accuracy bounds. fuzz-short fuzzes each for
+# codec's single-sketch loader, the Bias-Heap against its reference, the
+# row-hash key listing behind TopK and Scan, and the vector math behind
+# the accuracy bounds. fuzz-short fuzzes each for
 # FUZZTIME (CI's short pass; long runs belong in a scheduled job), after
 # checking that the list names every Fuzz function in the module's
 # tests, so a new target cannot be left out.
 FUZZ_TARGETS := .:FuzzUnmarshal .:FuzzMarshalRoundTrip .:FuzzDecode .:FuzzNewRange \
 	.:FuzzNewWindowed .:FuzzDecodeDelta .:FuzzTopKMatchesRecover \
 	internal/codec:FuzzDecodeSketch internal/codec:FuzzSketchRoundTrip \
-	internal/biasheap:FuzzHeapAgainstReference internal/vecmath:FuzzMinBetaErrK \
-	internal/vecmath:FuzzErrKInvariants internal/vecmath:FuzzMultiBias
+	internal/biasheap:FuzzHeapAgainstReference internal/hashing:FuzzBucketKeys \
+	internal/vecmath:FuzzMinBetaErrK internal/vecmath:FuzzErrKInvariants \
+	internal/vecmath:FuzzMultiBias
 FUZZTIME ?= 10s
 
 fuzz-short:

@@ -1,8 +1,8 @@
-// TopK benchmarks at the public-API level: facade repro.TopK, k=16, on
-// n=2^20 keys fed 2^20 biased updates — a uniform background plus 32
-// planted keys that take a tenth of the elements, with integer deltas
-// 1–5 — at the serve and embed shapes of ℓ2-S/R and the monitor shape
-// of ℓ1-S/R. ns/op is per TopK call.
+// TopK and Scan benchmarks at the public-API level: facade repro.TopK,
+// k=16, and repro.Scan, on n=2^20 keys fed 2^20 biased updates — a
+// uniform background plus 32 planted keys that take a tenth of the
+// elements, with integer deltas 1–5 — at the serve and embed shapes of
+// ℓ2-S/R and the monitor shape of ℓ1-S/R. ns/op is per call.
 package bench_test
 
 import (
@@ -45,16 +45,18 @@ func topkSketch(b *testing.B, algo string, words, depth int) repro.Sketch {
 	return sk
 }
 
+// topkShapes are the serve, embed and monitor sketch shapes.
+var topkShapes = []struct {
+	algo         string
+	words, depth int
+}{
+	{"l2sr", 4096, 9},
+	{"l2sr", 1 << 16, 9},
+	{"l1sr", 1024, 5},
+}
+
 func BenchmarkTopK(b *testing.B) {
-	shapes := []struct {
-		algo         string
-		words, depth int
-	}{
-		{"l2sr", 4096, 9},
-		{"l2sr", 1 << 16, 9},
-		{"l1sr", 1024, 5},
-	}
-	for _, sh := range shapes {
+	for _, sh := range topkShapes {
 		b.Run(fmt.Sprintf("%s/s=%d/d=%d", sh.algo, sh.words, sh.depth), func(b *testing.B) {
 			sk := topkSketch(b, sh.algo, sh.words, sh.depth)
 			if _, err := repro.TopK(sk, topkK); err != nil { // builds π/ψ
@@ -67,5 +69,30 @@ func BenchmarkTopK(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkScan sweeps Scan's threshold from the noise floor up to the
+// k-th deviation of TopK(k=16): at 1/128, 1/32, 1/8, 1/4, 1/2 and 1
+// times it. At 1/128 ℓ2-S/R's heavy buckets are too many to list, so
+// Scan takes the range scan, and at the ℓ1-S/R shape every key passes
+// the two lowest thresholds.
+func BenchmarkScan(b *testing.B) {
+	for _, sh := range topkShapes {
+		sk := topkSketch(b, sh.algo, sh.words, sh.depth)
+		top, err := repro.TopK(sk, topkK)
+		if err != nil {
+			b.Fatal(err)
+		}
+		kth := top[len(top)-1].Deviation
+		for _, f := range []float64{1.0 / 128, 1.0 / 32, 0.125, 0.25, 0.5, 1} {
+			b.Run(fmt.Sprintf("%s/s=%d/d=%d/x%g", sh.algo, sh.words, sh.depth, f), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := repro.Scan(sk, f*kth); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

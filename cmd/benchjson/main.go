@@ -47,9 +47,10 @@ import (
 
 // defaultBench selects the curated baseline set: per-algorithm update
 // and query paths (element-wise and batched), the wire-format
-// encode/decode round trip, the facade merge, the facade TopK, the
-// served ingestion path, and the monitoring round.
-const defaultBench = "^(BenchmarkUpdate|BenchmarkUpdateBatch|BenchmarkQuery|BenchmarkQueryBatch|BenchmarkEncode|BenchmarkDecode|BenchmarkMerge|BenchmarkTopK|BenchmarkIngestEndpoint|BenchmarkMonitorRound)$"
+// encode/decode round trip, the facade merge, the facade TopK and its
+// Scan threshold sweep, the served ingestion path, and the monitoring
+// round.
+const defaultBench = "^(BenchmarkUpdate|BenchmarkUpdateBatch|BenchmarkQuery|BenchmarkQueryBatch|BenchmarkEncode|BenchmarkDecode|BenchmarkMerge|BenchmarkTopK|BenchmarkScan|BenchmarkIngestEndpoint|BenchmarkMonitorRound)$"
 
 // defaultPackages are the benchmark homes: internal/bench holds the
 // per-algorithm paths, bench the facade/codec paths, internal/server
@@ -124,6 +125,7 @@ func main() {
 			"(divide ns/op by 512 for the per-element serving cost). " +
 			"BenchmarkMonitorRound is one complete distributed-monitoring run per op: delta and full on a skewed 64-site l2sr workload, " +
 			"where comm_bytes_per_round compares delta shipping against the full-state baseline, and l1sr-uniform at the repository benchmark's 32-site monitor shape. " +
+			"BenchmarkTopK and BenchmarkScan are one facade call per op at n=2^20 and three sketch shapes; BenchmarkScan's x<f> suffix is its threshold as a fraction of the k=16 TopK's last deviation. " +
 			"Regenerate with: go run ./cmd/benchjson",
 		Shape:     Shape{N: 1_000_000, Words: 4096, Depth: 9},
 		Benchtime: *benchtime,

@@ -70,11 +70,16 @@
 // min-answer sketches gain ~1.5–1.7×, the median-answer ones ~1.1–1.4×
 // (the depth-d median is inherently per-element); see README.md for
 // measured numbers. Recover uses this path internally. TopK and Scan
-// skip keys by a median bound: an estimate is β̂ plus a median over d
-// de-biased rows, so a key whose ⌊d/2⌋+1 rows are small in magnitude
-// cannot deviate much from β̂. Only the few keys the bound cannot rule
-// out get a batched query, and the answer is bit-identical to the full
-// scan.
+// read only the keys of the heavy buckets: an estimate is β̂ plus a
+// median over d de-biased rows, so a key whose ⌊d/2⌋+1 rows are small
+// in magnitude cannot deviate much from β̂, and a key that can sits in
+// a bucket whose |y − β̂ψ| is large in one of those rows. Inverting a
+// row's Carter–Wegman hash lists a bucket's keys without a scan. TopK
+// seeds its bound from keys 0..k−1 and the keys of row 0's k heaviest
+// buckets; near the noise floor, where the heavy buckets hold too many
+// keys, both fall back to a range scan by the same median bound. Only
+// the few keys the bound cannot rule out get a batched query, and the
+// answer is bit-identical to the full scan.
 // Batched query scratch is borrowed from a sync.Pool per call — zero
 // steady-state allocations, no state shared between calls — so
 // concurrent QueryBatch calls against a sketch that is no longer

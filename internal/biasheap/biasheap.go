@@ -328,12 +328,6 @@ func (h *Heap) Bias() float64 {
 	return 0
 }
 
-// MiddleSums exposes the maintained middle-section sums (Σw, Σπ) for
-// verification against a sort-based reference.
-func (h *Heap) MiddleSums() (wMid, piMid float64) {
-	return h.wMid, h.piMid
-}
-
 // Words returns the memory the heap owns in 64-bit words: the masses
 // and keys, the two id arrays, the two position indexes, and the two
 // section flag arrays at one byte per bucket. π is the caller's.

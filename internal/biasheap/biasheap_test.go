@@ -255,3 +255,9 @@ func BenchmarkBiasQuery(b *testing.B) {
 		h.Bias()
 	}
 }
+
+// MiddleSums exposes the maintained middle-section sums (Σw, Σπ) for
+// verification against a sort-based reference.
+func (h *Heap) MiddleSums() (wMid, piMid float64) {
+	return h.wMid, h.piMid
+}

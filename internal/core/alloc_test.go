@@ -151,3 +151,30 @@ func TestScanRangeAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// The bucket listing behind TopK and Scan runs allocation-free once the
+// pool is primed and dst has room: the key bitmap is pooled, not made
+// per call.
+func TestCandidatesAllocFree(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	l1 := NewL1SR(Config{N: allocDim, K: 16}, r)
+	l2 := NewL2SR(Config{N: allocDim, K: 16}, r)
+	idx, deltas, _ := allocCoreBatch(r)
+	idx[0], deltas[0] = 3, 1e5
+	l1.UpdateBatch(idx, deltas)
+	l2.UpdateBatch(idx, deltas)
+	dst := make([]int, 0, allocDim)
+	for name, s := range map[string]interface {
+		SeedKeys(k, limit int, dst []int) ([]int, bool)
+		Candidates(tau float64, limit int, dst []int) ([]int, bool)
+	}{"l1sr": l1, "l2sr": l2} {
+		s.Candidates(1e4, allocDim, dst) // warm-up: primes the pools
+		if n := testing.AllocsPerRun(20, func() { s.Candidates(1e4, allocDim, dst) }); n != 0 {
+			t.Errorf("%s: Candidates allocates %.1f per call in steady state", name, n)
+		}
+		s.SeedKeys(4, allocDim, dst)
+		if n := testing.AllocsPerRun(20, func() { s.SeedKeys(4, allocDim, dst) }); n != 0 {
+			t.Errorf("%s: SeedKeys allocates %.1f per call in steady state", name, n)
+		}
+	}
+}

@@ -17,10 +17,12 @@ type estimatorSeed interface {
 // Basis is the common knowledge of one configuration of either scheme,
 // everything its seed fixes (§5.5, footnote 4): the row hashes h_t
 // (and signs r_t of ℓ2-S/R's CS rows), the estimator's seed (Υ, or the
-// bias row's hash g and its bucket counts), and every row's column
-// sums — π_t[b] = |{j : h_t(j) = b}| for CM rows, ψ_t[b] =
-// Σ_{j: h_t(j)=b} r_t(j) for CS rows — built on first use. Replicas
-// share it read-only and own only their counters and estimator state.
+// bias row's hash g and its bucket counts), every row's key listing
+// (the inverse of h_t over [0, n), which names a bucket's keys without
+// a scan), and every row's column sums — π_t[b] = |{j : h_t(j) = b}|
+// for CM rows, ψ_t[b] = Σ_{j: h_t(j)=b} r_t(j) for CS rows — built on
+// first use. Replicas share it read-only and own only their counters
+// and estimator state.
 type Basis struct {
 	cfg   Config
 	scfg  sketch.Config
@@ -30,6 +32,9 @@ type Basis struct {
 
 	sumsOnce sync.Once
 	sums     [][]float64
+
+	invOnce sync.Once
+	inv     []hashing.Inverse
 }
 
 // columnSums returns every row's π or ψ, summing on the first call;
@@ -37,20 +42,31 @@ type Basis struct {
 func (b *Basis) columnSums() [][]float64 {
 	b.sumsOnce.Do(func() {
 		b.sums = make([][]float64, b.scfg.Depth)
-		for t := range b.sums {
+		for t, h := range b.hash {
 			sum := make([]float64, b.scfg.Rows)
 			for j := 0; j < b.scfg.N; j++ {
 				u := uint64(j)
 				if b.signs == nil {
-					sum[b.hash.Hash(t, u)]++
+					sum[h.Hash(u)]++
 				} else {
-					sum[b.hash.Hash(t, u)] += b.signs.SignFloat(t, u)
+					sum[h.Hash(u)] += b.signs.SignFloat(t, u)
 				}
 			}
 			b.sums[t] = sum
 		}
 	})
 	return b.sums
+}
+
+// inverses returns every row's key listing, built on the first call,
+// or nil when n exceeds the hash field, whose keys would collide.
+func (b *Basis) inverses() []hashing.Inverse {
+	b.invOnce.Do(func() {
+		if uint64(b.cfg.N) <= hashing.MersennePrime {
+			b.inv = b.hash.Inverses(b.cfg.N)
+		}
+	})
+	return b.inv
 }
 
 // NewL1Basis draws an ℓ1-S/R configuration's common knowledge from r:

@@ -6,7 +6,9 @@
 // suffice and each costs O(1) words to store. We implement the classic
 // Carter–Wegman construction over the Mersenne prime p = 2^61 - 1, which
 // gives exact pairwise independence over [p], plus a degree-3 polynomial
-// variant (4-wise) used by the hashing ablation benchmark.
+// variant (4-wise) used by the hashing ablation benchmark. A pairwise
+// hash is invertible, so Inverse lists the keys of one bucket without
+// a scan.
 package hashing
 
 import (
@@ -45,13 +47,29 @@ func mulModP(a, b uint64) uint64 {
 	return r
 }
 
-// addModP returns (a+b) mod (2^61-1) assuming a,b < 2^61-1.
-func addModP(a, b uint64) uint64 {
-	r := a + b
+// affineModP returns (a·x + b) mod (2^61-1) for a, b < 2^61-1 and
+// x < 2^63, which holds every key: it folds the 128-bit product as
+// mulModP does, with b added before the last fold, so one conditional
+// subtraction ends it. Fused, it keeps Hash within the compiler's
+// inlining budget.
+func affineModP(a, x, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, x)
+	// hi < 2^60, so r < 2^64 and r >> 61 <= 6 below.
+	r := (lo & MersennePrime) + (lo >> 61) + hi*8 + b
+	r = (r & MersennePrime) + (r >> 61)
 	if r >= MersennePrime {
 		r -= MersennePrime
 	}
 	return r
+}
+
+// reduce returns v mod s: by a mask when s is a power of two, where
+// v & (s−1) equals v % s exactly without a division.
+func reduce(v, s uint64) uint64 {
+	if s&(s-1) == 0 {
+		return v & (s - 1)
+	}
+	return v % s
 }
 
 // Pairwise is a 2-wise independent hash function from [2^61-1] into
@@ -72,24 +90,31 @@ func NewPairwise(r *rand.Rand, rang int) (Pairwise, error) {
 	return Pairwise{A: a, B: b, Range: uint64(rang)}, nil
 }
 
-// Hash maps x into [0, Range).
-func (h Pairwise) Hash(x uint64) int {
-	return int(addModP(mulModP(h.A, x), h.B) % h.Range)
-}
+// Hash maps x into [0, Range), with a mask instead of a division when
+// Range is a power of two.
+func (h Pairwise) Hash(x uint64) int { return int(reduce(affineModP(h.A, x, h.B), h.Range)) }
 
 // HashMany maps each coordinate xs[j] into [0, Range), writing the
 // result into out[j]. It is the batch entry point of the sketches'
 // row-major UpdateBatch and QueryBatch: the Carter–Wegman coefficients
 // load once per row instead of once per stream element (or per point
-// query), and the bounds check on out is hoisted out of the loop.
+// query), the bounds check on out is hoisted out of the loop, and so
+// is Hash's choice between the mask and the division.
 func (h Pairwise) HashMany(xs []int, out []int) {
 	if len(xs) == 0 {
 		return
 	}
 	a, b, rng := h.A, h.B, h.Range
 	out = out[:len(xs)]
+	if rng&(rng-1) == 0 {
+		mask := rng - 1
+		for j, x := range xs {
+			out[j] = int(affineModP(a, uint64(x), b) & mask)
+		}
+		return
+	}
 	for j, x := range xs {
-		out[j] = int(addModP(mulModP(a, uint64(x)), b) % rng)
+		out[j] = int(affineModP(a, uint64(x), b) % rng)
 	}
 }
 
@@ -106,7 +131,7 @@ func (h Pairwise) HashRange(lo uint64, out []int) {
 		return
 	}
 	a, rng := h.A, h.Range
-	v := addModP(mulModP(a, lo), h.B)
+	v := affineModP(a, lo, h.B)
 	r := v % rng
 	step := a % rng
 	wrapStep := (step + rng - MersennePrime%rng) % rng
@@ -138,7 +163,7 @@ func NewSign(r *rand.Rand) Sign {
 
 // Sign returns +1 or -1 for x.
 func (s Sign) Sign(x uint64) int {
-	v := addModP(mulModP(s.A, x), s.B)
+	v := affineModP(s.A, x, s.B)
 	if v&1 == 0 {
 		return 1
 	}
@@ -148,7 +173,7 @@ func (s Sign) Sign(x uint64) int {
 // SignFloat returns Sign(x) as a float64, avoiding a conversion at
 // call sites on the sketch hot path.
 func (s Sign) SignFloat(x uint64) float64 {
-	v := addModP(mulModP(s.A, x), s.B)
+	v := affineModP(s.A, x, s.B)
 	if v&1 == 0 {
 		return 1
 	}
@@ -165,7 +190,7 @@ func (s Sign) SignFloatMany(xs []int, out []float64) {
 	a, b := s.A, s.B
 	out = out[:len(xs)]
 	for j, x := range xs {
-		v := addModP(mulModP(a, uint64(x)), b) & 1
+		v := affineModP(a, uint64(x), b) & 1
 		out[j] = math.Float64frombits(oneBits | v<<63)
 	}
 }
@@ -196,7 +221,7 @@ func NewFourWise(r *rand.Rand, rang int) (FourWise, error) {
 func (h FourWise) Hash(x uint64) int {
 	v := h.C[3]
 	for i := 2; i >= 0; i-- {
-		v = addModP(mulModP(v, x), h.C[i])
+		v = affineModP(v, x, h.C[i])
 	}
 	return int(v % h.Range)
 }

@@ -46,6 +46,32 @@ func TestMulModPAgainstBigArithmetic(t *testing.T) {
 	}
 }
 
+// addModP returns (a+b) mod (2^61-1) assuming a,b < 2^61-1.
+func addModP(a, b uint64) uint64 {
+	r := a + b
+	if r >= MersennePrime {
+		r -= MersennePrime
+	}
+	return r
+}
+
+// The fused affineModP equals mulModP then addModP for every
+// coefficient below p and every key below 2^63, the extremes included.
+func TestAffineModPMatchesMulAdd(t *testing.T) {
+	const p = MersennePrime
+	r := rand.New(rand.NewSource(2))
+	edges := []uint64{0, 1, 7, 1 << 61, p - 1, p, p + 1, 1<<62 + 12345, 1<<63 - 1}
+	for i := 0; i < 20000; i++ {
+		a, b, x := r.Uint64()%p, r.Uint64()%p, r.Uint64()>>1
+		if i < len(edges)*4 {
+			a, b, x = []uint64{p - 1, 1, p - 1, 0}[i%4], []uint64{p - 1, 0, 1, p - 1}[i%4], edges[i/4]
+		}
+		if got, want := affineModP(a, x, b), addModP(mulModP(a, x), b); got != want {
+			t.Fatalf("affineModP(%d, %d, %d) = %d, want %d", a, x, b, got, want)
+		}
+	}
+}
+
 // slowMulMod computes (a*b) mod p by binary decomposition of b.
 func slowMulMod(a, b uint64) uint64 {
 	var res uint64

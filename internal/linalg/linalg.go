@@ -68,9 +68,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns ‖a‖₂.
-func Norm2(a []float64) float64 { return math.Sqrt(Dot(a, a)) }
-
 // LeastSquares solves min_x ‖A·x − b‖₂ for a full-column-rank A with
 // Rows ≥ Cols, via Householder QR. It does not modify A or b.
 func LeastSquares(a *Matrix, b []float64) ([]float64, error) {

@@ -154,3 +154,6 @@ func TestLeastSquaresDoesNotMutate(t *testing.T) {
 		t.Fatal("LeastSquares mutated b")
 	}
 }
+
+// Norm2 returns ‖a‖₂.
+func Norm2(a []float64) float64 { return math.Sqrt(Dot(a, a)) }

@@ -194,3 +194,59 @@ func TestScanMedianHugeOrNaNBias(t *testing.T) {
 		}
 	}
 }
+
+// ScreenMedian over a list of keys, in any order, keeps exactly the
+// keys ScanMedian keeps over the same range, on random matrices with
+// ties, outliers and non-finite rows.
+func TestScreenMedianMatchesScanMedian(t *testing.T) {
+	r := rand.New(rand.NewSource(75))
+	for trial := 0; trial < 300; trial++ {
+		depth := 1 + r.Intn(maxNetwork)
+		n := 1 + r.Intn(700)
+		m := randomMatrix(r, depth, n, trial%2 == 0)
+		tau := []float64{0.5, 3, 9.5, 60, 5e5}[r.Intn(5)]
+		bias := float64(r.Intn(7) - 3)
+		idx := make([]int, n)
+		out := make([]float64, n)
+		want := idx[:ScanMedian(depth, 0, n, tau, bias, m, idx, out)]
+		c, ok := ScreenBound(depth, tau, bias)
+		if !ok {
+			t.Fatalf("d=%d tau=%v bias=%v: bound refused", depth, tau, bias)
+		}
+		keys := r.Perm(n)
+		got := keys[:ScreenMedian(depth, c, bias, m, keys)]
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("d=%d n=%d tau=%v: ScreenMedian kept %v, ScanMedian %v", depth, n, tau, got, want)
+		}
+	}
+	if n := ScreenMedian(5, 1, 0, &matrixRecovery{}, nil); n != 0 {
+		t.Fatalf("an empty list kept %d keys", n)
+	}
+}
+
+// ScreenBound refuses a bound that is not positive and finite, a bias
+// or bound so large that m + β̂ could overflow, and more rows than a
+// sorting network covers.
+func TestScreenBoundGuards(t *testing.T) {
+	for _, c := range []struct {
+		depth     int
+		tau, bias float64
+		ok        bool
+	}{
+		{9, 10, 100, true},
+		{maxNetwork, 10, 0, true},
+		{maxNetwork + 1, 10, 0, false},
+		{9, 0, 0, false},
+		{9, -1, 0, false},
+		{9, math.NaN(), 0, false},
+		{9, math.Inf(1), 0, false},
+		{9, math.MaxFloat64 / 2, 0, false},
+		{9, 10, math.MaxFloat64 / 2, false},
+		{9, 10, math.NaN(), false},
+	} {
+		if _, ok := ScreenBound(c.depth, c.tau, c.bias); ok != c.ok {
+			t.Errorf("ScreenBound(%d, %v, %v) ok = %v, want %v", c.depth, c.tau, c.bias, ok, c.ok)
+		}
+	}
+}

@@ -279,7 +279,7 @@ type QScratch struct {
 	vb  []float64 // depth×tile row-major gather buffer
 	buf []float64 // depth-length per-element column
 
-	keys []int // ScanMedian's candidate keys within a tile
+	keys []int // the median screens' candidate keys within a tile
 	lows []int // per candidate, its rows at or below the bound so far
 }
 
@@ -419,9 +419,7 @@ const scanSlack = 0x1p-40
 //sketch:hotpath
 func ScanMedian(depth, lo, hi int, tau, bias float64, r ScanRecovery, idx []int, out []float64) int {
 	m := hi - lo
-	c := tau - scanSlack*(math.Abs(tau)+math.Abs(bias))
-	const huge = math.MaxFloat64 / 4
-	if c > 0 && c <= huge && math.Abs(bias) <= huge && depth <= maxNetwork {
+	if c, ok := ScreenBound(depth, tau, bias); ok {
 		m = screenRange(depth, lo, hi, c, bias, r, idx)
 	} else {
 		for j := range m {
@@ -429,6 +427,42 @@ func ScanMedian(depth, lo, hi int, tau, bias float64, r ScanRecovery, idx []int,
 		}
 	}
 	QueryBatchMedian(depth, idx[:m], out[:m], bias, r)
+	return m
+}
+
+// ScreenBound returns the magnitude c that a median screen holds a
+// key's rows to for the deviation bound tau: tau less the rounding
+// margin of scanSlack. It reports false when the screen would be
+// unsound, and every key must then be answered in full: c not positive
+// and finite, a c or bias so large that m + bias could overflow, or
+// more than maxNetwork rows.
+func ScreenBound(depth int, tau, bias float64) (float64, bool) {
+	c := tau - scanSlack*(math.Abs(tau)+math.Abs(bias))
+	const huge = math.MaxFloat64 / 4
+	return c, c > 0 && c <= huge && math.Abs(bias) <= huge && depth <= maxNetwork
+}
+
+// ScreenMedian keeps in keys, compacted in order, every key that fewer
+// than ⌊d/2⌋+1 rows place at or below c in magnitude, and returns how
+// many: ScanMedian's screen over a list of keys, for a c from
+// ScreenBound. A tile at a time it reads the rows in order through
+// GatherRow, each only for the keys not yet ruled out.
+//
+//sketch:hotpath
+func ScreenMedian(depth int, c, bias float64, r BatchRecovery, keys []int) int {
+	need := depth/2 + 1
+	sc := GetQScratch(depth, TileWidth(len(keys)))
+	defer PutQScratch(sc)
+	sc.Bias = bias
+	m := 0
+	for base := 0; base < len(keys); base += queryChunk {
+		w := min(queryChunk, len(keys)-base)
+		tile, lows := sc.keys[:w], sc.lows[:w]
+		copy(tile, keys[base:base+w])
+		clear(lows)
+		k := screenRows(0, depth, need, w, c, r, tile, lows, sc)
+		m += copy(keys[m:], tile[:k])
+	}
 	return m
 }
 
@@ -451,11 +485,7 @@ func screenRange(depth, lo, hi int, c, bias float64, r ScanRecovery, idx []int) 
 		}
 		keys, lows := sc.keys[:w], sc.lows[:w]
 		k := screenTile(vb, w, need, c, base, keys, lows)
-		for t := need; t < depth && k > 0; t++ {
-			o := sc.vb[:k]
-			r.GatherRow(t, keys[:k], o, sc)
-			k = screenRow(o, need, c, keys, lows)
-		}
+		k = screenRows(need, depth, need, k, c, r, keys, lows, sc)
 		m += copy(idx[m:], keys[:k])
 	}
 	return m
@@ -479,6 +509,20 @@ func screenTile(vb []float64, w, need int, c float64, base int, keys, lows []int
 			keys[k], lows[k] = base+j, low
 			k++
 		}
+	}
+	return k
+}
+
+// screenRows reads rows from..depth−1 through GatherRow for the first
+// k keys, with their counts so far in lows, each row only for the keys
+// still below need, and returns how many remain, compacted in order.
+//
+//sketch:hotpath
+func screenRows(from, depth, need, k int, c float64, r BatchRecovery, keys, lows []int, sc *QScratch) int {
+	for t := from; t < depth && k > 0; t++ {
+		o := sc.vb[:k]
+		r.GatherRow(t, keys[:k], o, sc)
+		k = screenRow(o, need, c, keys, lows)
 	}
 	return k
 }

@@ -28,31 +28,6 @@ type Source interface {
 	Reset()
 }
 
-// SliceSource replays a fixed update slice.
-type SliceSource struct {
-	updates []Update
-	pos     int
-}
-
-// NewSliceSource wraps a pre-materialized stream.
-func NewSliceSource(us []Update) *SliceSource { return &SliceSource{updates: us} }
-
-// Next implements Source.
-func (s *SliceSource) Next() (Update, bool) {
-	if s.pos >= len(s.updates) {
-		return Update{}, false
-	}
-	u := s.updates[s.pos]
-	s.pos++
-	return u, true
-}
-
-// Reset implements Source.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
-// Len returns the stream length.
-func (s *SliceSource) Len() int { return len(s.updates) }
-
 // UnitSource adapts a slice of coordinate indexes into unit-increment
 // updates (the item-arrival model of [1]).
 type UnitSource struct {

@@ -109,3 +109,28 @@ func TestMeasureQueries(t *testing.T) {
 		t.Errorf("empty query stats %+v", empty)
 	}
 }
+
+// SliceSource replays a fixed update slice.
+type SliceSource struct {
+	updates []Update
+	pos     int
+}
+
+// NewSliceSource wraps a pre-materialized stream.
+func NewSliceSource(us []Update) *SliceSource { return &SliceSource{updates: us} }
+
+// Next implements Source.
+func (s *SliceSource) Next() (Update, bool) {
+	if s.pos >= len(s.updates) {
+		return Update{}, false
+	}
+	u := s.updates[s.pos]
+	s.pos++
+	return u, true
+}
+
+// Reset implements Source.
+func (s *SliceSource) Reset() { s.pos = 0 }
+
+// Len returns the stream length.
+func (s *SliceSource) Len() int { return len(s.updates) }

@@ -20,15 +20,6 @@ func Norm1(x []float64) float64 {
 	return s
 }
 
-// Norm2 returns the ℓ2 norm of x.
-func Norm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // NormInf returns the ℓ∞ norm of x; 0 for an empty vector.
 func NormInf(x []float64) float64 {
 	var m float64
@@ -91,16 +82,6 @@ func Variance(x []float64) float64 {
 		s += d * d
 	}
 	return s / float64(n)
-}
-
-// SubScalar returns x − β (coordinate-wise, Table 1's x − β notation)
-// as a new vector.
-func SubScalar(x []float64, beta float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = v - beta
-	}
-	return out
 }
 
 // ErrK returns Err_p^k(x) = min over k-sparse x' of ||x − x'||_p, i.e.
@@ -268,23 +249,6 @@ func TopKDeviating(x []float64, beta float64, k int) []int {
 		return idx[a] < idx[b]
 	})
 	return idx[:k]
-}
-
-// DropTopKDeviating returns x with the k coordinates deviating most
-// from beta removed — the vector x* of Lemmas 1 and 4.
-func DropTopKDeviating(x []float64, beta float64, k int) []float64 {
-	drop := TopKDeviating(x, beta, k)
-	dropped := make(map[int]bool, len(drop))
-	for _, i := range drop {
-		dropped[i] = true
-	}
-	out := make([]float64, 0, len(x)-len(drop))
-	for i, v := range x {
-		if !dropped[i] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // Percentile returns the q-th percentile (q in [0,1]) of x using

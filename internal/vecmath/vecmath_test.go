@@ -450,3 +450,39 @@ func BenchmarkMinBetaErrK2(b *testing.B) {
 		MinBetaErrK(x, 100, 2)
 	}
 }
+
+// Norm2 returns the ℓ2 norm of x.
+func Norm2(x []float64) float64 {
+	var s float64
+	for _, v := range x {
+		s += v * v
+	}
+	return math.Sqrt(s)
+}
+
+// SubScalar returns x − β (coordinate-wise, Table 1's x − β notation)
+// as a new vector.
+func SubScalar(x []float64, beta float64) []float64 {
+	out := make([]float64, len(x))
+	for i, v := range x {
+		out[i] = v - beta
+	}
+	return out
+}
+
+// DropTopKDeviating returns x with the k coordinates deviating most
+// from beta removed — the vector x* of Lemmas 1 and 4.
+func DropTopKDeviating(x []float64, beta float64, k int) []float64 {
+	drop := TopKDeviating(x, beta, k)
+	dropped := make(map[int]bool, len(drop))
+	for _, i := range drop {
+		dropped[i] = true
+	}
+	out := make([]float64, 0, len(x)-len(drop))
+	for i, v := range x {
+		if !dropped[i] {
+			out = append(out, v)
+		}
+	}
+	return out
+}

@@ -310,17 +310,3 @@ func (z ZipfLike) Vector(n int, r *rand.Rand) []float64 {
 	}
 	return x
 }
-
-// Stream draws the item sequence itself for streaming experiments.
-func (z ZipfLike) Stream(n, length int, r *rand.Rand) []int {
-	s := z.S
-	if s == 0 {
-		s = 1.2
-	}
-	zf := rand.NewZipf(r, s, 1, uint64(n-1))
-	out := make([]int, length)
-	for i := range out {
-		out[i] = int(zf.Uint64())
-	}
-	return out
-}

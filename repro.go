@@ -384,8 +384,10 @@ func Bias(s Sketch) (float64, error) {
 type Deviator = heavyhitter.Deviator
 
 // TopK returns the k coordinates deviating most from the bias
-// estimate, sorted by decreasing deviation (ties by index). It fully
-// queries only the coordinates a median bound cannot rule out, and
+// estimate, sorted by decreasing deviation (ties by index). It reads
+// only the keys of the buckets heavy enough to hold a top-k key,
+// listed by inverting the row hashes (a range scan near the noise
+// floor), fully queries only those a median bound cannot rule out, and
 // answers exactly as the top k of Recover would. ErrNoBias unless s is
 // bias-aware.
 func TopK(s Sketch, k int) ([]Deviator, error) {
@@ -398,8 +400,9 @@ func TopK(s Sketch, k int) ([]Deviator, error) {
 
 // Scan returns every coordinate whose estimated deviation from the
 // bias exceeds threshold, sorted by decreasing deviation (ties by
-// index). It fully queries only the coordinates a median bound cannot
-// rule out. ErrNoBias unless s is bias-aware.
+// index). Like TopK, it reads only the keys of the heavy buckets (a
+// range scan near the noise floor) and fully queries only those a
+// median bound cannot rule out. ErrNoBias unless s is bias-aware.
 func Scan(s Sketch, threshold float64) ([]Deviator, error) {
 	b, err := deviationSketch(s)
 	if err != nil {
@@ -409,8 +412,8 @@ func Scan(s Sketch, threshold float64) ([]Deviator, error) {
 }
 
 // deviationSketch returns what TopK and Scan run on: a handle's inner
-// sketch, so they reach its range scan, or s itself. ErrNoBias unless
-// s is bias-aware.
+// sketch, so they reach its bucket listing and range scan, or s
+// itself. ErrNoBias unless s is bias-aware.
 func deviationSketch(s Sketch) (heavyhitter.BiasedSketch, error) {
 	b, ok := s.(heavyhitter.BiasedSketch)
 	if !ok {

@@ -246,9 +246,10 @@ func (sn *Snapshot) Bias() (float64, error) {
 }
 
 // TopK returns the k coordinates deviating most from the bias estimate
-// as of the snapshot, sorted by decreasing deviation, fully querying
-// only the coordinates a median bound cannot rule out (as TopK does).
-// ErrNoBias unless the algorithm is bias-aware.
+// as of the snapshot, sorted by decreasing deviation, reading only the
+// keys of the heavy buckets and fully querying only those a median
+// bound cannot rule out (as TopK does). ErrNoBias unless the algorithm
+// is bias-aware.
 func (sn *Snapshot) TopK(k int) ([]Deviator, error) {
 	b, ok := sn.view.Sketch().(heavyhitter.BiasedSketch)
 	if !ok {
@@ -259,9 +260,9 @@ func (sn *Snapshot) TopK(k int) ([]Deviator, error) {
 
 // Scan returns every coordinate whose estimated deviation from the
 // bias exceeds threshold as of the snapshot, sorted by decreasing
-// deviation, fully querying only the coordinates a median bound cannot
-// rule out (as Scan does). ErrNoBias unless the algorithm is
-// bias-aware.
+// deviation, reading only the keys of the heavy buckets and fully
+// querying only those a median bound cannot rule out (as Scan does).
+// ErrNoBias unless the algorithm is bias-aware.
 func (sn *Snapshot) Scan(threshold float64) ([]Deviator, error) {
 	b, ok := sn.view.Sketch().(heavyhitter.BiasedSketch)
 	if !ok {
