@@ -20,13 +20,16 @@ test:
 # replica in internal/core orders its Bias-Heap on its first read,
 # under a lock that concurrent first readers of one snapshot share, and
 # a basis builds its ψ and the key listings behind TopK once for all of
-# them; the cold-read tests run ten times more to give an interleaving
-# that breaks it more chances to show.
+# them. A Counter Braids replica decodes on its first read, under a
+# lock its concurrent first readers share, and every registry entry is
+# read by 8 goroutines at once in TestSharedReplicaConcurrentQueryBatch.
+# The cold-read tests run ten times more to give an interleaving that
+# breaks it more chances to show.
 RACE_PKGS := concurrent window codec counterbraids server distributed registry core
 
 race:
 	$(GO) test -race $(patsubst %,./internal/%/...,$(RACE_PKGS))
-	$(GO) test -race -count=10 -run '^(TestConcurrentColdCacheQueryBatch|TestConcurrentFirstQueryBatch|TestConcurrentColdCandidates)$$' ./internal/core/ ./internal/registry/
+	$(GO) test -race -count=10 -run '^(TestConcurrentColdCacheQueryBatch|TestConcurrentFirstQueryBatch|TestConcurrentColdCandidates|TestSharedReplicaConcurrentQueryBatch)$$' ./internal/core/ ./internal/registry/
 	$(GO) test -race -short $$($(GO) list ./... | grep -v $(patsubst %,-e internal/%,$(RACE_PKGS)))
 
 # COVER_FLOORS are package:percent coverage floors on the packages

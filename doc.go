@@ -35,13 +35,15 @@
 // one (words, depth) setting every algorithm costs the same memory.
 //
 // Capabilities are layered as interfaces — Sketch (update/query),
-// BatchUpdater (adds batched ingestion), Linear (adds Merge),
-// Serializable (adds the wire format), Biased (adds the β̂ estimate) —
-// and as package-level helpers returning typed errors where a
-// capability is absent: Merge (ErrNotLinear on the conservative-update
-// sketches), Marshal/Unmarshal (the self-describing wire format of
-// §5.5's shared-randomness protocol), Recover, Bias, Scan and TopK
-// (deviation heavy hitters), NewSharded (contention-free concurrent
+// BatchUpdater and BatchQuerier (add batched ingestion and queries),
+// Linear (adds Merge), Serializable (adds the wire format), Biased
+// (adds the β̂ estimate) — and as package-level helpers returning
+// typed errors where a capability is absent: Merge (ErrNotLinear on
+// the conservative-update sketches), Marshal/Unmarshal (the
+// self-describing wire format of §5.5's shared-randomness protocol),
+// Recover, Bias, Scan and TopK (deviation heavy hitters, which read a
+// sketch's bucket listing and so return ErrForeignSketch for a Sketch
+// built outside this package), NewSharded (contention-free concurrent
 // ingestion), and NewRange (dyadic range sums and quantiles).
 //
 // # Batched ingestion
@@ -79,7 +81,8 @@
 // buckets; near the noise floor, where the heavy buckets hold too many
 // keys, both fall back to a range scan by the same median bound. Only
 // the few keys the bound cannot rule out get a batched query, and the
-// answer is bit-identical to the full scan.
+// answer is bit-identical to a full scan of QueryBatch estimates, which
+// the tests keep as their oracle.
 // Batched query scratch is borrowed from a sync.Pool per call — zero
 // steady-state allocations, no state shared between calls — so
 // concurrent QueryBatch calls against a sketch that is no longer

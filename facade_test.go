@@ -463,6 +463,24 @@ func (f *foreignSketch) Dim() int                    { return len(f.x) }
 func (f *foreignSketch) Words() int                  { return len(f.x) }
 func (f *foreignSketch) Algo() string                { return "foreign" }
 
+// TopK and Scan read a sketch's bucket listing and range scan, which
+// only a sketch New built has: a foreign one is refused, even one with
+// a bias estimate.
+func TestDeviationScansRefuseForeignSketch(t *testing.T) {
+	f := &foreignBiased{foreignSketch{x: []float64{0, 9, 0}}}
+	if _, err := repro.TopK(f, 1); !errors.Is(err, repro.ErrForeignSketch) {
+		t.Errorf("TopK(foreign) error = %v, want ErrForeignSketch", err)
+	}
+	if _, err := repro.Scan(f, 1); !errors.Is(err, repro.ErrForeignSketch) {
+		t.Errorf("Scan(foreign) error = %v, want ErrForeignSketch", err)
+	}
+}
+
+// foreignBiased is a foreign sketch with a bias estimate.
+type foreignBiased struct{ foreignSketch }
+
+func (*foreignBiased) Bias() float64 { return 0 }
+
 func TestUpdateBatchFallsBackForForeignSketch(t *testing.T) {
 	f := &foreignSketch{x: make([]float64, 10)}
 	if err := repro.UpdateBatch(f, []int{2, 2, 9}, []float64{1, 2, 4}); err != nil {

@@ -37,7 +37,7 @@ func queriedSketch(b *testing.B, algo string) sketch.Sketch {
 		for j := range idx {
 			idx[j] = r.Intn(queryBenchN)
 		}
-		sketch.UpdateBatch(sk, idx, ones)
+		sk.UpdateBatch(idx, ones)
 	}
 	return sk
 }
@@ -74,10 +74,6 @@ func BenchmarkQueryBatch(b *testing.B) {
 	for _, algo := range All {
 		b.Run(algo, func(b *testing.B) {
 			sk := queriedSketch(b, algo)
-			bq, ok := sk.(sketch.BatchQuerier)
-			if !ok {
-				b.Fatalf("%s (%T) has no batched query path", algo, sk)
-			}
 			out := make([]float64, queryBatchLen)
 			span := len(idx) - queryBatchLen
 			b.ResetTimer()
@@ -87,7 +83,7 @@ func BenchmarkQueryBatch(b *testing.B) {
 					m = rem
 				}
 				off := done % span
-				bq.QueryBatch(idx[off:off+m], out[:m])
+				sk.QueryBatch(idx[off:off+m], out[:m])
 			}
 		})
 	}

@@ -3,8 +3,6 @@ package bench
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/sketch"
 )
 
 // Ingestion benchmarks at the paper's §5.1 shape (s=4096, d=9): the
@@ -52,10 +50,6 @@ func BenchmarkUpdateBatch(b *testing.B) {
 	for _, algo := range All {
 		b.Run(algo, func(b *testing.B) {
 			sk := Make(algo, updateBenchN, updateBenchS, updateBenchD, 1)
-			bu, ok := sk.(sketch.BatchUpdater)
-			if !ok {
-				b.Fatalf("%s (%T) has no batched path", algo, sk)
-			}
 			span := len(idx) - updateBatchLen
 			b.ResetTimer()
 			for done := 0; done < b.N; done += updateBatchLen {
@@ -64,7 +58,7 @@ func BenchmarkUpdateBatch(b *testing.B) {
 					m = rem
 				}
 				off := done % span
-				bu.UpdateBatch(idx[off:off+m], ones[off:off+m])
+				sk.UpdateBatch(idx[off:off+m], ones[off:off+m])
 			}
 		})
 	}

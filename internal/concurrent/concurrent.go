@@ -25,6 +25,12 @@
 // single sketches once snapshots are in use); the return is a serving
 // path where query bursts from many goroutines proceed with no
 // coordination at all.
+//
+// Every replica has batched update and query paths (Mergeable), so a
+// batch reaches its replica whole: under one shard lock on the write
+// side, lock-free on the read side. A point read of a shared replica
+// goes through QueryOne, a pooled batch of one, since only the batched
+// query path is safe for concurrent readers.
 package concurrent
 
 import (
@@ -33,13 +39,17 @@ import (
 	"sync/atomic"
 )
 
-// Mergeable is the sketch surface sharding needs: streaming updates
-// and point queries. core.SR and the linear baselines satisfy it. The
-// merge itself is the rule New takes, such as a replica's MergeFrom or
-// registry.Merge.
+// Mergeable is the sketch surface sharding needs: point and batched
+// updates and queries under the batch contract of package sketch
+// (batches bit-identical to the element-wise loops, and QueryBatch
+// safe for concurrent readers of a replica no one writes). Every
+// registry sketch satisfies it. The merge itself is the rule New
+// takes, such as a replica's MergeFrom or registry.Merge.
 type Mergeable interface {
 	Update(i int, delta float64)
 	Query(i int) float64
+	UpdateBatch(idx []int, deltas []float64)
+	QueryBatch(idx []int, out []float64)
 	Dim() int
 	Words() int
 }
@@ -98,26 +108,12 @@ func (s *Sharded[S]) Update(slot, i int, delta float64) {
 	sh.sk.Update(i, delta)
 }
 
-// batchUpdater matches sketches with a native batched ingestion path —
-// the sketch.BatchUpdater capability, restated structurally so this
-// package keeps zero sketch dependencies.
-type batchUpdater interface {
-	UpdateBatch(idx []int, deltas []float64)
-}
-
-// batchQuerier is the read-side twin (sketch.BatchQuerier).
-type batchQuerier interface {
-	QueryBatch(idx []int, out []float64)
-}
-
 // UpdateBatch applies x[idx[j]] += deltas[j] for every j on the slot's
 // shard under a single lock acquisition — one acquire/release per
 // batch instead of per element, the high-throughput ingestion path.
-// Replicas with a native batched path get the whole batch at once;
-// others absorb it element-wise under the one lock. The shard epoch
-// advances once per batch, by defer — even a batch that panics
-// half-applied (possible only through the element-wise fallback) stays
-// visible to the next refresh.
+// The shard epoch advances once per batch, by defer — even a batch
+// that panics half-applied (possible only in a replica that breaks the
+// validate-first contract) stays visible to the next refresh.
 //
 //sketch:hotpath
 func (s *Sharded[S]) UpdateBatch(slot int, idx []int, deltas []float64) {
@@ -131,13 +127,7 @@ func (s *Sharded[S]) UpdateBatch(slot int, idx []int, deltas []float64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	defer sh.epoch.Add(1)
-	if b, ok := any(sh.sk).(batchUpdater); ok {
-		b.UpdateBatch(idx, deltas)
-		return
-	}
-	for j, i := range idx {
-		sh.sk.Update(i, deltas[j])
-	}
+	sh.sk.UpdateBatch(idx, deltas)
 }
 
 // Snapshot is an immutable merged view of a Sharded sketch: the sum of
@@ -156,9 +146,9 @@ type Snapshot[S Mergeable] struct {
 // Merged for a mutable copy).
 func (sn *Snapshot[S]) Sketch() S { return sn.sk }
 
-// pointBufs is the pooled one-element batch a Snapshot point query
-// routes through: pooling keeps the buffers off the heap per call even
-// though they escape into the replica's QueryBatch via an interface.
+// pointBufs is the pooled one-element batch QueryOne routes through:
+// pooling keeps the buffers off the heap per call even though they
+// escape into the replica's QueryBatch.
 type pointBufs struct {
 	idx [1]int
 	out [1]float64
@@ -166,46 +156,43 @@ type pointBufs struct {
 
 var pointPool = sync.Pool{New: func() any { return new(pointBufs) }}
 
-// Query answers a point query against the snapshot, lock-free. It
-// routes through the replica's batched path as a batch of one: the
-// single-element Query methods of most sketches reuse per-sketch
-// scratch, which concurrent readers of a shared snapshot must not
-// touch, while the batched paths borrow their scratch per call.
+// QueryOne answers a point query on a replica that concurrent readers
+// share (a Snapshot's, a sliding window's view), as a batch of one:
+// the single-element Query of most sketches reuses per-sketch scratch,
+// which concurrent readers must not touch, while QueryBatch borrows
+// its scratch per call. The batch of one is pooled, so a call
+// allocates nothing.
 //
 //sketch:hotpath
-func (sn *Snapshot[S]) Query(i int) float64 {
+func QueryOne[S Mergeable](sk S, i int) float64 {
 	pb := pointPool.Get().(*pointBufs)
 	// Returned by defer: a panicking replica QueryBatch (an
-	// out-of-range index, a poisoned foreign replica) must not leak the
-	// pooled buffers — callers that recover the panic (a server turning
-	// it into a 500) would otherwise bleed one allocation per recovery.
+	// out-of-range index, a poisoned replica) must not leak the pooled
+	// buffers — callers that recover the panic (a server turning it
+	// into a 500) would otherwise bleed one allocation per recovery.
 	defer pointPool.Put(pb)
 	pb.idx[0] = i
-	sn.QueryBatch(pb.idx[:], pb.out[:])
+	sk.QueryBatch(pb.idx[:], pb.out[:])
 	return pb.out[0]
 }
 
+// Query answers a point query against the snapshot, lock-free, through
+// QueryOne.
+//
+//sketch:hotpath
+func (sn *Snapshot[S]) Query(i int) float64 { return QueryOne(sn.sk, i) }
+
 // QueryBatch answers a batch of point queries against the snapshot,
-// lock-free, through the replica's native batched path when it has one
-// (bit-identical to the Query loop either way). The native batched
-// paths borrow pooled scratch per call, so concurrent QueryBatch calls
-// on one snapshot are safe. (Replicas from outside this module without
-// a QueryBatch fall back to their Query method; whether concurrent
-// snapshot reads are then safe depends on that Query being
-// scratch-free.)
+// lock-free, through the replica's batched path, which borrows its
+// scratch per call, so concurrent QueryBatch calls on one snapshot are
+// safe.
 //
 //sketch:hotpath
 func (sn *Snapshot[S]) QueryBatch(idx []int, out []float64) {
 	if len(idx) != len(out) {
 		panic(fmt.Sprintf("concurrent: batch index count %d != output count %d", len(idx), len(out)))
 	}
-	if b, ok := any(sn.sk).(batchQuerier); ok {
-		b.QueryBatch(idx, out)
-		return
-	}
-	for j, i := range idx {
-		out[j] = sn.sk.Query(i)
-	}
+	sn.sk.QueryBatch(idx, out)
 }
 
 // Stale reports whether any shard has absorbed writes since this

@@ -378,33 +378,26 @@ func TestConcurrentBatchWritersExactTotal(t *testing.T) {
 	}
 }
 
-// Replicas without a native batched path absorb batches element-wise
-// under the single lock — same counters either way.
-func TestUpdateBatchFallbackForPlainMergeable(t *testing.T) {
-	mk := func() *plainCounter { return &plainCounter{x: make([]float64, 100)} }
-	sh := New(2, mk, func(dst, src *plainCounter) error {
-		for i, v := range src.x {
-			dst.x[i] += v
-		}
-		return nil
-	})
-	sh.UpdateBatch(0, []int{3, 3, 7}, []float64{1, 2, 4})
-	snap, err := sh.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Query(3) != 3 || snap.Query(7) != 4 {
-		t.Fatalf("fallback batch lost updates: x[3]=%v x[7]=%v", snap.Query(3), snap.Query(7))
-	}
-}
-
-// plainCounter is a Mergeable with no UpdateBatch method.
+// plainCounter is a bare Mergeable whose batches run element by
+// element without validating first, so a bad index panics mid-batch.
 type plainCounter struct{ x []float64 }
 
 func (p *plainCounter) Update(i int, delta float64) { p.x[i] += delta }
 func (p *plainCounter) Query(i int) float64         { return p.x[i] }
 func (p *plainCounter) Dim() int                    { return len(p.x) }
 func (p *plainCounter) Words() int                  { return len(p.x) }
+
+func (p *plainCounter) UpdateBatch(idx []int, deltas []float64) {
+	for j, i := range idx {
+		p.Update(i, deltas[j])
+	}
+}
+
+func (p *plainCounter) QueryBatch(idx []int, out []float64) {
+	for j, i := range idx {
+		out[j] = p.Query(i)
+	}
+}
 
 func BenchmarkShardedUpdateBatchParallel(b *testing.B) {
 	const batchLen = 1024

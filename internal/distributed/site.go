@@ -111,7 +111,7 @@ func (s *site) ingest(budget int, desc codec.Desc, e *registry.Entry) int {
 		if s.pending[sh] == nil {
 			s.pending[sh] = e.MustNew(desc.Shape())
 		}
-		sketch.UpdateBatch(s.pending[sh], idx, s.deltas[sh])
+		s.pending[sh].UpdateBatch(idx, s.deltas[sh])
 	}
 	return applied
 }

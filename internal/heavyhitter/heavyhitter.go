@@ -17,9 +17,10 @@
 // heaviest buckets of row 0. When the sketch cannot bound τ, or the
 // heavy buckets hold too many keys (near the noise floor), TopK and
 // Scan take the sketch's range scan, which reads every key's screening
-// rows. Sketches without either get the full scan, which is also the
-// tests' oracle. Every reported estimate is a QueryBatch value, so
-// every path answers bit for bit as the full scan does.
+// rows. Every reported estimate is a QueryBatch value, so every path
+// answers bit for bit as the full scan of QueryBatch estimates does.
+// That full scan is the tests' oracle: a sketch whose key lists refuse
+// and whose range scan keeps every key.
 package heavyhitter
 
 import (
@@ -29,45 +30,19 @@ import (
 	"sort"
 )
 
-// BiasedSketch is the query surface detection needs; core.SR satisfies
-// it in both schemes.
+// BiasedSketch is the surface detection reads; core.SR has it in both
+// schemes.
 type BiasedSketch interface {
-	Query(i int) float64
 	Bias() float64
 	Dim() int
-}
-
-// Deviator is one reported outlier.
-type Deviator struct {
-	Index     int
-	Estimate  float64 // x̂_i
-	Deviation float64 // |x̂_i − β̂|
-}
-
-// batchQuerier matches sketches with a native batched query path — the
-// sketch.BatchQuerier capability, restated structurally so this
-// package keeps zero sketch dependencies. The full scan drives it in
-// chunks: QueryBatch is bit-identical to the Query loop, so results
-// never change.
-type batchQuerier interface {
+	// QueryBatch writes x̂_idx[j] into out[j] for every j.
 	QueryBatch(idx []int, out []float64)
-}
-
-// rangeScanner matches sketches with a bounded range scan — the
-// ScanRange of core.SR, restated structurally like batchQuerier.
-// ScanRange writes into idx and out, in increasing key order, the keys
-// of [lo, hi) whose deviation may exceed tau, with their QueryBatch
-// estimates, and returns how many; every key it leaves out deviates by
-// at most tau, and a tau that is not positive and finite leaves none
-// out.
-type rangeScanner interface {
+	// ScanRange writes into idx and out, in increasing key order, the
+	// keys of [lo, hi) whose deviation may exceed tau, with their
+	// QueryBatch estimates, and returns how many; every key it leaves
+	// out deviates by at most tau, and a tau that is not positive and
+	// finite leaves none out.
 	ScanRange(lo, hi int, tau float64, idx []int, out []float64) int
-}
-
-// candidateSource matches sketches that list the keys a deviation
-// bound cannot rule out from their heavy buckets — SeedKeys and
-// Candidates of core.SR, restated structurally like batchQuerier.
-type candidateSource interface {
 	// SeedKeys appends to dst distinct keys likely to deviate most (the
 	// keys of the k heaviest buckets of a row) and reports true, or
 	// appends nothing and reports false when there would be more than
@@ -80,75 +55,36 @@ type candidateSource interface {
 	Candidates(tau float64, limit int, dst []int) ([]int, bool)
 }
 
+// Deviator is one reported outlier.
+type Deviator struct {
+	Index     int
+	Estimate  float64 // x̂_i
+	Deviation float64 // |x̂_i − β̂|
+}
+
 // candidateShare sets the most keys the bucket path lists, n /
 // candidateShare; beyond that TopK and Scan take the range scan.
 const candidateShare = 8
 
-// scanChunk is the batch size of the chunked scans: large enough to
+// scanChunk is the batch size of the range scan: large enough to
 // amortize per-row hash-coefficient loads, small enough that the
-// per-chunk scratch stays cache-resident. A range scan reads its bound
+// per-chunk scratch stays cache-resident. The scan reads its bound
 // once per chunk.
 const scanChunk = 1024
 
-// forEachEstimate calls visit(i, x̂_i) for every coordinate, through
-// the sketch's batched query path when it has one — the full scan.
-func forEachEstimate(s BiasedSketch, visit func(i int, est float64)) {
-	n := s.Dim()
-	bq, ok := s.(batchQuerier)
-	if !ok {
-		for i := 0; i < n; i++ {
-			visit(i, s.Query(i))
-		}
-		return
-	}
-	idx := make([]int, scanChunk)
-	out := make([]float64, scanChunk)
-	for base := 0; base < n; base += scanChunk {
-		m := scanChunk
-		if rem := n - base; rem < m {
-			m = rem
-		}
-		for j := 0; j < m; j++ {
-			idx[j] = base + j
-		}
-		bq.QueryBatch(idx[:m], out[:m])
-		for j := 0; j < m; j++ {
-			visit(base+j, out[j])
-		}
-	}
-}
-
 // forEachCandidate calls visit(i, x̂_i), in increasing i, for every
-// coordinate whose deviation may exceed bound(), which it reads at the
+// coordinate the range scan keeps at bound(), which it reads at the
 // start of each chunk; every coordinate it skips deviates by at most
-// the bound of its chunk. Sketches without a range scan get the full
-// scan.
+// the bound of its chunk.
 func forEachCandidate(s BiasedSketch, bound func() float64, visit func(i int, est float64)) {
-	rs, ok := s.(rangeScanner)
-	if !ok {
-		forEachEstimate(s, visit)
-		return
-	}
 	n := s.Dim()
 	idx := make([]int, scanChunk)
 	out := make([]float64, scanChunk)
 	for lo := 0; lo < n; lo += scanChunk {
-		m := rs.ScanRange(lo, min(lo+scanChunk, n), bound(), idx, out)
+		m := s.ScanRange(lo, min(lo+scanChunk, n), bound(), idx, out)
 		for j := 0; j < m; j++ {
 			visit(idx[j], out[j])
 		}
-	}
-}
-
-// queryKeys writes x̂_idx[j] into out[j] for every j, through the
-// sketch's batched query path when it has one.
-func queryKeys(s BiasedSketch, idx []int, out []float64) {
-	if bq, ok := s.(batchQuerier); ok {
-		bq.QueryBatch(idx, out)
-		return
-	}
-	for j, i := range idx {
-		out[j] = s.Query(i)
 	}
 }
 
@@ -157,8 +93,7 @@ func queryKeys(s BiasedSketch, idx []int, out []float64) {
 // index). It fully queries only the keys of the sketch's heavy buckets
 // that survive its median screen, or, when the sketch lists none (a
 // guard fails, or they are too many), the coordinates its range scan
-// cannot rule out (every coordinate, batched, for a sketch without
-// either). The answer is the full scan's.
+// cannot rule out. The answer is the full scan's.
 func Scan(s BiasedSketch, threshold float64) []Deviator {
 	beta := s.Bias()
 	var out []Deviator
@@ -167,14 +102,9 @@ func Scan(s BiasedSketch, threshold float64) []Deviator {
 			out = append(out, Deviator{Index: i, Estimate: est, Deviation: dev})
 		}
 	}
-	cs, ok := s.(candidateSource)
-	var keys []int
-	if ok {
-		keys, ok = cs.Candidates(threshold, s.Dim()/candidateShare, nil)
-	}
-	if ok {
+	if keys, ok := s.Candidates(threshold, s.Dim()/candidateShare, nil); ok {
 		ests := make([]float64, len(keys))
-		queryKeys(s, keys, ests)
+		s.QueryBatch(keys, ests)
 		for j, i := range keys {
 			visit(i, ests[j])
 		}
@@ -190,11 +120,10 @@ func Scan(s BiasedSketch, threshold float64) []Deviator {
 // an O(k)-size selection heap. Once the heap holds k coordinates, a
 // later one enters only by deviating more than the heap's minimum — a
 // tie loses to the smaller index already held — so that minimum bounds
-// what is left to read. On a sketch that lists its heavy buckets'
-// keys, the heap starts from keys 0..k−1 and the keys of the k
-// heaviest buckets, and only the listed keys that can beat its minimum
-// are read; otherwise the minimum is the bound of the sketch's range
-// scan. Either way, the answer is the full scan's.
+// what is left to read. The heap starts from keys 0..k−1 and the keys
+// of the k heaviest buckets, and only the listed keys that can beat
+// its minimum are read; when the sketch lists none, the minimum is the
+// bound of its range scan. Either way, the answer is the full scan's.
 func TopK(s BiasedSketch, k int) []Deviator {
 	if k <= 0 {
 		return nil
@@ -244,9 +173,8 @@ func TopK(s BiasedSketch, k int) []Deviator {
 // every one not yet offered. A key offered again is refused again
 // unless it is in the heap, so the candidates skip the heap's keys.
 func topKFromBuckets(s BiasedSketch, k int, beta float64, h *devMinHeap, offer func(i int, est float64)) bool {
-	cs, ok := s.(candidateSource)
 	n := s.Dim()
-	if !ok || n <= k {
+	if n <= k {
 		return false
 	}
 	limit := n / candidateShare
@@ -255,7 +183,7 @@ func topKFromBuckets(s BiasedSketch, k int, beta float64, h *devMinHeap, offer f
 		keys[i] = i
 	}
 	ests := make([]float64, k)
-	queryKeys(s, keys, ests)
+	s.QueryBatch(keys, ests)
 	if slices.ContainsFunc(ests, func(est float64) bool { return math.IsNaN(est - beta) }) {
 		return false
 	}
@@ -264,12 +192,13 @@ func topKFromBuckets(s BiasedSketch, k int, beta float64, h *devMinHeap, offer f
 	}
 	offerKeys := func(keys []int) {
 		ests = slices.Grow(ests[:0], len(keys))[:len(keys)]
-		queryKeys(s, keys, ests)
+		s.QueryBatch(keys, ests)
 		for j, i := range keys {
 			offer(i, ests[j])
 		}
 	}
-	if keys, ok = cs.SeedKeys(k, limit, keys[:0]); !ok {
+	keys, ok := s.SeedKeys(k, limit, keys[:0])
+	if !ok {
 		return false
 	}
 	offerKeys(slices.DeleteFunc(keys, func(i int) bool { return i < k }))
@@ -279,7 +208,7 @@ func topKFromBuckets(s BiasedSketch, k int, beta float64, h *devMinHeap, offer f
 	}
 	slices.Sort(held)
 	tau := math.Nextafter((*h)[0].Deviation, math.Inf(-1))
-	if keys, ok = cs.Candidates(tau, limit, keys[:0]); !ok {
+	if keys, ok = s.Candidates(tau, limit, keys[:0]); !ok {
 		return false
 	}
 	offerKeys(slices.DeleteFunc(keys, func(i int) bool {

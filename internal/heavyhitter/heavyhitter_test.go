@@ -88,15 +88,32 @@ func TestTopKDegenerate(t *testing.T) {
 }
 
 // exactSketch adapts a plain vector to BiasedSketch for deterministic
-// unit tests of the selection logic.
+// unit tests of the selection logic. Its key lists refuse and its
+// range scan keeps every key, so TopK and Scan run the full scan over
+// it in key order: the oracle of the pruned paths.
 type exactSketch struct {
 	x    []float64
 	beta float64
 }
 
-func (e exactSketch) Query(i int) float64 { return e.x[i] }
-func (e exactSketch) Bias() float64       { return e.beta }
-func (e exactSketch) Dim() int            { return len(e.x) }
+func (e exactSketch) Bias() float64 { return e.beta }
+func (e exactSketch) Dim() int      { return len(e.x) }
+
+func (e exactSketch) QueryBatch(idx []int, out []float64) {
+	for j, i := range idx {
+		out[j] = e.x[i]
+	}
+}
+
+func (e exactSketch) ScanRange(lo, hi int, _ float64, idx []int, out []float64) int {
+	for j := range hi - lo {
+		idx[j], out[j] = lo+j, e.x[lo+j]
+	}
+	return hi - lo
+}
+
+func (exactSketch) SeedKeys(_, _ int, dst []int) ([]int, bool)           { return dst, false }
+func (exactSketch) Candidates(_ float64, _ int, dst []int) ([]int, bool) { return dst, false }
 
 func TestScanExactTieBreak(t *testing.T) {
 	e := exactSketch{x: []float64{0, 5, -5, 9, 0}, beta: 0}

@@ -9,15 +9,21 @@ import (
 	"repro/internal/core"
 )
 
-// scannable is the surface of a sketch the full scan reads.
-type scannable interface {
-	BiasedSketch
-	batchQuerier
+// fullScan hides a sketch's key lists and range scan: its lists
+// refuse and its range scan keeps every key, so TopK and Scan run the
+// full batched scan over it — the oracle of the pruned scans.
+type fullScan struct{ BiasedSketch }
+
+func (f fullScan) ScanRange(lo, hi int, _ float64, idx []int, out []float64) int {
+	for j := range hi - lo {
+		idx[j] = lo + j
+	}
+	f.QueryBatch(idx[:hi-lo], out[:hi-lo])
+	return hi - lo
 }
 
-// fullScan hides a sketch's range scan, so TopK and Scan run the full
-// batched scan over it — the oracle of the pruned scans.
-type fullScan struct{ scannable }
+func (fullScan) SeedKeys(_, _ int, dst []int) ([]int, bool)           { return dst, false }
+func (fullScan) Candidates(_ float64, _ int, dst []int) ([]int, bool) { return dst, false }
 
 // sameDeviators reports whether two answers agree in every field, bit
 // for bit.
@@ -36,7 +42,7 @@ func sameDeviators(a, b []Deviator) bool {
 }
 
 type updater interface {
-	scannable
+	BiasedSketch
 	Update(i int, delta float64)
 }
 

@@ -115,10 +115,10 @@ func TestConcurrentFirstQueryBatch(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				sk := e.MustNew(sh)
-				sketch.UpdateBatch(sk, idx, deltas)
+				sk.UpdateBatch(idx, deltas)
 				<-start
 				outs[g] = make([]float64, len(idx))
-				sketch.QueryBatch(sk, idx, outs[g])
+				sk.QueryBatch(idx, outs[g])
 			}()
 		}
 		close(start)

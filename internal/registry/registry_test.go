@@ -134,19 +134,6 @@ func TestStateCoversAllPaperAlgorithms(t *testing.T) {
 	}
 }
 
-// Every registry algorithm carries the batched ingestion capability.
-func TestEveryEntryImplementsBatchUpdater(t *testing.T) {
-	for _, name := range Names() {
-		sk, err := SafeNew(name, Shape{N: 1000, S: 64, D: 5, Seed: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, ok := sk.(sketch.BatchUpdater); !ok {
-			t.Errorf("%s (%T) does not implement sketch.BatchUpdater", name, sk)
-		}
-	}
-}
-
 func TestMergeDispatch(t *testing.T) {
 	a, _ := SafeNew(CountMin, Shape{N: 100, S: 16, D: 3, Seed: 1})
 	b, _ := SafeNew(CountMin, Shape{N: 100, S: 16, D: 3, Seed: 1})

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/counterbraids"
 )
@@ -44,7 +46,13 @@ const cbDecodeIters = 32
 type CounterBraids struct {
 	br      *counterbraids.Braid
 	decoded []float64
-	fresh   bool
+
+	// fresh reports whether decoded matches the braid. Writers are
+	// exclusive with readers, but readers of a quiescent braid (a
+	// shared snapshot) may query at once: mu lets one of them decode,
+	// and the store publishes the result to the rest.
+	fresh atomic.Bool
+	mu    sync.Mutex
 }
 
 // NewCounterBraids creates a braid summarizing an n-dimensional
@@ -70,7 +78,7 @@ func (c *CounterBraids) Update(i int, delta float64) {
 		panic(fmt.Errorf("%w: counterbraids accepts only non-negative integer deltas, got %v", ErrInsertOnly, delta))
 	}
 	c.br.Update(i, delta)
-	c.fresh = false
+	c.fresh.Store(false)
 }
 
 // UpdateBatch applies x[idx[j]] += deltas[j] for every j. The whole
@@ -93,24 +101,31 @@ func (c *CounterBraids) UpdateBatch(idx []int, deltas []float64) {
 	for j, i := range idx {
 		c.br.Update(i, deltas[j])
 	}
-	c.fresh = false
+	c.fresh.Store(false)
 }
 
 // Decoded returns the reconstructed count vector, running the CB
 // message-passing decode if a write happened since the last call and
-// caching the result. Callers must not modify the returned slice. Past
-// the decoding threshold the reconstruction fails with an
-// ErrDecodeBudget-wrapped error (counterbraids.ErrNoConverge is in the
-// chain).
+// caching the result. Concurrent first readers wait for one decode.
+// Callers must not modify the returned slice. Past the decoding
+// threshold the reconstruction fails with an ErrDecodeBudget-wrapped
+// error (counterbraids.ErrNoConverge is in the chain), and nothing is
+// cached, so the next read decodes again.
 func (c *CounterBraids) Decoded() ([]float64, error) {
-	if c.fresh {
+	if c.fresh.Load() {
 		return c.decoded, nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.fresh.Load() {
+		return c.decoded, nil // another reader decoded it meanwhile
 	}
 	x, err := c.br.Decode(cbDecodeIters)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrDecodeBudget, err)
 	}
-	c.decoded, c.fresh = x, true
+	c.decoded = x
+	c.fresh.Store(true)
 	return x, nil
 }
 
@@ -173,7 +188,7 @@ func (c *CounterBraids) MergeFrom(other Linear) error {
 	if err := c.br.MergeFrom(o.br); err != nil {
 		return ErrIncompatible
 	}
-	c.fresh = false
+	c.fresh.Store(false)
 	return nil
 }
 
@@ -188,6 +203,6 @@ func (c *CounterBraids) Unmarshal(b []byte) error {
 	if err := c.br.Unmarshal(b); err != nil {
 		return err
 	}
-	c.fresh = false
+	c.fresh.Store(false)
 	return nil
 }

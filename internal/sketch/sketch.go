@@ -11,6 +11,25 @@
 // Count-Sketch) additionally support MergeFrom, which makes them
 // directly usable in the distributed model of §1: sites sketch their
 // local vectors and the coordinator sums the sketches.
+//
+// Every sketch in this module — these, the bias-aware core.SR, Counter
+// Braids and the exact vector — implements the whole Sketch interface,
+// batched paths included, and keeps one contract:
+//
+//   - UpdateBatch(idx, deltas) leaves exactly the state of the
+//     element-wise Update loop, and QueryBatch(idx, out) writes exactly
+//     the element-wise Query answers, bit for bit.
+//   - Both validate the whole batch (slice lengths, index ranges,
+//     insert-only deltas) before touching a counter or out, so a panic
+//     leaves the sketch and out as they were.
+//   - The hashed sketches traverse a batch row-major: each row's hash
+//     (and sign) coefficients load once per batch and the row's
+//     counters stay cache-hot while every element's bucket is visited,
+//     instead of the whole d·s-word table being walked per element.
+//   - QueryBatch borrows its scratch per call, while Query may reuse
+//     per-sketch scratch. So any number of goroutines may call
+//     QueryBatch on a sketch that no one writes (a shared snapshot
+//     replica); writers stay exclusive with every reader.
 package sketch
 
 import (
@@ -19,12 +38,18 @@ import (
 )
 
 // Sketch is the common interface: a summary of a frequency vector
-// x ∈ R^n supporting point updates and point queries.
+// x ∈ R^n supporting point updates and point queries, one at a time or
+// in batches (see the package doc for the batch contract).
 type Sketch interface {
 	// Update applies x[i] += delta. i must be in [0, Dim()).
 	Update(i int, delta float64)
 	// Query returns an estimate of x[i].
 	Query(i int) float64
+	// UpdateBatch applies x[idx[j]] += deltas[j] for every j.
+	UpdateBatch(idx []int, deltas []float64)
+	// QueryBatch writes an estimate of x[idx[j]] into out[j] for every
+	// j.
+	QueryBatch(idx []int, out []float64)
 	// Dim returns n, the dimension of the summarized vector.
 	Dim() int
 	// Words returns the sketch size in 64-bit words, the x-axis of
@@ -32,76 +57,11 @@ type Sketch interface {
 	Words() int
 }
 
-// BatchUpdater is the optional capability of sketches with a native
-// batched ingestion path. UpdateBatch applies x[idx[j]] += deltas[j]
-// for every j and leaves exactly the state of the equivalent
-// element-wise Update loop; implementations validate the whole batch
-// (slice lengths and index ranges) before touching any counter, so a
-// panic cannot leave the sketch partially updated.
-//
-// Every algorithm in this repository implements it with a row-major
-// traversal: each row's hash is evaluated over the whole batch (one
-// coefficient load per row, see hashing.Pairwise.HashMany) and the
-// row's counters — a few KB — stay cache-hot while absorbing every
-// element, instead of the whole d·s-word table being walked per
-// element.
-type BatchUpdater interface {
-	UpdateBatch(idx []int, deltas []float64)
-}
-
-// UpdateBatch feeds a batch through s's native batched path when it
-// has one, or an element-wise loop otherwise.
+// UpdateBatch is s.UpdateBatch(idx, deltas) as a function, which the
+// benchmark module calls.
 //
 //sketch:hotpath
-func UpdateBatch(s Sketch, idx []int, deltas []float64) {
-	if b, ok := s.(BatchUpdater); ok {
-		b.UpdateBatch(idx, deltas)
-		return
-	}
-	if len(idx) != len(deltas) {
-		panic(fmt.Sprintf("sketch: batch index count %d != delta count %d", len(idx), len(deltas)))
-	}
-	for j, i := range idx {
-		s.Update(i, deltas[j])
-	}
-}
-
-// BatchQuerier is the read-side twin of BatchUpdater: QueryBatch
-// writes an estimate of x[idx[j]] into out[j] for every j, and the
-// results are bit-identical to the element-wise Query loop.
-//
-// Every algorithm in this repository implements it with the same
-// row-major traversal as UpdateBatch: each row's hash (and sign)
-// coefficients load once per batch and the row's counters stay
-// cache-hot while every element's bucket is gathered; the per-element
-// combination step (min / median / bias correction) then runs over the
-// gathered values. The whole batch is validated before out is written.
-//
-// Unlike the single-element Query methods — which reuse per-sketch
-// scratch buffers — QueryBatch implementations allocate their scratch
-// per call, so concurrent QueryBatch calls on a sketch that is no
-// longer being written (e.g. a Sharded snapshot replica) are safe.
-type BatchQuerier interface {
-	QueryBatch(idx []int, out []float64)
-}
-
-// QueryBatch answers a batch of point queries through s's native
-// batched path when it has one, or an element-wise Query loop
-// otherwise. Both paths produce bit-identical results.
-//
-//sketch:hotpath
-func QueryBatch(s Sketch, idx []int, out []float64) {
-	if len(idx) != len(out) {
-		panic(fmt.Sprintf("sketch: batch index count %d != output count %d", len(idx), len(out)))
-	}
-	if b, ok := s.(BatchQuerier); ok {
-		b.QueryBatch(idx, out)
-		return
-	}
-	for j, i := range idx {
-		out[j] = s.Query(i)
-	}
-}
+func UpdateBatch(s Sketch, idx []int, deltas []float64) { s.UpdateBatch(idx, deltas) }
 
 // Linear is a sketch with the linearity property Φ(x+y) = Φx + Φy,
 // hence mergeable across distributed sites.
@@ -120,12 +80,23 @@ var ErrIncompatible = errors.New("sketch: incompatible sketches")
 // constructor returns.
 var ErrConfig = errors.New("sketch: invalid configuration")
 
+// recoverChunk is the batch size Recover queries in: large enough to
+// amortize per-row coefficient loads, small enough that the per-chunk
+// scratch stays cache-resident.
+const recoverChunk = 1024
+
 // Recover reconstructs the full estimate vector x̂ by querying every
-// coordinate — the recovery phase R(Φx) of §1.
+// coordinate — the recovery phase R(Φx) of §1 — through QueryBatch in
+// chunks, so it equals the Query loop bit for bit.
 func Recover(s Sketch) []float64 {
 	out := make([]float64, s.Dim())
-	for i := range out {
-		out[i] = s.Query(i)
+	idx := make([]int, min(recoverChunk, len(out)))
+	for base := 0; base < len(out); base += len(idx) {
+		m := min(len(idx), len(out)-base)
+		for j := range idx[:m] {
+			idx[j] = base + j
+		}
+		s.QueryBatch(idx[:m], out[base:base+m])
 	}
 	return out
 }
@@ -133,8 +104,12 @@ func Recover(s Sketch) []float64 {
 // SketchVector feeds a dense frequency vector into s, one update per
 // non-zero coordinate. A length mismatch returns an error before any
 // update is applied; the public repro.SketchVector delegates here, so
-// the two paths share one behavior.
-func SketchVector(s Sketch, x []float64) error {
+// the two paths share one behavior, and s needs only Update and Dim,
+// so a repro.Sketch built outside this module is fed the same way.
+func SketchVector(s interface {
+	Update(i int, delta float64)
+	Dim() int
+}, x []float64) error {
 	if len(x) != s.Dim() {
 		return fmt.Errorf("sketch: vector length %d != sketch dim %d", len(x), s.Dim())
 	}

@@ -66,8 +66,8 @@ func NewExact(n int) *Exact { return &Exact{x: make([]float64, n)} }
 // Update implements sketch.Sketch.
 func (e *Exact) Update(i int, delta float64) { e.x[i] += delta }
 
-// UpdateBatch implements sketch.BatchUpdater: x[idx[j]] += deltas[j]
-// for every j. The whole batch is validated before any counter moves,
+// UpdateBatch implements sketch.Sketch: x[idx[j]] += deltas[j] for
+// every j. The whole batch is validated before any counter moves,
 // matching the all-or-nothing contract of the hashed sketches.
 func (e *Exact) UpdateBatch(idx []int, deltas []float64) {
 	if len(idx) != len(deltas) {
@@ -86,9 +86,9 @@ func (e *Exact) UpdateBatch(idx []int, deltas []float64) {
 // Query implements sketch.Sketch.
 func (e *Exact) Query(i int) float64 { return e.x[i] }
 
-// QueryBatch implements sketch.BatchQuerier: out[j] = x[idx[j]] for
-// every j, after validating the whole batch. Trivially bit-identical
-// to the element-wise Query loop.
+// QueryBatch implements sketch.Sketch: out[j] = x[idx[j]] for every
+// j, after validating the whole batch. Trivially bit-identical to the
+// element-wise Query loop.
 func (e *Exact) QueryBatch(idx []int, out []float64) {
 	if len(idx) != len(out) {
 		panic(fmt.Sprintf("stream: batch index count %d != output count %d", len(idx), len(out)))

@@ -1,9 +1,8 @@
 package window
 
-// Degraded-path tests: pane sketches from outside this module without
-// a batched query path must be served through the element-wise
-// fallback, and a failing merge must surface as an error from every
-// entry point that merges — never corrupt the published view.
+// Degraded-path tests: a failing merge must surface as an error from
+// every entry point that merges — never corrupt the published view —
+// and a malformed batch must panic before it reaches the replica.
 
 import (
 	"errors"
@@ -11,7 +10,7 @@ import (
 	"testing"
 )
 
-// plainSketch is a minimal Mergeable with no QueryBatch capability.
+// plainSketch is a minimal Mergeable over a dense vector.
 type plainSketch struct{ x []float64 }
 
 func newPlain() *plainSketch { return &plainSketch{x: make([]float64, 16)} }
@@ -21,37 +20,23 @@ func (p *plainSketch) Query(i int) float64     { return p.x[i] }
 func (p *plainSketch) Dim() int                { return len(p.x) }
 func (p *plainSketch) Words() int              { return len(p.x) }
 
+func (p *plainSketch) UpdateBatch(idx []int, deltas []float64) {
+	for j, i := range idx {
+		p.Update(i, deltas[j])
+	}
+}
+
+func (p *plainSketch) QueryBatch(idx []int, out []float64) {
+	for j, i := range idx {
+		out[j] = p.Query(i)
+	}
+}
+
 func mergePlain(dst, src *plainSketch) error {
 	for i, v := range src.x {
 		dst.x[i] += v
 	}
 	return nil
-}
-
-func TestQueryFallbackWithoutBatchPath(t *testing.T) {
-	w, err := New(Config{Panes: 2, Shards: 1}, newPlain, mergePlain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Update(0, 3, 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Advance(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Update(0, 3, 2); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]float64, 2)
-	if err := w.QueryBatch([]int{3, 0}, out); err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 9 || out[1] != 0 {
-		t.Fatalf("fallback QueryBatch = %v, want [9 0]", out)
-	}
-	if got, err := w.Query(3); err != nil || got != 9 {
-		t.Fatalf("fallback Query = %v, %v; want 9", got, err)
-	}
 }
 
 func TestViewQueryBatchPanicsOnLengthMismatch(t *testing.T) {

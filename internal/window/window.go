@@ -13,7 +13,9 @@
 // replica (the closed-pane sum, then every open-pane shard, merged into
 // one fresh replica) published through an atomic pointer, rebuilt only
 // when a pane rotates or the open pane's shard epochs advance — readers
-// of a fresh view take zero locks.
+// of a fresh view take zero locks. Panes are concurrent.Mergeable, so a
+// batch of queries reaches the view's replica whole, and a point query
+// is a pooled batch of one (concurrent.QueryOne).
 //
 // Rotation is either explicit (Advance) or clock-driven: with a pane
 // width configured, every Update/Query first folds in any panes the
@@ -319,39 +321,22 @@ func (v *View[S]) Stale() bool {
 	return v.gen != v.owner.gen.Load() || v.cur.Moved(v.epochs)
 }
 
-// Query answers a point query against the view, lock-free, through the
-// replica's batched path as a batch of one (per-call scratch, so
-// concurrent readers never share state).
-func (v *View[S]) Query(i int) float64 {
-	var (
-		idx = [1]int{i}
-		out [1]float64
-	)
-	v.QueryBatch(idx[:], out[:])
-	return out[0]
-}
-
-// batchQuerier matches sketches with a native batched query path — the
-// sketch.BatchQuerier capability, restated structurally so this
-// package keeps zero sketch dependencies.
-type batchQuerier interface {
-	QueryBatch(idx []int, out []float64)
-}
+// Query answers a point query against the view, lock-free, through
+// concurrent.QueryOne: a pooled batch of one, so concurrent readers
+// never share scratch and the call allocates nothing.
+//
+//sketch:hotpath
+func (v *View[S]) Query(i int) float64 { return concurrent.QueryOne(v.sk, i) }
 
 // QueryBatch answers a batch of point queries against the view,
-// lock-free, through the replica's native batched path when it has one
-// (bit-identical to the Query loop either way).
+// lock-free, through the replica's batched path.
+//
+//sketch:hotpath
 func (v *View[S]) QueryBatch(idx []int, out []float64) {
 	if len(idx) != len(out) {
 		panic(fmt.Sprintf("window: batch index count %d != output count %d", len(idx), len(out)))
 	}
-	if b, ok := any(v.sk).(batchQuerier); ok {
-		b.QueryBatch(idx, out)
-		return
-	}
-	for j, i := range idx {
-		out[j] = v.sk.Query(i)
-	}
+	v.sk.QueryBatch(idx, out)
 }
 
 // View returns a merged replica of the live panes, reusing the
@@ -416,7 +401,7 @@ func (w *Window[S]) Query(i int) (float64, error) {
 }
 
 // QueryBatch answers a batch of point queries over the live panes
-// only, through the replica's native batched path.
+// only, through the replica's batched path.
 func (w *Window[S]) QueryBatch(idx []int, out []float64) error {
 	if len(idx) != len(out) {
 		return fmt.Errorf("window: batch index count %d != output count %d", len(idx), len(out))

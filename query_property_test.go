@@ -211,6 +211,11 @@ func TestRecoverMatchesQueryLoop(t *testing.T) {
 			}
 		}
 	}
+	// A sketch built outside this package gets the Query loop.
+	f := &foreignSketch{x: []float64{3, 0, -1}}
+	if got := repro.Recover(f); len(got) != 3 || got[0] != 3 || got[1] != 0 || got[2] != -1 {
+		t.Fatalf("foreign Recover = %v, want [3 0 -1]", got)
+	}
 }
 
 // Snapshot read surface: Bias/TopK/Scan work on bias-aware snapshots,

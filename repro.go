@@ -145,10 +145,10 @@ var (
 	// index slice and its paired delta/output slice differ in length;
 	// nothing is applied or written.
 	ErrBadBatch = errors.New("repro: batch slice lengths differ")
-	// ErrForeignSketch is returned by Encode, Checkpoint, and the
-	// other state-bearing entry points when handed a Sketch
-	// implementation that was not built by this package's
-	// constructors and so carries no serializable state.
+	// ErrForeignSketch is returned by Encode, Checkpoint, TopK, Scan
+	// and the other entry points that need a sketch's internals when
+	// handed a Sketch implementation that was not built by this
+	// package's constructors.
 	ErrForeignSketch = errors.New("repro: sketch was not built by repro.New")
 	// ErrNilLevel is returned by NewRange when the level factory
 	// returns nil for some dyadic level.
@@ -163,25 +163,13 @@ type handle struct {
 	desc  codec.Desc
 }
 
-func (h *handle) Update(i int, delta float64) { h.inner.Update(i, delta) }
-func (h *handle) Query(i int) float64         { return h.inner.Query(i) }
-
-// UpdateBatch forwards to the inner sketch's native batched path
-// (every registry algorithm has one; sketch.UpdateBatch degrades to an
-// element-wise loop for any that does not).
-func (h *handle) UpdateBatch(idx []int, deltas []float64) {
-	sketch.UpdateBatch(h.inner, idx, deltas)
-}
-
-// QueryBatch forwards to the inner sketch's native batched query path
-// (every registry algorithm has one; sketch.QueryBatch degrades to an
-// element-wise loop for any that does not).
-func (h *handle) QueryBatch(idx []int, out []float64) {
-	sketch.QueryBatch(h.inner, idx, out)
-}
-func (h *handle) Dim() int     { return h.inner.Dim() }
-func (h *handle) Words() int   { return h.inner.Words() }
-func (h *handle) Algo() string { return h.entry.Name }
+func (h *handle) Update(i int, delta float64)             { h.inner.Update(i, delta) }
+func (h *handle) Query(i int) float64                     { return h.inner.Query(i) }
+func (h *handle) UpdateBatch(idx []int, deltas []float64) { h.inner.UpdateBatch(idx, deltas) }
+func (h *handle) QueryBatch(idx []int, out []float64)     { h.inner.QueryBatch(idx, out) }
+func (h *handle) Dim() int                                { return h.inner.Dim() }
+func (h *handle) Words() int                              { return h.inner.Words() }
+func (h *handle) Algo() string                            { return h.entry.Name }
 func (h *handle) String() string {
 	return fmt.Sprintf("%s(n=%d s=%d d=%d)", h.entry.Name, h.desc.N, h.desc.S, h.desc.D)
 }
@@ -286,35 +274,17 @@ func IsLinear(algo string) bool {
 	return ok && e.Linear
 }
 
-// recoverChunk is the batch size Recover feeds through the batched
-// query path: large enough to amortize per-row coefficient loads,
-// small enough that the per-chunk scratch stays cache-resident.
-const recoverChunk = 1024
-
 // Recover reconstructs the full estimate vector x̂ by querying every
-// coordinate — the recovery phase R(Φx) of §1. It runs through the
-// sketch's batched query path when there is one; QueryBatch is
-// bit-identical to the Query loop, so the result never depends on the
-// path taken.
+// coordinate — the recovery phase R(Φx) of §1. A sketch New built is
+// queried in batches; QueryBatch is bit-identical to the Query loop,
+// which a Sketch built outside this package gets.
 func Recover(s Sketch) []float64 {
-	out := make([]float64, s.Dim())
-	bq, ok := s.(BatchQuerier)
-	if !ok {
-		for i := range out {
-			out[i] = s.Query(i)
-		}
-		return out
+	if h, ok := s.(baser); ok {
+		return sketch.Recover(h.base().inner)
 	}
-	idx := make([]int, recoverChunk)
-	for base := 0; base < len(out); base += recoverChunk {
-		m := recoverChunk
-		if rem := len(out) - base; rem < m {
-			m = rem
-		}
-		for j := 0; j < m; j++ {
-			idx[j] = base + j
-		}
-		bq.QueryBatch(idx[:m], out[base:base+m])
+	out := make([]float64, s.Dim())
+	for i := range out {
+		out[i] = s.Query(i)
 	}
 	return out
 }
@@ -388,8 +358,8 @@ type Deviator = heavyhitter.Deviator
 // only the keys of the buckets heavy enough to hold a top-k key,
 // listed by inverting the row hashes (a range scan near the noise
 // floor), fully queries only those a median bound cannot rule out, and
-// answers exactly as the top k of Recover would. ErrNoBias unless s is
-// bias-aware.
+// answers exactly as the top k of Recover would. ErrForeignSketch
+// unless New built s, and ErrNoBias unless s is bias-aware.
 func TopK(s Sketch, k int) ([]Deviator, error) {
 	b, err := deviationSketch(s)
 	if err != nil {
@@ -402,7 +372,8 @@ func TopK(s Sketch, k int) ([]Deviator, error) {
 // bias exceeds threshold, sorted by decreasing deviation (ties by
 // index). Like TopK, it reads only the keys of the heavy buckets (a
 // range scan near the noise floor) and fully queries only those a
-// median bound cannot rule out. ErrNoBias unless s is bias-aware.
+// median bound cannot rule out. ErrForeignSketch unless New built s,
+// and ErrNoBias unless s is bias-aware.
 func Scan(s Sketch, threshold float64) ([]Deviator, error) {
 	b, err := deviationSketch(s)
 	if err != nil {
@@ -411,18 +382,16 @@ func Scan(s Sketch, threshold float64) ([]Deviator, error) {
 	return heavyhitter.Scan(b, threshold), nil
 }
 
-// deviationSketch returns what TopK and Scan run on: a handle's inner
-// sketch, so they reach its bucket listing and range scan, or s
-// itself. ErrNoBias unless s is bias-aware.
+// deviationSketch returns what TopK and Scan run on: the handle's
+// inner sketch, whose bucket listing and range scan they read.
 func deviationSketch(s Sketch) (heavyhitter.BiasedSketch, error) {
-	b, ok := s.(heavyhitter.BiasedSketch)
+	h, ok := s.(baser)
+	if !ok {
+		return nil, fmt.Errorf("%w: %T", ErrForeignSketch, s)
+	}
+	b, ok := h.base().inner.(heavyhitter.BiasedSketch)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoBias, s.Algo())
-	}
-	if h, ok := s.(baser); ok {
-		if inner, ok := h.base().inner.(heavyhitter.BiasedSketch); ok {
-			return inner, nil
-		}
 	}
 	return b, nil
 }

@@ -209,10 +209,10 @@ func (s *Sharded) Words() int { return s.inner.Words() }
 // Snapshot is an immutable merged view of a Sharded sketch, published
 // by Refresh and shared by every reader. All read methods are safe for
 // any number of concurrent goroutines and take zero shard locks —
-// Query routes single queries through the allocation-per-call batched
-// path precisely so that no per-sketch scratch is shared between
-// readers. A snapshot never changes after publication: writes that
-// land after the Refresh that built it are visible only in later
+// Query routes single queries through the batched path, as a pooled
+// batch of one, precisely so that no per-sketch scratch is shared
+// between readers. A snapshot never changes after publication: writes
+// that land after the Refresh that built it are visible only in later
 // snapshots (check Stale, refresh via the owning Sharded).
 type Snapshot struct {
 	view  *concurrent.Snapshot[sketch.Sketch]
